@@ -35,7 +35,6 @@ from .controller import (
     ida_pbc_control,
     tanh_saturation,
     target_energy,
-    two_phase_control,
 )
 from .errors import (
     EmptyWorkspace,
@@ -114,7 +113,6 @@ __all__ = [
     "tanh_saturation",
     "target_energy",
     "total_energy",
-    "two_phase_control",
     "ultimate_bounds",
     "validate_constants",
     "verify_matching",

@@ -10,13 +10,55 @@ Benchmarks are addressable by name:
 
 from __future__ import annotations
 
+from typing import Any, Callable, Optional, Protocol, Tuple
+
+from ..bounds import BoundConstants, BoundReport
+from ..controller import TargetDynamics
+from ..phcore import ConfigState, MechanicalSystem
+from ..sampling import Box
+from ..simulate import SimConfig
 from .ballbeam import BallBeamBenchmark, BallBeamParams, make_ball_beam
 from .vtol import VtolBenchmark, VtolParams, make_vtol
 
 BENCHMARK_NAMES = ("ball-beam", "vtol-nonsmooth", "vtol-two-phase")
 
 
-def get_benchmark(name: str, **overrides):
+class Benchmark(Protocol):
+    """What the CLI pipelines use of a benchmark.
+
+    `certificate` estimates the constants and passes them to `report`, which
+    builds the bound report for a start state or a bare energy budget.
+    `extra_artifacts` returns design-specific entries of bounds.json.
+    `residual_box` is the region of the matching check (None: the
+    workspace). `two_phase` marks designs whose controller switches laws
+    and exposes `switch_time` and `switch_state`; their energy is checked
+    from the switch on and their certificate is rebuilt at the switch.
+    """
+
+    name: str
+    params: Any
+    system: MechanicalSystem
+    target: TargetDynamics
+    initial_state: ConfigState
+    residual_box: Optional[Box]
+    two_phase: bool
+
+    def certificate(self, s0: Optional[ConfigState] = None, samples: int = ...,
+                    mu: float = ...) -> Tuple[BoundConstants, BoundReport]: ...
+
+    def report(self, constants: BoundConstants, s0: Optional[ConfigState] = None,
+               hd0: Optional[float] = None) -> BoundReport: ...
+
+    def certification_region(self, hd_t0: Optional[float] = None) -> Box: ...
+
+    def default_sim(self) -> SimConfig: ...
+
+    def make_controller(self) -> Callable: ...
+
+    def extra_artifacts(self, constants: BoundConstants, report: BoundReport) -> dict: ...
+
+
+def get_benchmark(name: str, **overrides) -> Benchmark:
     """Instantiate a benchmark by CLI name, with parameter overrides."""
     if name == "ball-beam":
         return make_ball_beam(BallBeamParams(**overrides))
@@ -34,6 +76,7 @@ __all__ = [
     "BENCHMARK_NAMES",
     "BallBeamBenchmark",
     "BallBeamParams",
+    "Benchmark",
     "VtolBenchmark",
     "VtolParams",
     "get_benchmark",

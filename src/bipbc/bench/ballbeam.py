@@ -17,14 +17,22 @@ is an exact zero up to rounding. All gradients below are analytic.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
-from ..bounds import BoundConstants, BoundReport, bound_report, estimate_constants
-from ..controller import TargetDynamics, ida_pbc_control_raw, mass_d_solve, target_energy
+from ..bounds import (
+    BoundConstants,
+    BoundReport,
+    bound_report,
+    control_upper_bound,
+    estimate_constants,
+    start_budget,
+)
+from ..controller import TargetDynamics, ida_pbc_control_raw, target_energy
 from ..phcore import ConfigState, MechanicalSystem
 from ..sampling import Box
 from ..simulate import SimConfig
@@ -44,6 +52,8 @@ REFERENCE_CONSTANTS = {
     "lam_min_MdInv": 0.06,
     "stated_tau_bound": 20.0,
 }
+#: the momentum bounds quoted with those constants
+REFERENCE_MOMENTA = {"c_p": 2.0, "c_ptilde": 0.44}
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,6 @@ class BallBeamParams:
     k_v: float = 5.0
     q1_max: float = 0.96
     q2_max: float = 0.19
-    momentum_cap: float = 2.0
 
 
 @dataclass
@@ -78,6 +87,7 @@ class BallBeamBenchmark:
     residual_box: Box
     damping_mode: str = "linear"
     reference_constants: dict = field(default_factory=lambda: dict(REFERENCE_CONSTANTS))
+    two_phase: ClassVar[bool] = False
 
     def make_controller(self):
         sys, tgt, mode = self.system, self.target, self.damping_mode
@@ -104,22 +114,36 @@ class BallBeamBenchmark:
         mu: float = 1e-6,
     ) -> Tuple[BoundConstants, BoundReport]:
         """Estimate constants and assemble the bound report for a start state."""
-        state = s0 if s0 is not None else self.initial_state
-        constants = estimate_constants(
-            self.system,
-            self.target,
-            momentum_cap=self.params.momentum_cap,
-            samples=samples,
-            mu=mu,
-        )
-        pt0 = mass_d_solve(self.target, state.q, state.p)
-        report = bound_report(
-            constants,
-            hd_t0=self.hd(state),
-            p0_norm=float(np.linalg.norm(state.p)),
-            ptilde0_norm=float(np.linalg.norm(pt0)),
-        )
-        return constants, report
+        constants = estimate_constants(self.system, self.target, samples=samples, mu=mu)
+        return constants, self.report(constants, s0)
+
+    def report(
+        self,
+        constants: BoundConstants,
+        s0: Optional[ConfigState] = None,
+        hd0: Optional[float] = None,
+    ) -> BoundReport:
+        """Bound report for start `s0` (default: the published start), or for
+        a bare energy budget `hd0` (see `start_budget`)."""
+        if s0 is None and hd0 is None:
+            s0 = self.initial_state
+        return bound_report(constants, *start_budget(self.target, s0, hd0))
+
+    def extra_artifacts(self, constants: BoundConstants, report: BoundReport) -> dict:
+        """The effort bound the original study's quoted constants give, next to
+        its stated bound: a plug-in cross-check, reported, not reconciled."""
+        ref = self.reference_constants
+        quoted = dataclasses.replace(
+            constants, c_V=np.array([ref["c_V_2"]]), c_Vd=ref["c_Vd"],
+            c_M=np.array([ref["c_M_2"]]), c_Md=ref["c_Md"], c_J=ref["c_J"],
+            c_Lambda=np.array([ref["c_Lambda_2"]]))
+        value = float(control_upper_bound(quoted, **REFERENCE_MOMENTA)[0])
+        stated = ref["stated_tau_bound"]
+        note = ("plugging the quoted constants into the effort-bound formula "
+                f"gives {value:.1f}, not the stated {stated:.0f}; the discrepancy "
+                "is in the source arithmetic and is reported, not reconciled")
+        return {"reference": {"constants": ref, "effort_bound_from_reference_constants": value,
+                              "stated_effort_bound": stated, "note": note}}
 
 
 def make_ball_beam(params: BallBeamParams = BallBeamParams()) -> BallBeamBenchmark:

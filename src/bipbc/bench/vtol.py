@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -39,17 +39,16 @@ from ..bounds import (
     BoundConstants,
     BoundReport,
     ConfinementInterval,
+    bound_report,
     estimate_constants,
     levelset_confinement,
-    select_momentum_bounds,
-    strict_selection,
+    start_budget,
 )
 from ..controller import (
     ConfigState,
     TargetDynamics,
     ida_pbc_control_raw,
     log_cosh,
-    mass_d_solve,
     target_energy,
     TwoPhaseController,
 )
@@ -104,6 +103,8 @@ class VtolBenchmark:
     initial_state: ConfigState
     two_phase: bool
     damping_mode: str = "saturated"
+    #: the matching residuals are checked over the whole workspace
+    residual_box: ClassVar[Optional[Box]] = None
 
     def make_controller(self):
         if self.two_phase:
@@ -153,10 +154,14 @@ class VtolBenchmark:
         budget = self.hd() if hd_t0 is None else hd_t0
         return levelset_confinement(self.target, budget, 2, self.system.workspace)
 
+    def roll_limit(self, hd_t0: Optional[float] = None) -> float:
+        """Largest confined |roll|, capped at the workspace's theta_box."""
+        conf = self.roll_confinement(hd_t0)
+        return min(max(abs(conf.lower), abs(conf.upper)), self.params.theta_box)
+
     def certification_region(self, hd_t0: Optional[float] = None) -> Box:
         """Workspace box with the roll range cut down to the confined excursion."""
-        conf = self.roll_confinement(hd_t0)
-        theta = min(max(abs(conf.lower), abs(conf.upper)), self.params.theta_box)
+        theta = self.roll_limit(hd_t0)
         box = self.system.workspace
         return Box(
             lower=np.array([box.lower[0], box.lower[1], -theta]),
@@ -233,44 +238,40 @@ class VtolBenchmark:
         samples: int = 400,
         mu: float = 1e-6,
     ) -> Tuple[BoundConstants, BoundReport]:
-        """Momentum bounds from M_d extremes plus the sharp effort bounds.
-
-        The momentum part follows the level-set argument with the exact
-        eigenvalues of the constant M_d; the effort part overrides the
-        conservative general-G bound with the per-input certificate over the
-        confined roll range.
-        """
-        state = s0 if s0 is not None else self.initial_state
-        hd0 = self.hd(state)
-        region = self.certification_region(hd0)
-        theta_max = float(region.upper[2])
+        """Constants over the certification region and the report for a start state."""
+        region = self.certification_region(self.hd(s0))
         constants = estimate_constants(
             self.system, self.target, samples=samples, mu=mu, region=region
         )
-        pt0 = mass_d_solve(self.target, state.q, state.p)
-        p0n = float(np.linalg.norm(state.p))
-        pt0n = float(np.linalg.norm(pt0))
-        c_p1, c_pt1, c_p2, c_pt2, c_p, c_pt = select_momentum_bounds(
-            constants, hd0, p0n, pt0n
+        return constants, self.report(constants, s0)
+
+    def report(
+        self,
+        constants: BoundConstants,
+        s0: Optional[ConfigState] = None,
+        hd0: Optional[float] = None,
+    ) -> BoundReport:
+        """Momentum bounds from the M_d extremes plus the sharp effort bounds.
+
+        The effort part replaces the conservative general-G bound with the
+        per-input certificate over the roll range confined by H_d(t0). `s0`
+        defaults to the published start; a bare `hd0` is an energy budget
+        (see `start_budget`).
+        """
+        if s0 is None and hd0 is None:
+            s0 = self.initial_state
+        budget = start_budget(self.target, s0, hd0)
+        sharp = self.effort_certificate(self.roll_limit(budget[0]))
+        return bound_report(
+            constants,
+            *budget,
+            effort=lambda c_p, c_ptilde: (sharp["tau_upper"], None),
+            tau_center=sharp["tau_center"],
         )
-        c_ps, c_pts = strict_selection(c_p1, c_pt1, c_p2, c_pt2, p0n, pt0n)
-        effort = self.effort_certificate(theta_max)
-        report = BoundReport(
-            c_p1=c_p1,
-            c_ptilde1=c_pt1,
-            c_p2=c_p2,
-            c_ptilde2=c_pt2,
-            c_p=c_p,
-            c_ptilde=c_pt,
-            c_p_strict=c_ps,
-            c_ptilde_strict=c_pts,
-            tau_upper=effort["tau_upper"],
-            tau_lower=None,
-            tau_center=effort["tau_center"],
-            tau_upper_strict=effort["tau_upper"],
-            hd_t0=hd0,
-        )
-        return constants, report
+
+    def extra_artifacts(self, constants: BoundConstants, report: BoundReport) -> dict:
+        """The roll excursion the report's energy budget allows."""
+        return {"roll_confinement": self.roll_confinement(report.hd_t0)}
 
 
 def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> VtolBenchmark:

@@ -34,14 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from functools import partial
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve
+from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, target_energy
 from .errors import NonpositiveEigenvalue
 from .matching import build_r2
-from .phcore import MechanicalSystem, kinetic_energy_grad, mass_solve
+from .phcore import ConfigState, MechanicalSystem, kinetic_energy_grad, mass_solve
 from .sampling import Box
 
 
@@ -63,6 +64,33 @@ def unit_input_rows(g: np.ndarray, tol: float = 1e-12) -> Optional[np.ndarray]:
     if np.unique(rows).size != rows.size:
         return None
     return rows
+
+
+def actuated_terms(
+    sys: MechanicalSystem,
+    tgt: TargetDynamics,
+    q: np.ndarray,
+    ps,
+    rows: Optional[np.ndarray],
+    pinv_g: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-actuator magnitudes at q of the terms the effort bound dominates.
+
+    Returns |grad_q V|, the row norms of Lambda = M_d M^-1, and
+    |grad_q K(q, p)| for each momentum p in `ps` (one row per p). With
+    `rows` (a unit-structure G, see `unit_input_rows`) these are the
+    actuated rows; otherwise each term is pulled back through pinv(G(q)),
+    which the caller may pass in as `pinv_g`.
+    """
+    grad_v = np.asarray(sys.potential_grad(q), dtype=float)
+    lam = tgt.mass_d(q) @ np.linalg.inv(sys.mass_matrix(q))
+    kinetic = np.array([kinetic_energy_grad(sys, q, p) for p in ps])
+    if rows is not None:
+        return np.abs(grad_v[rows]), np.linalg.norm(lam[rows], axis=1), np.abs(kinetic[:, rows])
+    if pinv_g is None:
+        pinv_g = np.linalg.pinv(np.asarray(sys.input_coupling(q), dtype=float))
+    kinetic = np.abs([pinv_g @ gk for gk in kinetic])
+    return np.abs(pinv_g @ grad_v), np.linalg.norm(pinv_g @ lam, axis=1), kinetic
 
 
 @dataclass(frozen=True)
@@ -105,7 +133,6 @@ class BoundConstants:
 def estimate_constants(
     sys: MechanicalSystem,
     tgt: TargetDynamics,
-    momentum_cap: float = 2.0,
     samples: int = 1000,
     inflation: float = 1.05,
     mu: float = 1e-6,
@@ -121,14 +148,11 @@ def estimate_constants(
     eigenvalue extremes are reported raw.
 
     Args:
-        momentum_cap: radius of the momentum ball the certificate covers
-            (enters only through the sanity of the homogeneity sweep).
         region: overrides the system workspace for all constants.
         vd_grad_region: separate region for the grad V_d supremum, for
             designs whose grad V_d is confined by a level-set argument to a
             smaller region than the full workspace.
     """
-    del momentum_cap  # ratios are p-scale invariant; kept for interface clarity
     box = region if region is not None else sys.workspace
     qs = np.vstack([box.sample(samples), box.corners(), box.center()[None, :]])
     n, m = sys.n, sys.m
@@ -175,20 +199,13 @@ def estimate_constants(
         sigma_q = pinv_g @ (grad_v - lam @ grad_vd)
         sigma = np.minimum(sigma, sigma_q)
 
-        if unit_structure:
-            c_v = np.maximum(c_v, np.abs(grad_v[rows]))
-            c_lam = np.maximum(c_lam, np.linalg.norm(lam[rows, :], axis=1))
-        else:
-            c_v = np.maximum(c_v, np.abs(pinv_g @ grad_v))
-            c_lam = np.maximum(c_lam, np.linalg.norm(pinv_g @ lam, axis=1))
+        v_q, lam_q, kinetic_q = actuated_terms(sys, tgt, q, directions, rows, pinv_g)
+        c_v = np.maximum(c_v, v_q)
+        c_lam = np.maximum(c_lam, lam_q)
+        c_m = np.maximum(c_m, np.max(kinetic_q, axis=0))
 
         for u in directions:
-            gk = kinetic_energy_grad(sys, q, u)
             gkd = kinetic_d_grad(tgt, q, u)
-            if unit_structure:
-                c_m = np.maximum(c_m, np.abs(gk[rows]))
-            else:
-                c_m = np.maximum(c_m, np.abs(pinv_g @ gk))
             c_md = max(c_md, float(np.linalg.norm(gkd)))
             c_j = max(c_j, float(np.linalg.norm(tgt.j2(q, u), 2)))
 
@@ -268,26 +285,16 @@ def validate_constants(
         ps, axis=1, keepdims=True
     )
     rows = unit_input_rows(np.asarray(sys.input_coupling(box.center()), dtype=float))
-    use_rows = constants.unit_structure and rows is not None
+    if not constants.unit_structure:
+        rows = None
     tol = 1e-9
     bad = 0
     for q, p in zip(qs, ps):
         pn2 = float(p @ p)
         pt = mass_d_solve(tgt, q, p)
-        gk = kinetic_energy_grad(sys, q, p)
+        v_rows, lam_rows, (gk_rows,) = actuated_terms(sys, tgt, q, (p,), rows)
         gkd = kinetic_d_grad(tgt, q, p)
-        lam = tgt.mass_d(q) @ np.linalg.inv(sys.mass_matrix(q))
-        grad_v = np.asarray(sys.potential_grad(q), dtype=float)
         grad_vd = np.asarray(tgt.potential_d_grad(q), dtype=float)
-        if use_rows:
-            gk_rows = np.abs(gk[rows])
-            lam_rows = np.linalg.norm(lam[rows, :], axis=1)
-            v_rows = np.abs(grad_v[rows])
-        else:
-            pinv_g = np.linalg.pinv(np.asarray(sys.input_coupling(q), dtype=float))
-            gk_rows = np.abs(pinv_g @ gk)
-            lam_rows = np.linalg.norm(pinv_g @ lam, axis=1)
-            v_rows = np.abs(pinv_g @ grad_v)
         ok = (
             np.all(gk_rows <= constants.c_M * pn2 + tol)
             and float(np.linalg.norm(gkd)) <= constants.c_Md * pn2 + tol
@@ -335,29 +342,17 @@ def empirical_constants(sys: MechanicalSystem, tgt: TargetDynamics, traj) -> dic
         "ptilde_norm_max": float(np.nanmax(traj.ptilde_norm)),
     }
     for q, p in zip(traj.q, traj.p):
-        grad_v = np.asarray(sys.potential_grad(q), dtype=float)
         grad_vd = np.asarray(tgt.potential_d_grad(q), dtype=float)
-        lam = tgt.mass_d(q) @ np.linalg.inv(sys.mass_matrix(q))
-        if rows is not None:
-            out["c_V"] = np.maximum(out["c_V"], np.abs(grad_v[rows]))
-            out["c_Lambda"] = np.maximum(
-                out["c_Lambda"], np.linalg.norm(lam[rows, :], axis=1)
-            )
-        else:
-            pinv_g = np.linalg.pinv(np.asarray(sys.input_coupling(q), dtype=float))
-            out["c_V"] = np.maximum(out["c_V"], np.abs(pinv_g @ grad_v))
-            out["c_Lambda"] = np.maximum(
-                out["c_Lambda"], np.linalg.norm(pinv_g @ lam, axis=1)
-            )
+        v_q, lam_q, (kinetic_q,) = actuated_terms(sys, tgt, q, (p,), rows)
+        out["c_V"] = np.maximum(out["c_V"], v_q)
+        out["c_Lambda"] = np.maximum(out["c_Lambda"], lam_q)
         out["c_Vd"] = max(out["c_Vd"], float(np.linalg.norm(grad_vd)))
         pn2 = float(p @ p)
         if pn2 > 1e-12:
-            gk = kinetic_energy_grad(sys, q, p)
             gkd = kinetic_d_grad(tgt, q, p)
             pt = mass_d_solve(tgt, q, p)
             ptn = float(np.linalg.norm(pt))
-            if rows is not None:
-                out["c_M"] = np.maximum(out["c_M"], np.abs(gk[rows]) / pn2)
+            out["c_M"] = np.maximum(out["c_M"], kinetic_q / pn2)
             out["c_Md"] = max(out["c_Md"], float(np.linalg.norm(gkd)) / pn2)
             if ptn > 1e-9:
                 out["c_J"] = max(
@@ -413,12 +408,9 @@ def select_momentum_bounds(
     entries None when not applicable.
     """
     c_p1, c_pt1 = momentum_bounds(constants, hd_t0)
-    ult = ultimate_bounds(constants)
-    if ult is None:
-        return c_p1, c_pt1, None, None, c_p1, c_pt1
-    c_p2, c_pt2 = ult
-    c_p = min(c_p1, c_p2) if p0_norm <= c_p2 else c_p1
-    c_pt = min(c_pt1, c_pt2) if ptilde0_norm <= c_pt2 else c_pt1
+    c_p2, c_pt2 = ultimate_bounds(constants) or (None, None)
+    c_p = _select(c_p1, c_p2, p0_norm)
+    c_pt = _select(c_pt1, c_pt2, ptilde0_norm)
     return c_p1, c_pt1, c_p2, c_pt2, c_p, c_pt
 
 
@@ -435,12 +427,17 @@ def strict_selection(
     The ultimate bounds are unaffected by the factor (the half cancels in
     the class-K sandwich), so only the level-set branch is scaled.
     """
-    c_p1s, c_pt1s = STRICT_FACTOR * c_p1, STRICT_FACTOR * c_pt1
-    if c_p2 is None:
-        return c_p1s, c_pt1s
-    c_p = min(c_p1s, c_p2) if p0_norm <= c_p2 else c_p1s
-    c_pt = min(c_pt1s, c_pt2) if ptilde0_norm <= c_pt2 else c_pt1s
-    return c_p, c_pt
+    return (
+        _select(STRICT_FACTOR * c_p1, c_p2, p0_norm),
+        _select(STRICT_FACTOR * c_pt1, c_pt2, ptilde0_norm),
+    )
+
+
+def _select(level_set: float, ultimate: Optional[float], start_norm: float) -> float:
+    """The ultimate bound tightens the level-set one for starts already inside it."""
+    if ultimate is not None and start_norm <= ultimate:
+        return min(level_set, ultimate)
+    return level_set
 
 
 def control_upper_bound(
@@ -512,13 +509,16 @@ def bound_report(
     hd_t0: float,
     p0_norm: float = 0.0,
     ptilde0_norm: float = 0.0,
-    general_g: Optional[bool] = None,
+    effort: Optional[Callable[[float, float], tuple]] = None,
     tau_center: Optional[np.ndarray] = None,
 ) -> BoundReport:
     """Assemble the full certificate for a run starting at energy hd_t0.
 
-    `general_g` picks the conservative configuration-dependent-G form;
-    by default it follows the structure detected during estimation.
+    The published and the strict momentum selections are applied here, and
+    `effort(c_p, c_ptilde)` gives the per-actuator (upper, lower) effort
+    bounds at each. By default it is the sharp unit-G form or the
+    conservative general-G form, following `constants.unit_structure`; a
+    design with its own effort certificate passes that instead.
     """
     c_p1, c_pt1, c_p2, c_pt2, c_p, c_pt = select_momentum_bounds(
         constants, hd_t0, p0_norm, ptilde0_norm
@@ -526,16 +526,15 @@ def bound_report(
     c_p_strict, c_pt_strict = strict_selection(
         c_p1, c_pt1, c_p2, c_pt2, p0_norm, ptilde0_norm
     )
-    use_general = (not constants.unit_structure) if general_g is None else general_g
-    if use_general:
-        upper, lower = control_bound_general_g(constants, c_p, c_pt)
-        upper_strict, _ = control_bound_general_g(constants, c_p_strict, c_pt_strict)
-    else:
-        upper = control_upper_bound(constants, c_p, c_pt)
-        upper_strict = control_upper_bound(constants, c_p_strict, c_pt_strict)
-        lower = None
-    m = upper.size
-    center = np.zeros(m) if tau_center is None else np.asarray(tau_center, dtype=float)
+    if effort is None and constants.unit_structure:
+
+        def effort(c_p, c_ptilde):
+            return control_upper_bound(constants, c_p, c_ptilde), None
+    elif effort is None:
+        effort = partial(control_bound_general_g, constants)
+    upper, lower = effort(c_p, c_pt)
+    upper_strict, _ = effort(c_p_strict, c_pt_strict)
+    center = np.zeros(upper.size) if tau_center is None else np.asarray(tau_center, dtype=float)
     return BoundReport(
         c_p1=c_p1,
         c_ptilde1=c_pt1,
@@ -551,6 +550,19 @@ def bound_report(
         tau_upper_strict=upper_strict,
         hd_t0=hd_t0,
     )
+
+
+def start_budget(tgt: TargetDynamics, s0: Optional[ConfigState], hd0: Optional[float] = None):
+    """(H_d(t0), ||p0||, ||ptilde0||), the leading arguments of `bound_report`.
+
+    `hd0` overrides the energy of `s0`; a bare budget without a state is
+    taken as a start at rest.
+    """
+    if s0 is None:
+        return hd0, 0.0, 0.0
+    hd_t0 = target_energy(tgt, s0).total if hd0 is None else hd0
+    pt0 = mass_d_solve(tgt, s0.q, s0.p)
+    return hd_t0, float(np.linalg.norm(s0.p)), float(np.linalg.norm(pt0))
 
 
 @dataclass(frozen=True)

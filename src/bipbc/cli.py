@@ -25,8 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bench import BENCHMARK_NAMES, get_benchmark
-from .bench.vtol import VtolBenchmark
+from .bench import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .bounds import validate_constants
 from .controller import target_energy
 from .matching import verify_matching
@@ -121,53 +120,31 @@ def _scan_violations(traj: Trajectory, report, phase: Optional[int] = None) -> d
     return out
 
 
-def _bound_payload(bench, constants, report, spec: RunSpec) -> dict:
-    payload = {
+def _bound_payload(bench: Benchmark, constants, report) -> dict:
+    return {
         "benchmark": bench.name,
         "hd_t0": report.hd_t0,
         "constants": constants,
         "report": report,
+        **bench.extra_artifacts(constants, report),
     }
-    reference = getattr(bench, "reference_constants", None)
-    if reference:
-        # certificate arithmetic with the quoted constants of the original
-        # study: a plug-in cross-check, reported next to their stated bound
-        ref_cp, ref_cpt = 2.0, 0.44
-        ref_value = (
-            reference["c_V_2"]
-            + reference["c_Lambda_2"] * reference["c_Vd"]
-            + (reference["c_M_2"] + reference["c_Lambda_2"] * reference["c_Md"]) * ref_cp**2
-            + reference["c_J"] * ref_cpt**2
-            + constants.lam_max_Kv * ref_cpt
-        )
-        payload["reference"] = {
-            "constants": reference,
-            "effort_bound_from_reference_constants": ref_value,
-            "stated_effort_bound": reference["stated_tau_bound"],
-            "note": (
-                "plugging the quoted constants into the effort-bound formula "
-                f"gives {ref_value:.1f}, not the stated "
-                f"{reference['stated_tau_bound']:.0f}; the discrepancy is in "
-                "the source arithmetic and is reported, not reconciled"
-            ),
-        }
-    if isinstance(bench, VtolBenchmark):
-        conf = bench.roll_confinement(report.hd_t0)
-        payload["roll_confinement"] = conf
-    return payload
 
 
-def run(spec: RunSpec) -> int:
-    """Execute a pipeline; writes artifacts and returns the exit status."""
+def run(spec: RunSpec, bench: Optional[Benchmark] = None) -> int:
+    """Execute a pipeline; writes artifacts and returns the exit status.
+
+    `bench` is the benchmark the spec names, built from `spec.params` when
+    not passed in.
+    """
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
-    bench = get_benchmark(spec.benchmark, **spec.params)
+    if bench is None:
+        bench = get_benchmark(spec.benchmark, **spec.params)
     exit_code = 0
 
     if spec.command in ("verify", "benchmark"):
-        region = getattr(bench, "residual_box", None)
         matching = verify_matching(
-            bench.system, bench.target, samples=spec.samples, region=region
+            bench.system, bench.target, samples=spec.samples, region=bench.residual_box
         )
         _write_json(out / "matching.json", {"benchmark": bench.name, "report": matching})
         if not matching.passes(tol=1e-6):
@@ -175,25 +152,9 @@ def run(spec: RunSpec) -> int:
         if spec.command == "verify":
             return exit_code
 
-    state0 = bench.initial_state
-    hd0 = spec.hd0 if spec.hd0 is not None else None
     constants, report = bench.certificate(samples=spec.samples, mu=spec.mu)
-    if hd0 is not None:
-        from .bounds import bound_report as make_report
-
-        if isinstance(bench, VtolBenchmark):
-            conf = bench.roll_confinement(hd0)
-            theta = min(max(abs(conf.lower), abs(conf.upper)), bench.params.theta_box)
-            effort = bench.effort_certificate(theta)
-            report = dataclasses.replace(
-                report,
-                hd_t0=hd0,
-                tau_upper=effort["tau_upper"],
-                tau_upper_strict=effort["tau_upper"],
-                **_momentum_fields(constants, hd0),
-            )
-        else:
-            report = make_report(constants, hd0)
+    if spec.hd0 is not None:
+        report = bench.report(constants, hd0=spec.hd0)
 
     if spec.command in ("bound", "benchmark"):
         violations = validate_constants(
@@ -206,14 +167,14 @@ def run(spec: RunSpec) -> int:
         )
         _write_json(out / "constants.json", {"benchmark": bench.name, "constants": constants,
                                              "validation_violations": violations})
-        _write_json(out / "bounds.json", _bound_payload(bench, constants, report, spec))
+        _write_json(out / "bounds.json", _bound_payload(bench, constants, report))
         if violations:
             exit_code = 1
         if spec.command == "bound":
             return exit_code
 
     # simulate / benchmark
-    two_phase = bool(getattr(bench, "two_phase", False))
+    two_phase = bench.two_phase
     controller = bench.make_controller()
     # the secondary design's energy is a Lyapunov function only after the
     # switch, so two-phase runs check the decrease post hoc on phase 2
@@ -223,13 +184,13 @@ def run(spec: RunSpec) -> int:
     traj = simulate(
         bench.system,
         controller,
-        state0,
+        bench.initial_state,
         cfg,
         target=bench.target,
         bound_report=None if two_phase else report,
     )
     traj.to_csv(out / "trajectory.csv")
-    _write_json(out / "bounds.json", _bound_payload(bench, constants, report, spec))
+    _write_json(out / "bounds.json", _bound_payload(bench, constants, report))
 
     hd_start = int(np.argmax(traj.phase == 2)) if two_phase and np.any(traj.phase == 2) else 0
     hd_violations = check_hd_decrease(traj, cfg.hd_tol, start_index=hd_start)
@@ -290,27 +251,6 @@ def run(spec: RunSpec) -> int:
     return exit_code
 
 
-def _momentum_fields(constants, hd0: float) -> dict:
-    from .bounds import momentum_bounds, strict_selection, ultimate_bounds
-
-    c_p1, c_pt1 = momentum_bounds(constants, hd0)
-    ult = ultimate_bounds(constants)
-    c_p2, c_pt2 = ult if ult is not None else (None, None)
-    c_ps, c_pts = strict_selection(c_p1, c_pt1, c_p2, c_pt2)
-    c_p = min(c_p1, c_p2) if c_p2 is not None else c_p1
-    c_pt = min(c_pt1, c_pt2) if c_pt2 is not None else c_pt1
-    return {
-        "c_p1": c_p1,
-        "c_ptilde1": c_pt1,
-        "c_p2": c_p2,
-        "c_ptilde2": c_pt2,
-        "c_p": c_p,
-        "c_ptilde": c_pt,
-        "c_p_strict": c_ps,
-        "c_ptilde_strict": c_pts,
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bipbc",
@@ -359,10 +299,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = spec_from_args(args)
-    except (ValueError, OSError) as exc:
+        # a missing field or a parameter the benchmark does not take raises
+        # TypeError, an out-of-range value ValueError
+        bench = get_benchmark(spec.benchmark, **spec.params)
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(spec)
+    return run(spec, bench)
 
 
 if __name__ == "__main__":

@@ -285,8 +285,3 @@ class TwoPhaseController:
         self.switched = False
         self.switch_time = None
         self.switch_state = None
-
-
-def two_phase_control(ctrl: TwoPhaseController, t: float, s: ConfigState):
-    """Functional wrapper around TwoPhaseController.control."""
-    return ctrl.control(t, s.q, s.p)

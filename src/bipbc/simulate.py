@@ -69,14 +69,6 @@ class Trajectory:
     phase: np.ndarray
     events: List[tuple] = field(default_factory=list)
 
-    @property
-    def states(self) -> List[ConfigState]:
-        return [ConfigState(q=qi, p=pi) for qi, pi in zip(self.q, self.p)]
-
-    @property
-    def controls(self) -> np.ndarray:
-        return self.tau
-
     def __len__(self) -> int:
         return self.times.size
 

@@ -75,21 +75,6 @@ def solve_checked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
-def solve_columns_checked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
-    """Checked solve with a matrix right-hand side."""
-    if rhs.ndim == 1:
-        return solve_checked(a, rhs, exc)
-    n = a.shape[0]
-    if n > 3:
-        if not np.all(np.isfinite(a)) or np.linalg.cond(a) > COND_LIMIT:
-            raise exc("matrix condition estimate exceeds 1e12")
-        return np.linalg.solve(a, rhs)
-    out = np.empty((n, rhs.shape[1]))
-    for j in range(rhs.shape[1]):
-        out[:, j] = solve_checked(a, rhs[:, j], exc)
-    return out
-
-
 def smallest_singular_value(g: np.ndarray) -> float:
     """sigma_min of a tall (n x m) matrix, closed form for m <= 2."""
     m = g.shape[1]

@@ -79,13 +79,6 @@ def random_sweep(ball_beam, vtol, bb_certificate, vtol_certificate):
     published-form and the strict (sqrt(2)-complete) bounds. Shared by the
     Lyapunov-decrease and bound-soundness checks.
     """
-    from bipbc.bounds import (
-        control_upper_bound,
-        momentum_bounds,
-        strict_selection,
-        ultimate_bounds,
-    )
-    from bipbc.controller import mass_d_solve, target_energy
     from bipbc.phcore import ConfigState
     from bipbc.simulate import check_hd_decrease
 
@@ -95,38 +88,21 @@ def random_sweep(ball_beam, vtol, bb_certificate, vtol_certificate):
     vt_constants, _ = vtol_certificate
 
     def run_case(bench, constants, s0, cfg):
-        hd0 = target_energy(bench.target, s0).total
-        c_p1, c_pt1 = momentum_bounds(constants, hd0)
-        ult = ultimate_bounds(constants)
-        c_p2, c_pt2 = ult if ult is not None else (None, None)
-        p0 = float(np.linalg.norm(s0.p))
-        pt0 = float(np.linalg.norm(mass_d_solve(bench.target, s0.q, s0.p)))
-        c_p = min(c_p1, c_p2) if (c_p2 is not None and p0 <= c_p2) else c_p1
-        c_pt = min(c_pt1, c_pt2) if (c_pt2 is not None and pt0 <= c_pt2) else c_pt1
-        c_ps, c_pts = strict_selection(c_p1, c_pt1, c_p2, c_pt2, p0, pt0)
-        if bench.name == "ball-beam":
-            center = np.zeros(1)
-            tau_upper = control_upper_bound(constants, c_p, c_pt)
-            tau_upper_strict = control_upper_bound(constants, c_ps, c_pts)
-        else:
-            conf = bench.roll_confinement(hd0)
-            theta = min(max(abs(conf.lower), abs(conf.upper)), bench.params.theta_box)
-            effort = bench.effort_certificate(theta)
-            center = effort["tau_center"]
-            tau_upper = tau_upper_strict = effort["tau_upper"]
+        report = bench.report(constants, s0)
         traj = simulate(bench.system, bench.make_controller(), s0, cfg, target=bench.target)
-        dev = np.max(np.abs(traj.tau - center), axis=0)
+        dev = np.max(np.abs(traj.tau - report.tau_center), axis=0)
+        peak_p, peak_pt = np.max(traj.p_norm), np.max(traj.ptilde_norm)
         runs.append(
             {
                 "benchmark": bench.name,
-                "hd0": hd0,
+                "hd0": report.hd_t0,
                 "hd_violations": len(check_hd_decrease(traj, 1e-6)),
-                "p_ok_published": bool(np.max(traj.p_norm) <= c_p),
-                "pt_ok_published": bool(np.max(traj.ptilde_norm) <= c_pt),
-                "p_ok_strict": bool(np.max(traj.p_norm) <= c_ps),
-                "pt_ok_strict": bool(np.max(traj.ptilde_norm) <= c_pts),
-                "tau_ok_published": bool(np.all(dev <= tau_upper)),
-                "tau_ok_strict": bool(np.all(dev <= tau_upper_strict)),
+                "p_ok_published": bool(peak_p <= report.c_p),
+                "pt_ok_published": bool(peak_pt <= report.c_ptilde),
+                "p_ok_strict": bool(peak_p <= report.c_p_strict),
+                "pt_ok_strict": bool(peak_pt <= report.c_ptilde_strict),
+                "tau_ok_published": bool(np.all(dev <= report.tau_upper)),
+                "tau_ok_strict": bool(np.all(dev <= report.tau_upper_strict)),
             }
         )
 

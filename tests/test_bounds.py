@@ -2,13 +2,17 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bipbc import (
     BoundConstants,
+    Box,
+    MechanicalSystem,
     NonpositiveEigenvalue,
+    TargetDynamics,
     control_bound_general_g,
     control_upper_bound,
     empirical_constants,
@@ -309,6 +313,46 @@ def test_kv_advisory_ballbeam_fraction_table(ball_beam, bb_certificate):
     assert all(v > 0 for v in adv.fraction.values())
     assert adv.branch == "kv_for_r2"
     assert adv.kappa_for_pd is not None and adv.kappa_for_pd > 0.0
+
+
+def test_empirical_kinetic_constant_for_configuration_dependent_g():
+    # K = p1^2 / (2 (1 + q2^2)) + p2^2 / (2 (2 + sin q1)), G(q) = [cos q1, 1 + sin(q2) / 2]^T
+    def kinetic_grad(q, p):
+        return np.array([-0.5 * p[1] ** 2 * math.cos(q[0]) / (2.0 + math.sin(q[0])) ** 2,
+                         -p[0] ** 2 * q[1] / (1.0 + q[1] ** 2) ** 2])
+
+    def input_coupling(q):
+        return np.array([[math.cos(q[0])], [1.0 + 0.5 * math.sin(q[1])]])
+
+    sys = MechanicalSystem(
+        n=2, m=1,
+        mass_matrix=lambda q: np.diag([1.0 + q[1] ** 2, 2.0 + math.sin(q[0])]),
+        potential=lambda q: float(q[0] ** 2),
+        potential_grad=lambda q: np.array([2.0 * q[0], 0.0]),
+        input_coupling=input_coupling,
+        damping=lambda q: np.zeros((2, 2)),
+        workspace=Box(lower=-np.ones(2), upper=np.ones(2)),
+        kinetic_grad=kinetic_grad,
+    )
+    tgt = TargetDynamics(
+        mass_d=lambda q: 2.0 * np.eye(2),
+        potential_d=lambda q: float(q @ q),
+        potential_d_grad=lambda q: 2.0 * q,
+        j2=lambda q, pt: np.zeros((2, 2)),
+        damping_gain=np.eye(1),
+        equilibrium=np.zeros(2),
+    )
+    qs = np.array([[0.3, -0.2], [-0.7, 0.5], [0.1, 0.9]])
+    ps = np.array([[0.4, 1.1], [-0.8, 0.3], [1.5, -0.6]])
+    traj = SimpleNamespace(q=qs, p=ps, p_norm=np.linalg.norm(ps, axis=1),
+                           ptilde_norm=np.linalg.norm(ps, axis=1) / 2.0)
+    expected = 0.0
+    for q, p in zip(qs, ps):
+        g = input_coupling(q)[:, 0]
+        expected = max(expected, abs(g @ kinetic_grad(q, p)) / (g @ g) / (p @ p))
+    emp = empirical_constants(sys, tgt, traj)
+    assert expected > 0.01
+    assert emp["c_M"][0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_empirical_constants_recover_run_values(ball_beam, bb_trajectory):

@@ -123,3 +123,15 @@ def test_main_bad_config_exit2(tmp_path, capsys):
     cfg.write_text('{"command": "verify", "benchmark": "nope"}')
     assert main(["verify", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "verify", "benchmark": "ball-beam", "params": {"bogus": 1}},
+    {"command": "verify", "benchmark": "vtol-nonsmooth", "params": {"epsilon": 1.5}},
+    {"command": "verify"},
+])
+def test_main_bad_config_values_exit2(config, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**config, "out": str(tmp_path)}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from bipbc import (
     ida_pbc_control,
     tanh_saturation,
     target_energy,
-    two_phase_control,
 )
 from bipbc.controller import log_cosh, pseudo_inverse_apply
 
@@ -191,7 +190,7 @@ def test_two_phase_never_switches(vtol_two_phase):
     rng = np.random.default_rng(9)
     for k in range(50):
         q = np.array([rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-1.0, 1.0)])
-        tau, phase = two_phase_control(ctrl, 0.1 * k, ConfigState(q=q, p=np.zeros(3)))
+        tau, phase = ctrl.control(0.1 * k, q, np.zeros(3))
         assert phase == 1
         assert np.allclose(tau, [1.0, 2.0])
     assert ctrl.switch_time is None
@@ -200,14 +199,15 @@ def test_two_phase_never_switches(vtol_two_phase):
 def test_two_phase_one_shot_latch(vtol_two_phase):
     bench = vtol_two_phase
     ctrl = bench.make_controller()
-    far = ConfigState(q=np.array([1.0, 1.0, 1.0]), p=np.zeros(3))
-    near = ConfigState(q=np.array([1.0, 1.0, 0.01]), p=np.zeros(3))
-    _, phase = two_phase_control(ctrl, 0.0, far)
+    far = np.array([1.0, 1.0, 1.0])
+    near = np.array([1.0, 1.0, 0.01])
+    rest = np.zeros(3)
+    _, phase = ctrl.control(0.0, far, rest)
     assert phase == 1 and not ctrl.switched
-    _, phase = two_phase_control(ctrl, 1.0, near)
+    _, phase = ctrl.control(1.0, near, rest)
     assert phase == 2 and ctrl.switch_time == 1.0
     # once latched, even states failing the predicate stay in phase 2
-    _, phase = two_phase_control(ctrl, 2.0, far)
+    _, phase = ctrl.control(2.0, far, rest)
     assert phase == 2 and ctrl.switch_time == 1.0
     ctrl.reset()
     assert not ctrl.switched

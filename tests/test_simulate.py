@@ -176,13 +176,6 @@ def test_csv_schema_and_values(tmp_path, ball_beam):
     assert parsed[6] == traj.hd[k]
 
 
-def test_states_and_controls_views(bb_trajectory):
-    states = bb_trajectory.states
-    assert len(states) == len(bb_trajectory)
-    assert np.allclose(states[0].q, bb_trajectory.q[0])
-    assert bb_trajectory.controls is bb_trajectory.tau
-
-
 def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.0)
