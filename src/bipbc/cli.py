@@ -130,16 +130,14 @@ def _bound_payload(bench: Benchmark, constants, report) -> dict:
     }
 
 
-def run(spec: RunSpec, bench: Optional[Benchmark] = None) -> int:
-    """Execute a pipeline; writes artifacts and returns the exit status.
+def run(spec: RunSpec) -> int:
+    """Execute a pipeline; writes artifacts and returns the exit status."""
+    return _run(spec, get_benchmark(spec.benchmark, **spec.params))
 
-    `bench` is the benchmark the spec names, built from `spec.params` when
-    not passed in.
-    """
+
+def _run(spec: RunSpec, bench: Benchmark) -> int:
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
-    if bench is None:
-        bench = get_benchmark(spec.benchmark, **spec.params)
     exit_code = 0
 
     if spec.command in ("verify", "benchmark"):
@@ -305,7 +303,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(spec, bench)
+    return _run(spec, bench)
 
 
 if __name__ == "__main__":
