@@ -26,14 +26,9 @@ from .bounds import (
     validate_constants,
 )
 from .controller import (
-    BoundedShaping,
-    SaturationFunction,
-    ShapingTerm,
     TargetDynamics,
     TwoPhaseController,
-    bounded_vdh,
     ida_pbc_control,
-    tanh_saturation,
     target_energy,
 )
 from .errors import (
@@ -70,7 +65,6 @@ __all__ = [
     "STRICT_FACTOR",
     "BoundConstants",
     "BoundReport",
-    "BoundedShaping",
     "Box",
     "ConfigState",
     "ConfinementInterval",
@@ -80,8 +74,6 @@ __all__ = [
     "MechanicalSystem",
     "NonpositiveEigenvalue",
     "RankDeficientG",
-    "SaturationFunction",
-    "ShapingTerm",
     "SimConfig",
     "SingularMass",
     "SingularMassD",
@@ -91,7 +83,6 @@ __all__ = [
     "TwoPhaseController",
     "annihilator",
     "bound_report",
-    "bounded_vdh",
     "build_r2",
     "check_hd_decrease",
     "closed_loop_vector_field",
@@ -110,7 +101,6 @@ __all__ = [
     "select_momentum_bounds",
     "simulate",
     "strict_selection",
-    "tanh_saturation",
     "target_energy",
     "total_energy",
     "ultimate_bounds",

@@ -30,9 +30,11 @@ class Benchmark(Protocol):
     builds the bound report for a start state or a bare energy budget.
     `extra_artifacts` returns design-specific entries of bounds.json.
     `residual_box` is the region of the matching check (None: the
-    workspace). `two_phase` marks designs whose controller switches laws
-    and exposes `switch_time` and `switch_state`; their energy is checked
-    from the switch on and their certificate is rebuilt at the switch.
+    workspace). `two_phase` marks designs whose `make_controller` returns a
+    `TwoPhaseController`; `simulate` decides its switch and reports it in
+    `Trajectory.switch_time` and `switch_state`, and the CLI checks their
+    energy from the switch on and rebuilds their certificate at the switch
+    state. Controllers are pure, so one can serve several runs.
     """
 
     name: str

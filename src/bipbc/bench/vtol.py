@@ -23,7 +23,7 @@ arctanh and log terms confine the roll angle strictly inside
 |t| < arccos(0.1); their gradients blow up at that barrier, which is what
 the level-set confinement certificate quantifies.
 
-The damping injection is saturated: -K_v S(G^T ptilde) elementwise, so each
+The damping injection is saturated: -K_v tanh(G^T ptilde) elementwise, so each
 input's damping share never exceeds lam_max{K_v}.
 """
 
@@ -172,7 +172,7 @@ class VtolBenchmark:
         """Sharp per-input effort bounds over the confined roll range.
 
         With M = I the control law is tau = pinv(G)(grad V - M_d grad V_d)
-        - K_v S(G^T ptilde), so
+        - K_v tanh(G^T ptilde), so
 
             |tau_1 - g| <= max |g - (pinv(G) grad V)_1|
                            + max ||pinv(G) M_d|| c_Vd + lam_max{K_v}

@@ -10,7 +10,8 @@ pipeline, and drops machine-readable artifacts into the output directory:
 
 The process exit status is 0 on success, 1 if any soundness violation was
 detected (energy increase beyond tolerance, momentum or control outside the
-strict certificate), and 2 for usage or configuration errors.
+strict certificate) or the simulated run ended early (a "blowup" or
+"domain_exit" event), and 2 for usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -173,7 +174,6 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
 
     # simulate / benchmark
     two_phase = bench.two_phase
-    controller = bench.make_controller()
     # the secondary design's energy is a Lyapunov function only after the
     # switch, so two-phase runs check the decrease post hoc on phase 2
     monitors = ("phase_switch",) if two_phase else (
@@ -181,7 +181,7 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
     cfg = _sim_config(bench, spec, monitors)
     traj = simulate(
         bench.system,
-        controller,
+        bench.make_controller(),
         bench.initial_state,
         cfg,
         target=bench.target,
@@ -206,8 +206,7 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
         "events": [(t, kind) for t, kind, _ in traj.events],
     }
     if two_phase:
-        switch_time = getattr(controller, "switch_time", None)
-        summary["switch_time"] = switch_time
+        summary["switch_time"] = traj.switch_time
         pr = bench.params
         phase1 = traj.phase == 1
         if np.any(phase1):
@@ -215,8 +214,8 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
                 np.max(np.abs(traj.tau[phase1, 0] - pr.g))
             )
             summary["phase1_peak_tau2"] = float(np.max(np.abs(traj.tau[phase1, 1])))
-        if switch_time is not None:
-            sw = controller.switch_state
+        sw = traj.switch_state
+        if sw is not None:
             hd_sw = target_energy(bench.target, sw).total
             constants2, report2 = bench.certificate(s0=sw, samples=spec.samples, mu=spec.mu)
             summary["hd_at_switch"] = hd_sw
@@ -242,7 +241,8 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
         }
         if scan["momentum"] or scan["control"]:
             exit_code = 1
-    if hd_violations:
+    ended_early = any(kind in ("blowup", "domain_exit") for _, kind, _ in traj.events)
+    if hd_violations or ended_early:
         exit_code = 1
     summary["exit_code"] = exit_code
     _write_json(out / "summary.json", summary)

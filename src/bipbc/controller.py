@@ -1,4 +1,4 @@
-"""IDA-PBC control law, bounded potential shaping, and two-phase control.
+"""IDA-PBC control law and two-phase control.
 
 The energy-shaping feedback matches the plant to a target port-Hamiltonian
 system with desired mass matrix M_d, desired potential V_d, interconnection
@@ -7,22 +7,21 @@ J_2, and injected damping K_v:
     tau = (G^T G)^-1 G^T (grad_q V - M_d M^-1 grad_q V_d
                           + grad_q K - M_d M^-1 grad_q K_d + J_2 ptilde)
           - K_v G^T ptilde                 (linear damping)
-    or    - K_v S(G^T ptilde)              (saturated damping, elementwise)
+    or    - K_v tanh(G^T ptilde)           (saturated damping, elementwise)
 
 with ptilde = M_d^-1 p. The pseudo-inverse is evaluated through a QR
 factorization; the damping term is applied after the projection, which is
 algebraically identical because (G^T G)^-1 G^T G = I.
 
-Controllers are immutable and shareable, except TwoPhaseController which
-carries a one-shot phase latch and is therefore confined to one simulation
-at a time.
+Controllers are pure functions of the state, so one instance can serve any
+number of simulations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -106,67 +105,6 @@ def target_energy(tgt: TargetDynamics, s: ConfigState) -> EnergyRecord:
     return EnergyRecord(kinetic=k, potential=v, total=k + v)
 
 
-@dataclass(frozen=True)
-class SaturationFunction:
-    """Scalar saturation S with S(0) = 0, |S| <= 1, strictly increasing.
-
-    `antiderivative` is the primitive of S with value 0 at 0, used to build
-    bounded homogeneous potential terms.
-    """
-
-    eval: Callable[[float], float]
-    antiderivative: Callable[[float], float]
-    slope_at_zero: float = 1.0
-
-
-def tanh_saturation() -> SaturationFunction:
-    """The shipped default: S = tanh, antiderivative ln(cosh)."""
-    return SaturationFunction(eval=math.tanh, antiderivative=log_cosh, slope_at_zero=1.0)
-
-
-@dataclass(frozen=True)
-class ShapingTerm:
-    """One bounded homogeneous shaping term k * int S(f - f*) df."""
-
-    gain: float
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    value_at_star: float
-
-    def __post_init__(self):
-        if self.gain <= 0:
-            raise ValueError("shaping gain must be positive")
-
-
-@dataclass(frozen=True)
-class BoundedShaping:
-    """Homogeneous part of V_d built from saturated shaping terms."""
-
-    terms: Sequence[ShapingTerm]
-    sat: SaturationFunction
-
-
-def bounded_vdh(shaping: BoundedShaping, q: np.ndarray):
-    """Value and per-term gradient contributions of the bounded V_dh.
-
-    The i-th gradient contribution is k_i * S(f_i(q) - f_i*) * grad f_i(q),
-    so its magnitude never exceeds k_i * ||grad f_i(q)||.
-
-    Returns:
-        (value, contributions): total value and a list of n-vectors.
-    """
-    q = np.asarray(q, dtype=float)
-    value = 0.0
-    contributions = []
-    for term in shaping.terms:
-        offset = term.value(q) - term.value_at_star
-        value += term.gain * shaping.sat.antiderivative(offset)
-        contributions.append(
-            term.gain * shaping.sat.eval(offset) * np.asarray(term.grad(q), dtype=float)
-        )
-    return value, contributions
-
-
 def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(G^T G)^-1 G^T v through QR, guarding against rank loss."""
     if smallest_singular_value(g) < SIGMA_MIN_LIMIT:
@@ -184,7 +122,6 @@ def ida_pbc_control_raw(
     q: np.ndarray,
     p: np.ndarray,
     damping_mode: str = "linear",
-    saturation: Optional[SaturationFunction] = None,
 ) -> np.ndarray:
     """IDA-PBC feedback on raw arrays; the hot path behind ida_pbc_control."""
     if damping_mode not in ("linear", "saturated"):
@@ -209,8 +146,8 @@ def ida_pbc_control_raw(
     tau = pseudo_inverse_apply(g, terms)
     y = g.T @ pt
     if damping_mode == "saturated":
-        sat = saturation or tanh_saturation()
-        return tau - tgt.damping_gain @ np.array([sat.eval(yi) for yi in y])
+        # math.tanh per entry: np.tanh may differ in the last bit
+        return tau - tgt.damping_gain @ np.array([math.tanh(yi) for yi in y])
     return tau - tgt.damping_gain @ y
 
 
@@ -219,30 +156,27 @@ def ida_pbc_control(
     tgt: TargetDynamics,
     s: ConfigState,
     damping_mode: str = "linear",
-    saturation: Optional[SaturationFunction] = None,
 ) -> np.ndarray:
     """Evaluate the IDA-PBC feedback at a state.
 
     Args:
         damping_mode: "linear" for -K_v G^T ptilde, "saturated" for
-            -K_v S(G^T ptilde) applied elementwise.
-        saturation: saturation function for the saturated mode (default tanh).
+            -K_v tanh(G^T ptilde) applied elementwise.
 
     Raises:
         RankDeficientG: G(q) lost column rank.
         SingularMass / SingularMassD: mass matrices numerically singular.
     """
-    return ida_pbc_control_raw(sys, tgt, s.q, s.p, damping_mode, saturation)
+    return ida_pbc_control_raw(sys, tgt, s.q, s.p, damping_mode)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoPhaseController:
-    """Primary hand-designed law until a one-shot switch, then IDA-PBC.
+    """Primary hand-designed law in phase 1, the IDA-PBC law in phase 2.
 
-    The switch predicate is evaluated on the current state only; once it
-    fires the controller stays in the secondary phase forever and records
-    the switch time for downstream H_d(t0) certificates. The latch makes an
-    instance stateful: confine it to a single simulation.
+    A pure function of (t, q, p, phase). `simulate` holds the phase: it
+    tests `switch_predicate` on accepted states only and moves to phase 2,
+    for good, at the first state where it holds.
     """
 
     primary_law: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -250,38 +184,9 @@ class TwoPhaseController:
     sys: MechanicalSystem
     target: TargetDynamics
     damping_mode: str = "saturated"
-    saturation: Optional[SaturationFunction] = None
-    switched: bool = field(default=False)
-    switch_time: Optional[float] = field(default=None)
-    switch_state: Optional[ConfigState] = field(default=None)
 
-    @property
-    def phase(self) -> int:
-        return 2 if self.switched else 1
-
-    def __call__(self, t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        tau, _ = self.control(t, q, p)
-        return tau
-
-    def control(self, t: float, q: np.ndarray, p: np.ndarray):
-        """Return (tau, phase) at time t, latching the switch if due."""
-        if not self.switched and self.switch_predicate(q, p):
-            self.switched = True
-            self.switch_time = t
-            self.switch_state = ConfigState(q=q.copy(), p=p.copy())
-        if self.switched:
-            tau = ida_pbc_control_raw(
-                self.sys,
-                self.target,
-                q,
-                p,
-                damping_mode=self.damping_mode,
-                saturation=self.saturation,
-            )
-            return tau, 2
-        return np.asarray(self.primary_law(t, q, p), dtype=float), 1
-
-    def reset(self):
-        self.switched = False
-        self.switch_time = None
-        self.switch_state = None
+    def control(self, t: float, q: np.ndarray, p: np.ndarray, phase: int) -> np.ndarray:
+        """tau of the law that rules `phase` (1: primary, 2: IDA-PBC)."""
+        if phase == 2:
+            return ida_pbc_control_raw(self.sys, self.target, q, p, self.damping_mode)
+        return np.asarray(self.primary_law(t, q, p), dtype=float)

@@ -2,8 +2,9 @@
 
 The integrated state is (q, p), i.e. momentum rather than velocity, which
 keeps the Hamiltonian structure of the model exact in code. The integrator
-is the classical 4th-order Runge-Kutta scheme with a fixed step; controls
-are re-evaluated at every stage. Identical inputs produce bit-identical
+is the classical 4th-order Runge-Kutta scheme with a fixed step; the
+control is evaluated at every stage, the first stage reusing the value
+recorded at the accepted state. Identical inputs produce bit-identical
 trajectories.
 
 One simulation per thread; independent runs may execute in parallel.
@@ -17,12 +18,12 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .controller import TargetDynamics, mass_d_solve
-from .errors import SingularMass
+from .controller import TargetDynamics, TwoPhaseController, mass_d_solve
+from .errors import SingularMass, ToolkitError
 from .phcore import ConfigState, MechanicalSystem, open_loop_field_raw
 from .smalllinalg import solve_checked
 
-Controller = Union[None, Callable[[float, np.ndarray, np.ndarray], np.ndarray]]
+Controller = Union[None, TwoPhaseController, Callable[[float, np.ndarray, np.ndarray], np.ndarray]]
 
 #: monitor names accepted by SimConfig
 MONITORS = ("energy_decrease", "momentum_bound", "control_bound", "phase_switch")
@@ -56,7 +57,9 @@ class Trajectory:
     `hd` holds the closed-loop energy H_d when a target design was supplied
     to `simulate`, otherwise the open-loop total energy. `ptilde_norm` is
     NaN without a target. `phase` is 1/2 for two-phase controllers and 0
-    otherwise. `events` is a list of (time, kind, payload).
+    otherwise. `events` is a list of (time, kind, payload). `switch_time` and
+    `switch_state` give the accepted state at which a two-phase run entered
+    phase 2 (None without a switch).
     """
 
     times: np.ndarray
@@ -68,6 +71,8 @@ class Trajectory:
     ptilde_norm: np.ndarray
     phase: np.ndarray
     events: List[tuple] = field(default_factory=list)
+    switch_time: Optional[float] = None
+    switch_state: Optional[ConfigState] = None
 
     def __len__(self) -> int:
         return self.times.size
@@ -102,11 +107,14 @@ class Trajectory:
                 writer.writerow(row)
 
 
-def _control_of(controller: Controller, m: int):
+def _law_of(controller: Controller, m: int):
+    """The control law as a function of (t, q, p, phase)."""
+    if isinstance(controller, TwoPhaseController):
+        return controller.control
     if controller is None:
         zero = np.zeros(m)
-        return lambda t, q, p: zero
-    return controller
+        return lambda t, q, p, phase: zero
+    return lambda t, q, p, phase: controller(t, q, p)
 
 
 def simulate(
@@ -126,10 +134,21 @@ def simulate(
         bound_report: BoundReport supplying c_p / c_ptilde / tau bounds for
             the momentum_bound and control_bound monitors.
 
-    The run truncates (with a "blowup" event) if any state component leaves
-    [-blowup_limit, blowup_limit] or becomes non-finite.
+    The control is evaluated once at each accepted state (the start and the
+    end of each step): that value is recorded and drives the step's first
+    RK4 stage. A TwoPhaseController starts in phase 1; its switch predicate
+    is tested at each accepted state, and the first state where it holds
+    and every later one are in phase 2, so each step integrates under one
+    law. That state and its time are `Trajectory.switch_state` and
+    `switch_time`.
+
+    The run ends at the last accepted state with a "blowup" event if any
+    state component leaves [-blowup_limit, blowup_limit] or becomes
+    non-finite, and with a "domain_exit" event if evaluating the plant,
+    target or controller after the start raises ValueError or ToolkitError.
+    Such errors at the start state propagate.
     """
-    control = _control_of(controller, sys.m)
+    law = _law_of(controller, sys.m)
     n = sys.n
     x = np.concatenate([s0.q, s0.p]).astype(float)
     steps = int(round(cfg.t_end / cfg.dt))
@@ -145,14 +164,20 @@ def simulate(
     phases = np.empty(n_records, dtype=int)
     events: List[tuple] = []
 
-    def field_at(t: float, xv: np.ndarray) -> np.ndarray:
-        q, p = xv[:n], xv[n:]
-        tau = np.atleast_1d(np.asarray(control(t, q, p), dtype=float))
-        return open_loop_field_raw(sys, q, p, tau)
+    def tau_at(t: float, xv: np.ndarray, phase: int) -> np.ndarray:
+        return np.atleast_1d(np.asarray(law(t, xv[:n], xv[n:], phase), dtype=float))
 
-    def record(idx: int, t: float, xv: np.ndarray) -> None:
+    def field_at(t: float, xv: np.ndarray, phase: int) -> np.ndarray:
+        return open_loop_field_raw(sys, xv[:n], xv[n:], tau_at(t, xv, phase))
+
+    def accept(t: float, xv: np.ndarray, phase: int):
+        """(phase, tau) at an accepted state, switching to phase 2 if due."""
+        if phase == 1 and controller.switch_predicate(xv[:n], xv[n:]):
+            phase = 2
+        return phase, tau_at(t, xv, phase)
+
+    def record(idx: int, t: float, xv: np.ndarray, tau: np.ndarray, phase: int) -> None:
         q, p = xv[:n].copy(), xv[n:].copy()
-        tau = np.atleast_1d(np.asarray(control(t, q, p), dtype=float))
         times[idx] = t
         qs[idx] = q
         ps[idx] = p
@@ -167,30 +192,48 @@ def simulate(
                 sys.potential(q)
             )
             pt_norms[idx] = np.nan
-        phases[idx] = getattr(controller, "phase", 0)
+        phases[idx] = phase
 
-    switch_seen = getattr(controller, "switched", False)
-    record(0, 0.0, x)
+    switch_time: Optional[float] = None
+    switch_state: Optional[ConfigState] = None
+
+    def switch(t: float, xv: np.ndarray) -> None:
+        nonlocal switch_time, switch_state
+        switch_time = t
+        switch_state = ConfigState(q=xv[:n].copy(), p=xv[n:].copy())
+        if "phase_switch" in cfg.monitors:
+            events.append((t, "phase_switch", {}))
+
+    phase, tau = accept(0.0, x, 1 if isinstance(controller, TwoPhaseController) else 0)
+    if phase == 2:
+        switch(0.0, x)
+    record(0, 0.0, x, tau, phase)
     rec = 1
     dt = cfg.dt
     for k in range(steps):
         t = k * dt
-        k1 = field_at(t, x)
-        k2 = field_at(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = field_at(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = field_at(t + dt, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > cfg.blowup_limit:
-            events.append((t + dt, "blowup", {"state": x.copy()}))
+        t_next = (k + 1) * dt
+        recorded = (k + 1) % cfg.record_stride == 0
+        try:
+            k1 = open_loop_field_raw(sys, x[:n], x[n:], tau)
+            k2 = field_at(t + 0.5 * dt, x + 0.5 * dt * k1, phase)
+            k3 = field_at(t + 0.5 * dt, x + 0.5 * dt * k2, phase)
+            k4 = field_at(t + dt, x + dt * k3, phase)
+            x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > cfg.blowup_limit:
+                events.append((t + dt, "blowup", {"state": x_next.copy()}))
+                break
+            phase_next, tau = accept(t_next, x_next, phase)
+            if recorded:
+                record(rec, t_next, x_next, tau, phase_next)
+        except (ValueError, ToolkitError) as exc:
+            events.append((t + dt, "domain_exit", {"error": str(exc)}))
             break
-        if not switch_seen and getattr(controller, "switched", False):
-            switch_seen = True
-            if "phase_switch" in cfg.monitors:
-                events.append(
-                    (getattr(controller, "switch_time", t + dt), "phase_switch", {})
-                )
-        if (k + 1) % cfg.record_stride == 0:
-            record(rec, (k + 1) * dt, x)
+        x = x_next
+        if phase_next != phase:
+            phase = phase_next
+            switch(t_next, x)
+        if recorded:
             rec += 1
 
     traj = Trajectory(
@@ -203,6 +246,8 @@ def simulate(
         ptilde_norm=pt_norms[:rec],
         phase=phases[:rec],
         events=events,
+        switch_time=switch_time,
+        switch_state=switch_state,
     )
     _run_monitors(traj, cfg, bound_report)
     return traj
@@ -229,11 +274,10 @@ def _run_monitors(traj: Trajectory, cfg: SimConfig, bound_report) -> None:
                     )
                 )
     if "control_bound" in cfg.monitors:
-        center = getattr(bound_report, "tau_center", None)
         upper = np.asarray(bound_report.tau_upper, dtype=float)
-        offset = np.zeros(upper.size) if center is None else np.asarray(center, dtype=float)
+        center = np.asarray(bound_report.tau_center, dtype=float)
         for k in range(len(traj)):
-            exceed = np.abs(traj.tau[k] - offset) - upper
+            exceed = np.abs(traj.tau[k] - center) - upper
             if np.any(exceed > 0):
                 traj.events.append(
                     (traj.times[k], "control_bound", {"tau": traj.tau[k].copy()})

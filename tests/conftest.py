@@ -58,16 +58,14 @@ def vtol_trajectory(vtol):
 
 @pytest.fixture(scope="session")
 def vtol_tp_run(vtol_two_phase):
-    """Two-phase VTOL run; returns (controller, trajectory)."""
-    ctrl = vtol_two_phase.make_controller()
-    traj = simulate(
+    """Two-phase VTOL run from the published start."""
+    return simulate(
         vtol_two_phase.system,
-        ctrl,
+        vtol_two_phase.make_controller(),
         vtol_two_phase.initial_state,
         SimConfig(dt=2e-3, t_end=60.0, record_stride=5, monitors=("phase_switch",)),
         target=vtol_two_phase.target,
     )
-    return ctrl, traj
 
 
 @pytest.fixture(scope="session")

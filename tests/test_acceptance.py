@@ -21,7 +21,6 @@ from bipbc import (
     empirical_constants,
     ida_pbc_control,
     momentum_bounds,
-    tanh_saturation,
     validate_constants,
     verify_matching,
 )
@@ -176,17 +175,17 @@ def test_criterion_07_vtol_nonsmooth_run(vtol, vtol_certificate, vtol_trajectory
 
 
 def test_criterion_08_vtol_two_phase(vtol_two_phase, vtol_tp_run):
-    ctrl, traj = vtol_tp_run
+    traj = vtol_tp_run
     g = vtol_two_phase.params.g
     phase1 = traj.phase == 1
     phase2 = traj.phase == 2
     tau1_dev = float(np.max(np.abs(traj.tau[phase1, 0] - g)))
     tau2_peak = float(np.max(np.abs(traj.tau[phase1, 1])))
-    _, report2 = vtol_two_phase.certificate(s0=ctrl.switch_state, samples=200)
+    _, report2 = vtol_two_phase.certificate(s0=traj.switch_state, samples=200)
     dev2 = np.abs(traj.tau[phase2] - report2.tau_center)
     phase2_viol = int(np.sum(np.any(dev2 > report2.tau_upper, axis=1)))
     ok = (
-        ctrl.switch_time is not None
+        traj.switch_time is not None
         and tau1_dev <= 10.0
         and tau2_peak <= 10.0
         and phase2_viol == 0
@@ -195,7 +194,7 @@ def test_criterion_08_vtol_two_phase(vtol_two_phase, vtol_tp_run):
         8,
         ok,
         f"phase 1: |tau1-g|<= {tau1_dev:.2f} <= 10, |tau2| <= {tau2_peak:.2f} <= 10 "
-        f"pointwise (0 violations); switch at t={ctrl.switch_time:.2f}s with "
+        f"pointwise (0 violations); switch at t={traj.switch_time:.2f}s with "
         f"H_d={report2.hd_t0:.1f}; phase 2 within recomputed certificate "
         f"{np.round(report2.tau_upper, 0)} (0 violations)",
     )
@@ -266,11 +265,20 @@ def test_criterion_10_integrator_order():
 def test_criterion_11_property_suite(ball_beam, vtol, bb_certificate):
     results = {}
 
-    sat = tanh_saturation()
-    xs = np.linspace(-10, 10, 1001)
-    vals = np.array([sat.eval(x) for x in xs])
-    results["saturation"] = (
-        sat.eval(0.0) == 0.0 and np.all(np.abs(vals) <= 1.0) and np.all(np.diff(vals) > 0)
+    # the VTOL's saturated damping along p = s p0: zero at rest, monotone in
+    # s, and never more than lam_max{K_v} on any input
+    q, p0 = np.array([1.0, -2.0, 0.4]), np.array([0.3, -1.0, 0.7])
+    shares = np.array([
+        ida_pbc_control(vtol.system, vtol.target, ConfigState(q=q, p=s * p0),
+                        damping_mode="saturated")
+        for s in np.linspace(-100.0, 100.0, 201)
+    ])
+    shares -= shares[100]
+    steps = np.diff(shares, axis=0)
+    kv = float(np.max(np.linalg.eigvalsh(vtol.target.damping_gain)))
+    results["saturation"] = bool(
+        np.all(np.abs(shares) <= kv + 1e-12)
+        and all(np.all(col <= 1e-12) or np.all(col >= -1e-12) for col in steps.T)
     )
 
     rng = np.random.default_rng(13)

@@ -83,6 +83,19 @@ def test_exit_status_contract_on_violation(tmp_path):
     assert summary["exit_code"] == 1
 
 
+def test_run_ending_early_exits_one(tmp_path):
+    # a 0.8 s step carries the VTOL roll across the V_d barrier: the run
+    # ends at its start state with no violation, and still exits 1
+    code = run(RunSpec(command="simulate", benchmark="vtol-nonsmooth", dt=0.8, t_end=8.0,
+                       samples=50, out=str(tmp_path)))
+    assert code == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [kind for _, kind in summary["events"]] == ["domain_exit"]
+    assert summary["hd_decrease_violations"] == 0
+    assert summary["violations"]["momentum"] == 0 and summary["violations"]["control"] == 0
+    assert summary["exit_code"] == 1
+
+
 def test_benchmark_command_full_pipeline(tmp_path):
     code = run(RunSpec(command="benchmark", benchmark="ball-beam", dt=2e-3, t_end=3.0,
                        samples=200, out=str(tmp_path)))

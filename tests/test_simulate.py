@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from bipbc import Box, ConfigState, MechanicalSystem, SimConfig, check_hd_decrease, simulate
+from bipbc import (
+    Box,
+    ConfigState,
+    MechanicalSystem,
+    SimConfig,
+    TargetDynamics,
+    TwoPhaseController,
+    check_hd_decrease,
+    simulate,
+)
 from bipbc.bounds import BoundReport
 
 
@@ -148,12 +157,87 @@ def test_momentum_and_control_monitors_sound(ball_beam):
 
 
 def test_phase_switch_event(vtol_tp_run):
-    ctrl, traj = vtol_tp_run
-    kinds = [kind for _, kind, _ in traj.events]
-    assert "phase_switch" in kinds
-    t_switch = [t for t, kind, _ in traj.events if kind == "phase_switch"][0]
-    assert t_switch == pytest.approx(ctrl.switch_time)
+    traj = vtol_tp_run
+    switches = [t for t, kind, _ in traj.events if kind == "phase_switch"]
+    assert switches == [traj.switch_time]
     assert np.any(traj.phase == 1) and np.any(traj.phase == 2)
+
+
+def test_two_phase_switch_on_accepted_state(vtol_two_phase):
+    # at dt = 3e-3 the predicate first holds inside step 585; a stage-level
+    # test would switch there and mix both laws within one step
+    bench = vtol_two_phase
+    ctrl = bench.make_controller()
+    cfg = SimConfig(dt=3e-3, t_end=2.2)
+    traj = simulate(bench.system, ctrl, bench.initial_state, cfg, target=bench.target)
+    k = int(round(traj.switch_time / cfg.dt))
+    assert k == 586 and traj.switch_time == k * cfg.dt == traj.times[k]
+    assert np.array_equal(traj.switch_state.q, traj.q[k])
+    assert np.array_equal(traj.switch_state.p, traj.p[k])
+    assert np.all(traj.phase[:k] == 1) and np.all(traj.phase[k:] == 2)
+    primary = simulate(bench.system, ctrl.primary_law, bench.initial_state, cfg,
+                       target=bench.target)
+    for name in ("times", "q", "p", "hd"):
+        assert np.array_equal(getattr(traj, name)[: k + 1], getattr(primary, name)[: k + 1])
+    assert np.array_equal(traj.tau[:k], primary.tau[:k])
+
+
+def test_two_phase_controller_reusable(vtol_two_phase):
+    bench = vtol_two_phase
+    ctrl = bench.make_controller()
+    cfg = SimConfig(dt=9e-3, t_end=2.0, monitors=("phase_switch",))
+    a, b = (simulate(bench.system, ctrl, bench.initial_state, cfg, target=bench.target)
+            for _ in range(2))
+    for name in ("times", "q", "p", "tau", "hd", "phase"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert [e[:2] for e in a.events] == [e[:2] for e in b.events]
+    assert a.switch_time is not None and a.switch_time == b.switch_time
+
+
+def test_two_phase_switch_is_one_shot():
+    # a particle coasting at unit speed meets the predicate on 0.3 < q < 0.5;
+    # the phase-2 spring then carries it back out of that window and beyond
+    sys = particle()
+    target = TargetDynamics(
+        mass_d=lambda q: np.eye(1),
+        potential_d=lambda q: 0.5 * float(q @ q),
+        potential_d_grad=lambda q: q.copy(),
+        j2=lambda q, pt: np.zeros((1, 1)),
+        damping_gain=np.zeros((1, 1)),
+        equilibrium=np.zeros(1),
+        kinetic_d_grad=lambda q, p: np.zeros(1),
+    )
+
+    def window(q, p):
+        return 0.3 < q[0] < 0.5
+
+    ctrl = TwoPhaseController(primary_law=lambda t, q, p: np.zeros(1),
+                              switch_predicate=window, sys=sys, target=target,
+                              damping_mode="linear")
+    traj = simulate(sys, ctrl, ConfigState(q=np.zeros(1), p=np.ones(1)),
+                    SimConfig(dt=1e-2, t_end=4.0, monitors=("phase_switch",)))
+    k = int(np.argmax(traj.phase == 2))
+    assert traj.switch_time == traj.times[k] and window(traj.q[k], traj.p[k])
+    assert np.all(traj.phase[:k] == 1) and np.all(traj.phase[k:] == 2)
+    outside = [not window(q, p) for q, p in zip(traj.q[k:], traj.p[k:])]
+    assert any(outside) and np.min(traj.q[k:, 0]) < 0.0
+    assert [kind for _, kind, _ in traj.events] == ["phase_switch"]
+
+
+def test_domain_error_truncates_with_event(vtol):
+    # the roll rate carries the aircraft across the barrier within one step
+    s0 = ConfigState(q=np.array([0.0, 0.0, 1.3]), p=np.array([0.0, 0.0, 20.0]))
+    cfg = SimConfig(dt=2e-2, t_end=1.0)
+    traj = simulate(vtol.system, vtol.make_controller(), s0, cfg, target=vtol.target)
+    assert [kind for _, kind, _ in traj.events] == ["domain_exit"]
+    t_exit, _, payload = traj.events[0]
+    assert "barrier" in payload["error"]
+    assert t_exit == pytest.approx(traj.times[-1] + cfg.dt)
+    assert traj.times[-1] < cfg.t_end and np.all(np.isfinite(traj.hd))
+    # at the start state the same error still propagates
+    beyond = ConfigState(q=np.array([0.0, 0.0, 1.5]), p=np.zeros(3))
+    with pytest.raises(ValueError, match="barrier"):
+        simulate(vtol.system, vtol.make_controller(), beyond, cfg, target=vtol.target)
 
 
 def test_csv_schema_and_values(tmp_path, ball_beam):
