@@ -10,13 +10,13 @@ Benchmarks are addressable by name:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol, Tuple
+from typing import Any, Optional, Protocol, Tuple
 
 from ..bounds import BoundConstants, BoundReport
 from ..controller import TargetDynamics
 from ..phcore import ConfigState, MechanicalSystem
 from ..sampling import Box
-from ..simulate import SimConfig
+from ..simulate import Controller, SimConfig
 from .ballbeam import BallBeamBenchmark, BallBeamParams, make_ball_beam
 from .vtol import VtolBenchmark, VtolParams, make_vtol
 
@@ -55,7 +55,7 @@ class Benchmark(Protocol):
 
     def default_sim(self) -> SimConfig: ...
 
-    def make_controller(self) -> Callable: ...
+    def make_controller(self) -> Controller: ...
 
     def extra_artifacts(self, constants: BoundConstants, report: BoundReport) -> dict: ...
 
