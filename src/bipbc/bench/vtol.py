@@ -182,18 +182,15 @@ class VtolBenchmark:
         saturated-worst-case gradient bound over that range.
         """
         pr = self.params
-        thetas = np.linspace(-theta_max, theta_max, 1201)
-        max1 = 0.0
-        max2 = 0.0
-        nrm = 0.0
-        for th in thetas:
-            q = np.array([0.0, 0.0, th])
-            gmat = self.system.input_coupling(q)
-            pinv = np.linalg.pinv(gmat)
-            gv = pinv @ self.system.potential_grad(q)
-            max1 = max(max1, abs(pr.g - gv[0]))
-            max2 = max(max2, abs(gv[1]))
-            nrm = max(nrm, float(np.linalg.norm(pinv @ self.target.mass_d(q), 2)))
+        qs = np.zeros((1201, 3))
+        qs[:, 2] = np.linspace(-theta_max, theta_max, 1201)
+        pinv = np.linalg.pinv(np.array([self.system.input_coupling(q) for q in qs]))
+        grad_v = np.array([self.system.potential_grad(q) for q in qs])
+        gv = (pinv @ grad_v[..., None])[..., 0]
+        md = np.array([self.target.mass_d(q) for q in qs])
+        max1 = float(np.max(np.abs(pr.g - gv[:, 0])))
+        max2 = float(np.max(np.abs(gv[:, 1])))
+        nrm = float(np.max(np.linalg.norm(pinv @ md, 2, axis=(1, 2))))
         c_vd = self.vd_grad_sup(theta_max)
         kv_term = pr.kv
         ub = np.array([max1 + nrm * c_vd + kv_term, max2 + nrm * c_vd + kv_term])

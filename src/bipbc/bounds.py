@@ -26,8 +26,16 @@ workspace box (plus its corners and center) and taking maxima, with a
 configurable safety inflation on the suprema. Eigenvalue extremes are raw
 per-sample extremes; this is a practical certificate, not interval
 arithmetic, so the workspace declaration is part of the contract.
-Estimation sweeps are pure and parallelizable over sample points; all
-reports are immutable values.
+
+Every sampled sweep follows one rule: the plant and target callables are
+called point by point, their outputs are stacked over a block of points, and
+the linear algebra (inv, pinv, eigvalsh, 2-norms, matmul) runs once per
+block on the stacks. Extremes are folded across blocks and violations are
+summed. The block is bounded (`_BLOCK` points) because the per-direction
+stacks of `estimate_constants` grow with points x directions; a whole-sweep
+stack would cost tens of MB for no speed. Each batched operation is applied
+item by item in the same order as on one point, so the results are those of
+a point-by-point loop. All reports are immutable values.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -66,31 +74,140 @@ def unit_input_rows(g: np.ndarray, tol: float = 1e-12) -> Optional[np.ndarray]:
     return rows
 
 
+#: Points per block of a sampled sweep (see the module docstring).
+_BLOCK = 64
+
+
+def _blocks(count: int):
+    """Slices of at most `_BLOCK` consecutive points covering `count` points."""
+    return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
+
+
+def _stack(fn: Callable, *args: np.ndarray) -> np.ndarray:
+    """`fn` called on the zipped rows of `args`, its outputs stacked on axis 0.
+
+    Each output is copied into the stack as it comes, so no list of
+    per-point arrays is held.
+    """
+    rows = zip(*args)
+    first = np.asarray(fn(*next(rows)), dtype=float)
+    out = np.empty((len(args[0]),) + first.shape)
+    out[0] = first
+    for i, row in enumerate(rows, start=1):
+        out[i] = fn(*row)
+    return out
+
+
+def _stack_pairs(fn: Callable, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """`fn(q, p)` for each q of `qs` (B, n) and each p of its `ps` (B, K, n) row."""
+    b, k, n = ps.shape
+    out = _stack(fn, np.repeat(qs, k, axis=0), ps.reshape(b * k, n))
+    return out.reshape((b, k) + out.shape[1:])
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x over stacks, one matrix-vector product per item."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _dots(x: np.ndarray) -> np.ndarray:
+    """x @ x along the last axis, one vector dot product per item."""
+    return (x[..., None, :] @ x[..., None])[..., 0, 0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, as np.linalg.norm of each vector.
+
+    np.linalg.norm(x, axis=-1) sums the squares in another way and can
+    differ from the per-vector norm in the last bit.
+    """
+    return np.sqrt(_dots(x))
+
+
+def _spectral_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix of a stack."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def _shared_unit_rows(
+    sys: MechanicalSystem, g_ref: np.ndarray, qs: np.ndarray
+) -> Optional[np.ndarray]:
+    """Unit-structure rows of `g_ref` when G(q) has them at every q of `qs`.
+
+    A sweep takes one row convention for all its points: the actuated rows
+    of `g_ref` (see `unit_input_rows`) only if each sampled G is that same
+    0/1 matrix, else None, the general-G pull-back through pinv(G).
+    """
+    rows = unit_input_rows(g_ref)
+    if rows is None:
+        return None
+    unit = np.zeros_like(g_ref)
+    unit[rows, np.arange(rows.size)] = 1.0
+    for block in _blocks(qs.shape[0]):
+        if not np.all(np.abs(_stack(sys.input_coupling, qs[block]) - unit) <= 1e-12):
+            return None
+    return rows
+
+
+class _PlantStack(NamedTuple):
+    """Plant and target outputs at a block of points, stacked on axis 0."""
+
+    grad_v: np.ndarray  # (B, n) grad_q V
+    md: np.ndarray  # (B, n, n) M_d
+    lam: np.ndarray  # (B, n, n) Lambda = M_d M^-1
+    g: Optional[np.ndarray]  # (B, n, m) G, for the general-G pull-back
+    pinv_g: Optional[np.ndarray]  # (B, m, n) pinv(G), likewise
+
+
+def _plant_stack(
+    sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray, general_g: bool
+) -> _PlantStack:
+    """Plant and target outputs at `qs`; G and pinv(G) only with `general_g`."""
+    md = _stack(tgt.mass_d, qs)
+    g = _stack(sys.input_coupling, qs) if general_g else None
+    return _PlantStack(
+        grad_v=_stack(sys.potential_grad, qs),
+        md=md,
+        lam=md @ np.linalg.inv(_stack(sys.mass_matrix, qs)),
+        g=g,
+        pinv_g=None if g is None else np.linalg.pinv(g),
+    )
+
+
 def actuated_terms(
     sys: MechanicalSystem,
-    tgt: TargetDynamics,
-    q: np.ndarray,
-    ps,
+    qs: np.ndarray,
+    ps: np.ndarray,
     rows: Optional[np.ndarray],
-    pinv_g: Optional[np.ndarray] = None,
+    stack: _PlantStack,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-actuator magnitudes at q of the terms the effort bound dominates.
+    """Per-actuator magnitudes of the terms the effort bound dominates.
 
-    Returns |grad_q V|, the row norms of Lambda = M_d M^-1, and
-    |grad_q K(q, p)| for each momentum p in `ps` (one row per p). With
-    `rows` (a unit-structure G, see `unit_input_rows`) these are the
-    actuated rows; otherwise each term is pulled back through pinv(G(q)),
-    which the caller may pass in as `pinv_g`.
+    At each point of `qs` (B, n) returns |grad_q V| (B, m), the row norms of
+    Lambda = M_d M^-1 (B, m), and |grad_q K(q, p)| (B, K, m) for each of the
+    K momenta of that point in `ps` (B, K, n). With `rows` (a unit-structure
+    G, see `unit_input_rows`) these are the actuated rows; otherwise each
+    term is pulled back through pinv(G(q)). `stack` is the `_plant_stack`
+    of `qs`, which carries pinv(G) unless `rows` is given.
     """
-    grad_v = np.asarray(sys.potential_grad(q), dtype=float)
-    lam = tgt.mass_d(q) @ np.linalg.inv(sys.mass_matrix(q))
-    kinetic = np.array([kinetic_energy_grad(sys, q, p) for p in ps])
+    kinetic = _stack_pairs(partial(kinetic_energy_grad, sys), qs, ps)
     if rows is not None:
-        return np.abs(grad_v[rows]), np.linalg.norm(lam[rows], axis=1), np.abs(kinetic[:, rows])
-    if pinv_g is None:
-        pinv_g = np.linalg.pinv(np.asarray(sys.input_coupling(q), dtype=float))
-    kinetic = np.abs([pinv_g @ gk for gk in kinetic])
-    return np.abs(pinv_g @ grad_v), np.linalg.norm(pinv_g @ lam, axis=1), kinetic
+        return (
+            np.abs(stack.grad_v[:, rows]),
+            np.linalg.norm(stack.lam[:, rows], axis=2),
+            np.abs(kinetic[:, :, rows]),
+        )
+    pinv_g = stack.pinv_g
+    return (
+        np.abs(_matvec(pinv_g, stack.grad_v)),
+        np.linalg.norm(pinv_g @ stack.lam, axis=2),
+        np.abs(_matvec(pinv_g[:, None], kinetic)),
+    )
 
 
 @dataclass(frozen=True)
@@ -145,7 +262,9 @@ def estimate_constants(
     grad_q K and grad_q K_d are quadratic in p and J_2 is linear in ptilde,
     so their defining ratios are evaluated on unit momenta only. Suprema get
     multiplied by `inflation` (grid maxima under-estimate the true suprema);
-    eigenvalue extremes are reported raw.
+    eigenvalue extremes are reported raw. The unit-structure convention
+    (`unit_structure`) holds only when G has the center's 0/1 rows at every
+    sample; otherwise all terms are pulled back through pinv(G).
 
     Args:
         region: overrides the system workspace for all constants.
@@ -160,13 +279,7 @@ def estimate_constants(
     directions = _unit_directions(n, max(64, 8 * n))
 
     # decide the row convention up front so the whole sweep uses one of them
-    rows = unit_input_rows(np.asarray(sys.input_coupling(box.center()), dtype=float))
-    if rows is not None:
-        for q in qs:
-            if unit_input_rows(np.asarray(sys.input_coupling(q), dtype=float)) is None:
-                rows = None
-                break
-    unit_structure = rows is not None
+    rows = _shared_unit_rows(sys, np.asarray(sys.input_coupling(box.center()), dtype=float), qs)
 
     c_v = np.zeros(m)
     c_lam = np.zeros(m)
@@ -180,34 +293,30 @@ def estimate_constants(
     lam_max_md = -np.inf
     lam_min_r2 = np.inf
 
-    for q in qs:
-        g = np.asarray(sys.input_coupling(q), dtype=float)
-        md = tgt.mass_d(q)
-        lam = md @ np.linalg.inv(sys.mass_matrix(q))
-        grad_v = np.asarray(sys.potential_grad(q), dtype=float)
-        grad_vd = np.asarray(tgt.potential_d_grad(q), dtype=float)
-        pinv_g = np.linalg.pinv(g)
+    for block in _blocks(qs.shape[0]):
+        qb = qs[block]
+        stack = _plant_stack(sys, tgt, qb, general_g=True)
+        grad_vd = _stack(tgt.potential_d_grad, qb)
 
-        eigs = np.linalg.eigvalsh(0.5 * (md + md.T))
-        lam_min_md = min(lam_min_md, float(eigs[0]))
-        lam_max_md = max(lam_max_md, float(eigs[-1]))
-        lam_min_r2 = min(
-            lam_min_r2, float(np.min(np.linalg.eigvalsh(build_r2(sys, tgt, q))))
-        )
-        g_cap = max(g_cap, float(np.linalg.norm(g, 2)))
-        g_pinv_cap = max(g_pinv_cap, float(np.linalg.norm(pinv_g, 2)))
-        sigma_q = pinv_g @ (grad_v - lam @ grad_vd)
-        sigma = np.minimum(sigma, sigma_q)
+        eigs = np.linalg.eigvalsh(0.5 * (stack.md + _swap(stack.md)))
+        lam_min_md = min(lam_min_md, float(np.min(eigs[:, 0])))
+        lam_max_md = max(lam_max_md, float(np.max(eigs[:, -1])))
+        r2 = _stack(partial(build_r2, sys, tgt), qb)
+        lam_min_r2 = min(lam_min_r2, float(np.min(np.linalg.eigvalsh(r2))))
+        g_cap = max(g_cap, float(np.max(_spectral_norms(stack.g))))
+        g_pinv_cap = max(g_pinv_cap, float(np.max(_spectral_norms(stack.pinv_g))))
+        sigma_q = _matvec(stack.pinv_g, stack.grad_v - _matvec(stack.lam, grad_vd))
+        sigma = np.minimum(sigma, np.min(sigma_q, axis=0))
 
-        v_q, lam_q, kinetic_q = actuated_terms(sys, tgt, q, directions, rows, pinv_g)
-        c_v = np.maximum(c_v, v_q)
-        c_lam = np.maximum(c_lam, lam_q)
-        c_m = np.maximum(c_m, np.max(kinetic_q, axis=0))
+        units = np.broadcast_to(directions, (qb.shape[0],) + directions.shape)
+        v_q, lam_q, kinetic_q = actuated_terms(sys, qb, units, rows, stack)
+        c_v = np.maximum(c_v, np.max(v_q, axis=0))
+        c_lam = np.maximum(c_lam, np.max(lam_q, axis=0))
+        c_m = np.maximum(c_m, np.max(kinetic_q, axis=(0, 1)))
 
-        for u in directions:
-            gkd = kinetic_d_grad(tgt, q, u)
-            c_md = max(c_md, float(np.linalg.norm(gkd)))
-            c_j = max(c_j, float(np.linalg.norm(tgt.j2(q, u), 2)))
+        gkd = _stack_pairs(partial(kinetic_d_grad, tgt), qb, units)
+        c_md = max(c_md, float(np.max(_norms(gkd))))
+        c_j = max(c_j, float(np.max(_spectral_norms(_stack_pairs(tgt.j2, qb, units)))))
 
     c_vd = _sup_vd_grad(tgt, vd_grad_region if vd_grad_region is not None else box, samples)
 
@@ -234,7 +343,7 @@ def estimate_constants(
         G_m=inflation * g_cap,
         sigma=sigma,
         mu=mu,
-        unit_structure=bool(unit_structure),
+        unit_structure=rows is not None,
         samples=int(qs.shape[0]),
     )
 
@@ -251,8 +360,8 @@ def _unit_directions(dim: int, count: int) -> np.ndarray:
 def _sup_vd_grad(tgt: TargetDynamics, box: Box, samples: int) -> float:
     qs = np.vstack([box.sample(samples, skip=7 * samples), box.corners()])
     best = 0.0
-    for q in qs:
-        best = max(best, float(np.linalg.norm(tgt.potential_d_grad(q))))
+    for block in _blocks(qs.shape[0]):
+        best = max(best, float(np.max(_norms(_stack(tgt.potential_d_grad, qs[block])))))
     return best
 
 
@@ -274,6 +383,10 @@ def validate_constants(
         ||J_2(q, ptilde)|| <= c_J ||ptilde||,   row bounds on Lambda,
         |(grad_q V)_i| <= c_V_i,   ||grad_q V_d|| <= c_Vd.
 
+    Constants of unit-structure G are checked on the center's actuated rows
+    only when every validation sample's G has those rows; otherwise each
+    term is pulled back through pinv(G) at its sample.
+
     Returns the number of violating samples (0 means the certificate holds
     on the validation set).
     """
@@ -284,28 +397,30 @@ def validate_constants(
     ps *= (momentum_cap * rng.random((samples, 1)) ** (1.0 / sys.n)) / np.linalg.norm(
         ps, axis=1, keepdims=True
     )
-    rows = unit_input_rows(np.asarray(sys.input_coupling(box.center()), dtype=float))
-    if not constants.unit_structure:
-        rows = None
+    rows = None
+    if constants.unit_structure:
+        center_g = np.asarray(sys.input_coupling(box.center()), dtype=float)
+        rows = _shared_unit_rows(sys, center_g, qs)
     tol = 1e-9
     bad = 0
-    for q, p in zip(qs, ps):
-        pn2 = float(p @ p)
-        pt = mass_d_solve(tgt, q, p)
-        v_rows, lam_rows, (gk_rows,) = actuated_terms(sys, tgt, q, (p,), rows)
-        gkd = kinetic_d_grad(tgt, q, p)
-        grad_vd = np.asarray(tgt.potential_d_grad(q), dtype=float)
+    for block in _blocks(samples):
+        qb, pb = qs[block], ps[block]
+        stack = _plant_stack(sys, tgt, qb, general_g=rows is None)
+        pn2 = _dots(pb)
+        pt = _stack(partial(mass_d_solve, tgt), qb, pb)
+        v_rows, lam_rows, gk_rows = actuated_terms(sys, qb, pb[:, None], rows, stack)
+        gkd = _stack(partial(kinetic_d_grad, tgt), qb, pb)
+        grad_vd = _stack(tgt.potential_d_grad, qb)
+        j2_norms = _spectral_norms(_stack(tgt.j2, qb, pt))
         ok = (
-            np.all(gk_rows <= constants.c_M * pn2 + tol)
-            and float(np.linalg.norm(gkd)) <= constants.c_Md * pn2 + tol
-            and float(np.linalg.norm(tgt.j2(q, pt), 2))
-            <= constants.c_J * float(np.linalg.norm(pt)) + tol
-            and np.all(lam_rows <= constants.c_Lambda + tol)
-            and np.all(v_rows <= constants.c_V + tol)
-            and float(np.linalg.norm(grad_vd)) <= constants.c_Vd + tol
+            np.all(gk_rows[:, 0] <= constants.c_M * pn2[:, None] + tol, axis=1)
+            & (_norms(gkd) <= constants.c_Md * pn2 + tol)
+            & (j2_norms <= constants.c_J * _norms(pt) + tol)
+            & np.all(lam_rows <= constants.c_Lambda + tol, axis=1)
+            & np.all(v_rows <= constants.c_V + tol, axis=1)
+            & (_norms(grad_vd) <= constants.c_Vd + tol)
         )
-        if not ok:
-            bad += 1
+        bad += int(np.count_nonzero(~ok))
     return bad
 
 
@@ -325,10 +440,13 @@ def empirical_constants(sys: MechanicalSystem, tgt: TargetDynamics, traj) -> dic
     declared workspace box, the supremum region is the set of states the
     closed loop actually visited. Useful for judging how conservative the
     workspace certificate is, and for reproducing constants that were
-    quoted for a specific run rather than for a region.
+    quoted for a specific run rather than for a region. The actuated rows
+    of G(q*) are used only when G has them at every visited state.
     """
-    rows = unit_input_rows(
-        np.asarray(sys.input_coupling(tgt.equilibrium), dtype=float)
+    qs = np.asarray(traj.q, dtype=float)
+    ps = np.asarray(traj.p, dtype=float)
+    rows = _shared_unit_rows(
+        sys, np.asarray(sys.input_coupling(tgt.equilibrium), dtype=float), qs
     )
     m = sys.m
     out = {
@@ -341,23 +459,28 @@ def empirical_constants(sys: MechanicalSystem, tgt: TargetDynamics, traj) -> dic
         "p_norm_max": float(np.max(traj.p_norm)),
         "ptilde_norm_max": float(np.nanmax(traj.ptilde_norm)),
     }
-    for q, p in zip(traj.q, traj.p):
-        grad_vd = np.asarray(tgt.potential_d_grad(q), dtype=float)
-        v_q, lam_q, (kinetic_q,) = actuated_terms(sys, tgt, q, (p,), rows)
-        out["c_V"] = np.maximum(out["c_V"], v_q)
-        out["c_Lambda"] = np.maximum(out["c_Lambda"], lam_q)
-        out["c_Vd"] = max(out["c_Vd"], float(np.linalg.norm(grad_vd)))
-        pn2 = float(p @ p)
-        if pn2 > 1e-12:
-            gkd = kinetic_d_grad(tgt, q, p)
-            pt = mass_d_solve(tgt, q, p)
-            ptn = float(np.linalg.norm(pt))
-            out["c_M"] = np.maximum(out["c_M"], kinetic_q / pn2)
-            out["c_Md"] = max(out["c_Md"], float(np.linalg.norm(gkd)) / pn2)
-            if ptn > 1e-9:
-                out["c_J"] = max(
-                    out["c_J"], float(np.linalg.norm(tgt.j2(q, pt), 2)) / ptn
-                )
+    for block in _blocks(qs.shape[0]):
+        qb, pb = qs[block], ps[block]
+        stack = _plant_stack(sys, tgt, qb, general_g=rows is None)
+        grad_vd = _stack(tgt.potential_d_grad, qb)
+        v_q, lam_q, kinetic_q = actuated_terms(sys, qb, pb[:, None], rows, stack)
+        out["c_V"] = np.maximum(out["c_V"], np.max(v_q, axis=0))
+        out["c_Lambda"] = np.maximum(out["c_Lambda"], np.max(lam_q, axis=0))
+        out["c_Vd"] = max(out["c_Vd"], float(np.max(_norms(grad_vd))))
+        pn2 = _dots(pb)
+        moving = pn2 > 1e-12
+        if not np.any(moving):
+            continue
+        qm, pm, pn2 = qb[moving], pb[moving], pn2[moving]
+        gkd = _stack(partial(kinetic_d_grad, tgt), qm, pm)
+        pt = _stack(partial(mass_d_solve, tgt), qm, pm)
+        ptn = _norms(pt)
+        out["c_M"] = np.maximum(out["c_M"], np.max(kinetic_q[moving, 0] / pn2[:, None], axis=0))
+        out["c_Md"] = max(out["c_Md"], float(np.max(_norms(gkd) / pn2)))
+        turning = ptn > 1e-9
+        if np.any(turning):
+            j2_norms = _spectral_norms(_stack(tgt.j2, qm[turning], pt[turning]))
+            out["c_J"] = max(out["c_J"], float(np.max(j2_norms / ptn[turning])))
     return out
 
 
@@ -685,28 +808,19 @@ def kv_advisory(
     box = sys.workspace
     qs = np.vstack([box.sample(samples), box.corners(), box.center()[None, :]])
 
-    def sym_min() -> float:
-        worst = np.inf
-        for q in qs:
-            md = tgt.mass_d(q)
-            r = np.asarray(sys.damping(q), dtype=float)
-            s = r @ mass_solve(sys, q, md)
-            worst = min(worst, float(np.min(np.linalg.eigvalsh(s + s.T))))
-        return worst
+    # R M^-1 M_d and G at every point, stacked once for all the kappas below
+    def transfer(q: np.ndarray) -> np.ndarray:
+        return np.asarray(sys.damping(q), dtype=float) @ mass_solve(sys, q, tgt.mass_d(q))
+
+    s = _stack(transfer, qs)
+    g = _stack(sys.input_coupling, qs)
+    s_sym = 0.5 * (s + _swap(s))
 
     def r2_min_with(kappa: float) -> float:
-        worst = np.inf
         kv = kappa * np.eye(sys.m)
-        for q in qs:
-            md = tgt.mass_d(q)
-            r = np.asarray(sys.damping(q), dtype=float)
-            g = np.asarray(sys.input_coupling(q), dtype=float)
-            s = r @ mass_solve(sys, q, md)
-            r2 = 0.5 * (s + s.T) + g @ kv @ g.T
-            worst = min(worst, float(np.min(np.linalg.eigvalsh(r2))))
-        return worst
+        return float(np.min(np.linalg.eigvalsh(s_sym + g @ kv @ _swap(g))))
 
-    sym = sym_min()
+    sym = float(np.min(np.linalg.eigvalsh(s + _swap(s))))
     branch = "small_kv" if sym > 0 else "kv_for_r2"
 
     kappa_for_pd: Optional[float] = None

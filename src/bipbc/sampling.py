@@ -18,6 +18,7 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _radical_inverse(i: int, base: int) -> float:
+    """Van der Corput radical inverse of i in `base`; the scalar form of `halton`."""
     inv = 0.0
     denom = 1.0
     while i > 0:
@@ -34,11 +35,19 @@ def halton(count: int, dim: int, skip: int = 0) -> np.ndarray:
     """
     if dim > len(_PRIMES):
         raise ValueError(f"halton supports at most {len(_PRIMES)} dimensions")
+    index = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
     out = np.empty((count, dim))
-    for k in range(count):
-        i = k + skip + 1
-        for d in range(dim):
-            out[k, d] = _radical_inverse(i, _PRIMES[d])
+    for d, base in enumerate(_PRIMES[:dim]):
+        # _radical_inverse on every index at once, one digit position per pass;
+        # exhausted indices add 0.0, which leaves their sums unchanged
+        i = index
+        inv = np.zeros(count)
+        denom = 1.0
+        while np.any(i > 0):
+            denom *= base
+            i, digit = np.divmod(i, base)
+            inv += digit / denom
+        out[:, d] = inv
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bipbc import Box, EmptyWorkspace
-from bipbc.sampling import ball_sample, halton
+from bipbc.sampling import _PRIMES, _radical_inverse, ball_sample, halton
 
 
 def test_box_basics():
@@ -47,6 +47,17 @@ def test_halton_spread():
                 & (pts[:, 1] >= 0.5 * qy) & (pts[:, 1] < 0.5 * (qy + 1))
             )
             assert 100 <= count <= 156
+
+
+@pytest.mark.parametrize(
+    "count, dim, skip",
+    [(1, 1, 0), (0, 3, 0), (257, 2, 0), (1000, 3, 7000), (300, 12, 0), (40, 12, 123_456)],
+)
+def test_halton_equals_radical_inverse(count, dim, skip):
+    want = np.array(
+        [[_radical_inverse(k + skip + 1, _PRIMES[d]) for d in range(dim)] for k in range(count)]
+    ).reshape(count, dim)
+    assert np.array_equal(halton(count, dim, skip=skip), want)
 
 
 def test_ball_sample_radius():

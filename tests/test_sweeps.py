@@ -1,0 +1,374 @@
+"""Block-stacked certificate sweeps against point-by-point reference loops.
+
+The sweeps in `bipbc.bounds` call the plant per point and run the linear
+algebra once per block of stacked points. The loops below are the
+point-at-a-time form of the same arithmetic; every result must agree
+exactly, not within a tolerance.
+"""
+
+import dataclasses
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from bipbc import (
+    BoundConstants,
+    Box,
+    MechanicalSystem,
+    SimConfig,
+    TargetDynamics,
+    empirical_constants,
+    estimate_constants,
+    kv_advisory,
+    simulate,
+    validate_constants,
+)
+from bipbc.bounds import _BLOCK, KvAdvisory, _sup_vd_grad, _unit_directions, unit_input_rows
+from bipbc.controller import kinetic_d_grad, mass_d_solve
+from bipbc.matching import build_r2
+from bipbc.phcore import kinetic_energy_grad, mass_solve
+
+
+# -- point-by-point references -------------------------------------------------
+
+
+def ref_unit_rows(g_ref, gs):
+    rows = unit_input_rows(g_ref)
+    if rows is None:
+        return None
+    for g in gs:
+        other = unit_input_rows(g)
+        if other is None or not np.array_equal(other, rows):
+            return None
+    return rows
+
+
+def ref_actuated_terms(sys, tgt, q, ps, rows, pinv_g=None):
+    grad_v = np.asarray(sys.potential_grad(q), dtype=float)
+    lam = tgt.mass_d(q) @ np.linalg.inv(sys.mass_matrix(q))
+    kinetic = np.array([kinetic_energy_grad(sys, q, p) for p in ps])
+    if rows is not None:
+        return np.abs(grad_v[rows]), np.linalg.norm(lam[rows], axis=1), np.abs(kinetic[:, rows])
+    if pinv_g is None:
+        pinv_g = np.linalg.pinv(np.asarray(sys.input_coupling(q), dtype=float))
+    kinetic = np.abs([pinv_g @ gk for gk in kinetic])
+    return np.abs(pinv_g @ grad_v), np.linalg.norm(pinv_g @ lam, axis=1), kinetic
+
+
+def ref_estimate_constants(sys, tgt, samples, inflation=1.05, mu=1e-6):
+    box = sys.workspace
+    qs = np.vstack([box.sample(samples), box.corners(), box.center()[None, :]])
+    n, m = sys.n, sys.m
+    directions = _unit_directions(n, max(64, 8 * n))
+    rows = ref_unit_rows(
+        np.asarray(sys.input_coupling(box.center()), dtype=float),
+        [np.asarray(sys.input_coupling(q), dtype=float) for q in qs],
+    )
+    c_v, c_lam, c_m = np.zeros(m), np.zeros(m), np.zeros(m)
+    c_md = c_j = g_cap = g_pinv_cap = 0.0
+    sigma = np.full(m, np.inf)
+    lam_min_md, lam_max_md, lam_min_r2 = np.inf, -np.inf, np.inf
+    for q in qs:
+        g = np.asarray(sys.input_coupling(q), dtype=float)
+        md = tgt.mass_d(q)
+        lam = md @ np.linalg.inv(sys.mass_matrix(q))
+        grad_v = np.asarray(sys.potential_grad(q), dtype=float)
+        grad_vd = np.asarray(tgt.potential_d_grad(q), dtype=float)
+        pinv_g = np.linalg.pinv(g)
+        eigs = np.linalg.eigvalsh(0.5 * (md + md.T))
+        lam_min_md = min(lam_min_md, float(eigs[0]))
+        lam_max_md = max(lam_max_md, float(eigs[-1]))
+        lam_min_r2 = min(lam_min_r2, float(np.min(np.linalg.eigvalsh(build_r2(sys, tgt, q)))))
+        g_cap = max(g_cap, float(np.linalg.norm(g, 2)))
+        g_pinv_cap = max(g_pinv_cap, float(np.linalg.norm(pinv_g, 2)))
+        sigma = np.minimum(sigma, pinv_g @ (grad_v - lam @ grad_vd))
+        v_q, lam_q, kinetic_q = ref_actuated_terms(sys, tgt, q, directions, rows, pinv_g)
+        c_v = np.maximum(c_v, v_q)
+        c_lam = np.maximum(c_lam, lam_q)
+        c_m = np.maximum(c_m, np.max(kinetic_q, axis=0))
+        for u in directions:
+            c_md = max(c_md, float(np.linalg.norm(kinetic_d_grad(tgt, q, u))))
+            c_j = max(c_j, float(np.linalg.norm(tgt.j2(q, u), 2)))
+    c_vd = 0.0
+    for q in np.vstack([box.sample(samples, skip=7 * samples), box.corners()]):
+        c_vd = max(c_vd, float(np.linalg.norm(tgt.potential_d_grad(q))))
+    kv = tgt.damping_gain
+    return BoundConstants(
+        c_V=inflation * c_v,
+        c_Vd=inflation * c_vd,
+        c_M=inflation * c_m,
+        c_Md=inflation * c_md,
+        c_J=inflation * c_j,
+        c_Lambda=inflation * c_lam,
+        lam_min_MdInv=1.0 / lam_max_md,
+        lam_max_MdInv=1.0 / lam_min_md,
+        lam_min_Md=lam_min_md,
+        lam_max_Md=lam_max_md,
+        lam_min_R2=float(lam_min_r2),
+        lam_max_Kv=float(np.max(np.linalg.eigvalsh(0.5 * (kv + kv.T)))),
+        G_M=inflation * g_pinv_cap,
+        G_m=inflation * g_cap,
+        sigma=sigma,
+        mu=mu,
+        unit_structure=rows is not None,
+        samples=int(qs.shape[0]),
+    )
+
+
+def ref_validate_constants(sys, tgt, constants, momentum_cap=2.0, samples=10_000, seed=1):
+    box = sys.workspace
+    rng = np.random.default_rng(seed)
+    qs = box.lower + rng.random((samples, sys.n)) * (box.upper - box.lower)
+    ps = rng.standard_normal((samples, sys.n))
+    ps *= (momentum_cap * rng.random((samples, 1)) ** (1.0 / sys.n)) / np.linalg.norm(
+        ps, axis=1, keepdims=True
+    )
+    rows = None
+    if constants.unit_structure:
+        rows = ref_unit_rows(
+            np.asarray(sys.input_coupling(box.center()), dtype=float),
+            [np.asarray(sys.input_coupling(q), dtype=float) for q in qs],
+        )
+    tol = 1e-9
+    bad = 0
+    for q, p in zip(qs, ps):
+        pn2 = float(p @ p)
+        pt = mass_d_solve(tgt, q, p)
+        v_rows, lam_rows, (gk_rows,) = ref_actuated_terms(sys, tgt, q, (p,), rows)
+        ok = (
+            np.all(gk_rows <= constants.c_M * pn2 + tol)
+            and float(np.linalg.norm(kinetic_d_grad(tgt, q, p))) <= constants.c_Md * pn2 + tol
+            and float(np.linalg.norm(tgt.j2(q, pt), 2))
+            <= constants.c_J * float(np.linalg.norm(pt)) + tol
+            and np.all(lam_rows <= constants.c_Lambda + tol)
+            and np.all(v_rows <= constants.c_V + tol)
+            and float(np.linalg.norm(tgt.potential_d_grad(q))) <= constants.c_Vd + tol
+        )
+        bad += not ok
+    return bad
+
+
+def ref_empirical_constants(sys, tgt, traj):
+    rows = ref_unit_rows(
+        np.asarray(sys.input_coupling(tgt.equilibrium), dtype=float),
+        [np.asarray(sys.input_coupling(q), dtype=float) for q in traj.q],
+    )
+    m = sys.m
+    out = {"c_V": np.zeros(m), "c_Vd": 0.0, "c_M": np.zeros(m), "c_Md": 0.0, "c_J": 0.0,
+           "c_Lambda": np.zeros(m), "p_norm_max": float(np.max(traj.p_norm)),
+           "ptilde_norm_max": float(np.nanmax(traj.ptilde_norm))}
+    for q, p in zip(traj.q, traj.p):
+        v_q, lam_q, (kinetic_q,) = ref_actuated_terms(sys, tgt, q, (p,), rows)
+        out["c_V"] = np.maximum(out["c_V"], v_q)
+        out["c_Lambda"] = np.maximum(out["c_Lambda"], lam_q)
+        out["c_Vd"] = max(out["c_Vd"], float(np.linalg.norm(tgt.potential_d_grad(q))))
+        pn2 = float(p @ p)
+        if pn2 > 1e-12:
+            pt = mass_d_solve(tgt, q, p)
+            ptn = float(np.linalg.norm(pt))
+            out["c_M"] = np.maximum(out["c_M"], kinetic_q / pn2)
+            out["c_Md"] = max(out["c_Md"], float(np.linalg.norm(kinetic_d_grad(tgt, q, p))) / pn2)
+            if ptn > 1e-9:
+                out["c_J"] = max(out["c_J"], float(np.linalg.norm(tgt.j2(q, pt), 2)) / ptn)
+    return out
+
+
+def ref_kv_advisory(sys, tgt, constants, kappas=(0.1, 1.0, 5.0, 50.0), samples=200):
+    box = sys.workspace
+    qs = np.vstack([box.sample(samples), box.corners(), box.center()[None, :]])
+
+    def transfer(q):
+        return np.asarray(sys.damping(q), dtype=float) @ mass_solve(sys, q, tgt.mass_d(q))
+
+    def r2_min_with(kappa):
+        worst = np.inf
+        kv = kappa * np.eye(sys.m)
+        for q in qs:
+            s = transfer(q)
+            g = np.asarray(sys.input_coupling(q), dtype=float)
+            worst = min(worst, float(np.min(np.linalg.eigvalsh(0.5 * (s + s.T) + g @ kv @ g.T))))
+        return worst
+
+    sym = min(float(np.min(np.linalg.eigvalsh(transfer(q) + transfer(q).T))) for q in qs)
+    branch = "small_kv" if sym > 0 else "kv_for_r2"
+    kappa_for_pd = None
+    if branch == "kv_for_r2" and r2_min_with(1e6) > 0:
+        lo, hi = 0.0, 1e6
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if r2_min_with(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        kappa_for_pd = hi
+    prefix = math.sqrt(constants.lam_max_Md / constants.lam_min_Md) * constants.c_Vd
+
+    def fraction_at(kappa):
+        return kappa * prefix / (max(r2_min_with(kappa), 0.0) + constants.mu)
+
+    fraction = {kappa: fraction_at(kappa) for kappa in kappas}
+    below = next((kappa for kappa, value in fraction.items() if value < 1.0), None)
+    return KvAdvisory(branch, sym, kappa_for_pd, fraction, fraction_at(1e-9),
+                      fraction_at(1e9), below)
+
+
+# -- plants ---------------------------------------------------------------------
+
+
+def configuration_dependent_plant():
+    """2-DOF toy with q-dependent M, G = [cos q1, 1 + sin(q2) / 2]^T (the pinv path),
+    q-dependent M_d and J_2, natural damping, and a finite-difference K_d."""
+
+    def kinetic_grad(q, p):
+        return np.array([-0.5 * p[1] ** 2 * math.cos(q[0]) / (2.0 + math.sin(q[0])) ** 2,
+                         -p[0] ** 2 * q[1] / (1.0 + q[1] ** 2) ** 2])
+
+    sys = MechanicalSystem(
+        n=2, m=1,
+        mass_matrix=lambda q: np.diag([1.0 + q[1] ** 2, 2.0 + math.sin(q[0])]),
+        potential=lambda q: float(q[0] ** 2),
+        potential_grad=lambda q: np.array([2.0 * q[0], 0.0]),
+        input_coupling=lambda q: np.array([[math.cos(q[0])], [1.0 + 0.5 * math.sin(q[1])]]),
+        damping=lambda q: np.diag([0.1, 0.2]),
+        workspace=Box(lower=-np.ones(2), upper=np.ones(2)),
+        kinetic_grad=kinetic_grad,
+    )
+    tgt = TargetDynamics(
+        mass_d=lambda q: np.array([[2.0, 0.3 * q[0]], [0.3 * q[0], 2.0]]),
+        potential_d=lambda q: float(q @ q),
+        potential_d_grad=lambda q: 2.0 * q,
+        j2=lambda q, pt: np.array([[0.0, q[1] * pt[0]], [-q[1] * pt[0], 0.0]]),
+        damping_gain=np.eye(1),
+        equilibrium=np.zeros(2),
+    )
+    return sys, tgt
+
+
+def finite_difference_plant(ball_beam):
+    """Ball-beam without analytic kinetic gradients or annihilator."""
+    sys = dataclasses.replace(ball_beam.system, kinetic_grad=None, annihilator=None)
+    return sys, dataclasses.replace(ball_beam.target, kinetic_d_grad=None)
+
+
+def switching_rows_plant():
+    """G selects q1 for q1 >= 0 and q2 for q1 < 0; grad V = (0, 5)."""
+    def zeros(q, p):
+        return np.zeros(2)
+
+    def input_coupling(q):
+        return np.array([[1.0], [0.0]]) if q[0] >= 0 else np.array([[0.0], [1.0]])
+
+    sys = MechanicalSystem(
+        n=2, m=1,
+        mass_matrix=lambda q: np.eye(2),
+        potential=lambda q: 5.0 * float(q[1]),
+        potential_grad=lambda q: np.array([0.0, 5.0]),
+        input_coupling=input_coupling,
+        damping=lambda q: np.zeros((2, 2)),
+        workspace=Box(lower=-np.ones(2), upper=np.ones(2)),
+        kinetic_grad=zeros,
+    )
+    tgt = TargetDynamics(
+        mass_d=lambda q: np.eye(2),
+        potential_d=lambda q: 0.5 * float(q @ q),
+        potential_d_grad=lambda q: q.copy(),
+        j2=lambda q, pt: np.zeros((2, 2)),
+        damping_gain=np.eye(1),
+        equilibrium=np.zeros(2),
+        kinetic_d_grad=zeros,
+    )
+    return sys, tgt
+
+
+def assert_constants_equal(got, want):
+    for f in dataclasses.fields(BoundConstants):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b), f"{f.name}: {a!r} != {b!r}"
+
+
+# -- equivalence ------------------------------------------------------------------
+
+# estimation points are samples + 2^n corners + the center; n = 2 here
+EDGE_SAMPLES = (1, _BLOCK + 1 - 5)
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+def test_configuration_dependent_g_sweeps_match_point_loop(samples):
+    sys, tgt = configuration_dependent_plant()
+    constants = estimate_constants(sys, tgt, samples=samples)
+    assert not constants.unit_structure
+    assert constants.samples in (6, _BLOCK + 1)
+    assert_constants_equal(constants, ref_estimate_constants(sys, tgt, samples))
+    crippled = dataclasses.replace(constants, c_M=0.5 * constants.c_M, c_J=0.5 * constants.c_J)
+    for count in (1, _BLOCK + 1, 3 * _BLOCK):
+        for c in (constants, crippled):
+            got = validate_constants(sys, tgt, c, samples=count, seed=4)
+            assert got == ref_validate_constants(sys, tgt, c, samples=count, seed=4)
+    assert validate_constants(sys, tgt, crippled, samples=3 * _BLOCK, seed=4) > 0
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+def test_finite_difference_plant_sweeps_match_point_loop(ball_beam, samples):
+    sys, tgt = finite_difference_plant(ball_beam)
+    constants = estimate_constants(sys, tgt, samples=samples)
+    assert constants.unit_structure
+    assert_constants_equal(constants, ref_estimate_constants(sys, tgt, samples))
+    crippled = dataclasses.replace(constants, c_Vd=0.5 * constants.c_Vd)
+    for count in (1, _BLOCK + 1):
+        for c in (constants, crippled):
+            got = validate_constants(sys, tgt, c, samples=count, seed=2)
+            assert got == ref_validate_constants(sys, tgt, c, samples=count, seed=2)
+
+
+def test_vd_grad_supremum_matches_point_loop(vtol):
+    box = vtol.certification_region(vtol.hd())
+    qs = np.vstack([box.sample(_BLOCK, skip=7 * _BLOCK), box.corners()])
+    want = max(float(np.linalg.norm(vtol.target.potential_d_grad(q))) for q in qs)
+    assert _sup_vd_grad(vtol.target, box, _BLOCK) == want
+
+
+def test_empirical_constants_match_point_loop(ball_beam):
+    traj = simulate(ball_beam.system, ball_beam.make_controller(), ball_beam.initial_state,
+                    SimConfig(dt=1e-3, t_end=0.2), target=ball_beam.target)
+    got = empirical_constants(ball_beam.system, ball_beam.target, traj)
+    want = ref_empirical_constants(ball_beam.system, ball_beam.target, traj)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k]) for k in got)
+
+    sys, tgt = configuration_dependent_plant()
+    rng = np.random.default_rng(7)
+    ps = rng.standard_normal((_BLOCK + 1, 2))
+    ps[3] = 0.0  # a state at rest adds no kinetic ratio
+    toy = SimpleNamespace(q=rng.uniform(-1, 1, (_BLOCK + 1, 2)), p=ps,
+                          p_norm=np.linalg.norm(ps, axis=1),
+                          ptilde_norm=np.linalg.norm(ps, axis=1) / 2.0)
+    got = empirical_constants(sys, tgt, toy)
+    want = ref_empirical_constants(sys, tgt, toy)
+    assert all(np.array_equal(got[k], want[k]) for k in got)
+
+
+@pytest.mark.parametrize("name", ["ball-beam", "vtol-nonsmooth"])
+def test_kv_advisory_matches_point_loop(name, bb_certificate, vtol_certificate):
+    from bipbc.bench import get_benchmark
+
+    benchmark = get_benchmark(name)
+    constants = (bb_certificate if name == "ball-beam" else vtol_certificate)[0]
+    got = kv_advisory(benchmark.system, benchmark.target, constants)
+    assert got == ref_kv_advisory(benchmark.system, benchmark.target, constants)
+
+
+# -- unit structure -------------------------------------------------------------
+
+
+def test_unit_structure_needs_the_same_rows_at_every_sample():
+    # the center picks row 0, half the box picks row 1 where grad V = 5
+    sys, tgt = switching_rows_plant()
+    constants = estimate_constants(sys, tgt, samples=50)
+    assert not constants.unit_structure
+    assert constants.c_V[0] == pytest.approx(1.05 * 5.0, rel=1e-12)
+    assert validate_constants(sys, tgt, constants, samples=500) == 0
+    # constants taken on the center's rows alone understate c_V
+    center_rows = dataclasses.replace(constants, unit_structure=True, c_V=np.array([0.0]))
+    assert validate_constants(sys, tgt, center_rows, samples=500) > 0
