@@ -20,8 +20,6 @@ from .bounds import (
     kv_advisory,
     levelset_confinement,
     momentum_bounds,
-    select_momentum_bounds,
-    strict_selection,
     ultimate_bounds,
     validate_constants,
 )
@@ -98,9 +96,7 @@ __all__ = [
     "momentum_bounds",
     "open_loop_vector_field",
     "potential_pde_residual",
-    "select_momentum_bounds",
     "simulate",
-    "strict_selection",
     "target_energy",
     "total_energy",
     "ultimate_bounds",

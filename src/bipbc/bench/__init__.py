@@ -33,8 +33,9 @@ class Benchmark(Protocol):
     workspace). `two_phase` marks designs whose `make_controller` returns a
     `TwoPhaseController`; `simulate` decides its switch and reports it in
     `Trajectory.switch_time` and `switch_state`, and the CLI checks their
-    energy from the switch on and rebuilds their certificate at the switch
-    state. Controllers are pure, so one can serve several runs.
+    energy and their certificate, rebuilt at the switch state, on the
+    phase-2 records only (none if the run never switches). Controllers are
+    pure, so one can serve several runs.
     """
 
     name: str

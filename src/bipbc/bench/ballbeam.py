@@ -85,8 +85,8 @@ class BallBeamBenchmark:
     target: TargetDynamics
     initial_state: ConfigState
     residual_box: Box
-    damping_mode: str = "linear"
     reference_constants: dict = field(default_factory=lambda: dict(REFERENCE_CONSTANTS))
+    damping_mode: ClassVar[str] = "linear"
     two_phase: ClassVar[bool] = False
 
     def make_controller(self):

@@ -102,17 +102,17 @@ class VtolBenchmark:
     target: TargetDynamics
     initial_state: ConfigState
     two_phase: bool
-    damping_mode: str = "saturated"
+    damping_mode: ClassVar[str] = "saturated"
     #: the matching residuals are checked over the whole workspace
     residual_box: ClassVar[Optional[Box]] = None
 
     def make_controller(self):
         if self.two_phase:
             return self._make_two_phase()
-        sys, tgt = self.system, self.target
+        sys, tgt, mode = self.system, self.target, self.damping_mode
 
         def control(t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-            return ida_pbc_control_raw(sys, tgt, q, p, damping_mode="saturated")
+            return ida_pbc_control_raw(sys, tgt, q, p, damping_mode=mode)
 
         return control
 
@@ -135,7 +135,7 @@ class VtolBenchmark:
             switch_predicate=switch,
             sys=self.system,
             target=self.target,
-            damping_mode="saturated",
+            damping_mode=self.damping_mode,
         )
 
     def default_sim(self) -> SimConfig:

@@ -49,8 +49,8 @@ import numpy as np
 
 from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, target_energy
 from .errors import NonpositiveEigenvalue
-from .matching import build_r2
-from .phcore import ConfigState, MechanicalSystem, kinetic_energy_grad, mass_solve
+from .matching import build_r2, damping_transfer
+from .phcore import ConfigState, MechanicalSystem, kinetic_energy_grad
 from .sampling import Box
 
 
@@ -517,45 +517,6 @@ def ultimate_bounds(constants: BoundConstants) -> Optional[Tuple[float, float]]:
     return c_p2, c_pt2
 
 
-def select_momentum_bounds(
-    constants: BoundConstants,
-    hd_t0: float,
-    p0_norm: float = 0.0,
-    ptilde0_norm: float = 0.0,
-):
-    """Apply the selection rule between level-set and ultimate bounds.
-
-    c_p defaults to c_p1; when the ultimate bound exists and the initial
-    momentum already sits inside it, c_p = min(c_p1, c_p2). Likewise for
-    ptilde. Returns (c_p1, c_pt1, c_p2, c_pt2, c_p, c_pt) with the ultimate
-    entries None when not applicable.
-    """
-    c_p1, c_pt1 = momentum_bounds(constants, hd_t0)
-    c_p2, c_pt2 = ultimate_bounds(constants) or (None, None)
-    c_p = _select(c_p1, c_p2, p0_norm)
-    c_pt = _select(c_pt1, c_pt2, ptilde0_norm)
-    return c_p1, c_pt1, c_p2, c_pt2, c_p, c_pt
-
-
-def strict_selection(
-    c_p1: float,
-    c_pt1: float,
-    c_p2: Optional[float],
-    c_pt2: Optional[float],
-    p0_norm: float = 0.0,
-    ptilde0_norm: float = 0.0,
-) -> Tuple[float, float]:
-    """Selection rule applied to the complete (factor-sqrt(2)) level-set bounds.
-
-    The ultimate bounds are unaffected by the factor (the half cancels in
-    the class-K sandwich), so only the level-set branch is scaled.
-    """
-    return (
-        _select(STRICT_FACTOR * c_p1, c_p2, p0_norm),
-        _select(STRICT_FACTOR * c_pt1, c_pt2, ptilde0_norm),
-    )
-
-
 def _select(level_set: float, ultimate: Optional[float], start_norm: float) -> float:
     """The ultimate bound tightens the level-set one for starts already inside it."""
     if ultimate is not None and start_norm <= ultimate:
@@ -637,18 +598,22 @@ def bound_report(
 ) -> BoundReport:
     """Assemble the full certificate for a run starting at energy hd_t0.
 
-    The published and the strict momentum selections are applied here, and
-    `effort(c_p, c_ptilde)` gives the per-actuator (upper, lower) effort
-    bounds at each. By default it is the sharp unit-G form or the
+    The selection rule picks each momentum bound: the level-set bound, or
+    min(level set, ultimate) when the ultimate bound exists and the start
+    norm already sits inside it (ultimate entries are None when
+    lam_min{R_2} <= 0). The published bounds use the factor-free level set,
+    the strict ones the complete level set, STRICT_FACTOR larger; the
+    ultimate bounds carry no factor (the half cancels in the class-K
+    sandwich). `effort(c_p, c_ptilde)` gives the per-actuator (upper, lower)
+    effort bounds at each. By default it is the sharp unit-G form or the
     conservative general-G form, following `constants.unit_structure`; a
     design with its own effort certificate passes that instead.
     """
-    c_p1, c_pt1, c_p2, c_pt2, c_p, c_pt = select_momentum_bounds(
-        constants, hd_t0, p0_norm, ptilde0_norm
-    )
-    c_p_strict, c_pt_strict = strict_selection(
-        c_p1, c_pt1, c_p2, c_pt2, p0_norm, ptilde0_norm
-    )
+    c_p1, c_pt1 = momentum_bounds(constants, hd_t0)
+    c_p2, c_pt2 = ultimate_bounds(constants) or (None, None)
+    c_p, c_pt = _select(c_p1, c_p2, p0_norm), _select(c_pt1, c_pt2, ptilde0_norm)
+    c_p_strict = _select(STRICT_FACTOR * c_p1, c_p2, p0_norm)
+    c_pt_strict = _select(STRICT_FACTOR * c_pt1, c_pt2, ptilde0_norm)
     if effort is None and constants.unit_structure:
 
         def effort(c_p, c_ptilde):
@@ -809,10 +774,7 @@ def kv_advisory(
     qs = np.vstack([box.sample(samples), box.corners(), box.center()[None, :]])
 
     # R M^-1 M_d and G at every point, stacked once for all the kappas below
-    def transfer(q: np.ndarray) -> np.ndarray:
-        return np.asarray(sys.damping(q), dtype=float) @ mass_solve(sys, q, tgt.mass_d(q))
-
-    s = _stack(transfer, qs)
+    s = _stack(partial(damping_transfer, sys, tgt), qs)
     g = _stack(sys.input_coupling, qs)
     s_sym = 0.5 * (s + _swap(s))
 

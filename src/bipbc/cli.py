@@ -11,7 +11,8 @@ pipeline, and drops machine-readable artifacts into the output directory:
 The process exit status is 0 on success, 1 if any soundness violation was
 detected (energy increase beyond tolerance, momentum or control outside the
 strict certificate) or the simulated run ended early (a "blowup" or
-"domain_exit" event), and 2 for usage or configuration errors.
+"domain_exit" event), and 2 for usage or configuration errors, a bad numeric
+option included. A two-phase run is checked on its phase-2 records only.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import numpy as np
 
 from .bench import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .bounds import validate_constants
-from .controller import target_energy
 from .matching import verify_matching
-from .simulate import SimConfig, Trajectory, check_hd_decrease, simulate
+from .simulate import SimConfig, bound_exceedances, check_hd_decrease, simulate
 
 COMMANDS = ("verify", "bound", "simulate", "benchmark")
 
@@ -56,6 +56,8 @@ class RunSpec:
             raise ValueError(f"command must be one of {COMMANDS}")
         if self.benchmark not in BENCHMARK_NAMES:
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -95,8 +97,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _sim_config(bench, spec: RunSpec, monitors) -> SimConfig:
+def _sim_config(bench: Benchmark, spec: RunSpec) -> SimConfig:
+    """The run's integration settings; SimConfig rejects bad numeric options."""
     base = bench.default_sim()
+    # the secondary design's energy is a Lyapunov function only after the
+    # switch, so two-phase runs are checked post hoc on phase 2
+    monitors = ("phase_switch",) if bench.two_phase else (
+        "energy_decrease", "momentum_bound", "control_bound")
     return SimConfig(
         dt=spec.dt if spec.dt is not None else base.dt,
         t_end=spec.t_end if spec.t_end is not None else base.t_end,
@@ -105,19 +112,17 @@ def _sim_config(bench, spec: RunSpec, monitors) -> SimConfig:
     )
 
 
-def _scan_violations(traj: Trajectory, report, phase: Optional[int] = None) -> dict:
-    """Post-hoc strict-certificate scan, optionally restricted to one phase."""
-    mask = np.ones(len(traj), dtype=bool) if phase is None else traj.phase == phase
-    out = {"momentum": 0, "momentum_published": 0, "control": 0, "control_published": 0}
-    if not np.any(mask):
-        return out
-    pn = traj.p_norm[mask]
-    ptn = traj.ptilde_norm[mask]
-    out["momentum"] = int(np.sum(pn > report.c_p_strict) + np.sum(ptn > report.c_ptilde_strict))
-    out["momentum_published"] = int(np.sum(pn > report.c_p) + np.sum(ptn > report.c_ptilde))
-    dev = np.abs(traj.tau[mask] - report.tau_center)
-    out["control"] = int(np.sum(np.any(dev > report.tau_upper_strict, axis=1)))
-    out["control_published"] = int(np.sum(np.any(dev > report.tau_upper, axis=1)))
+def _violations(traj, report, start: int) -> dict:
+    """Records from `start` on outside the strict and the published certificate."""
+    out = {}
+    for suffix, c_p, c_ptilde, tau_upper in (
+        ("", report.c_p_strict, report.c_ptilde_strict, report.tau_upper_strict),
+        ("_published", report.c_p, report.c_ptilde, report.tau_upper),
+    ):
+        over_p, over_pt, over_tau = bound_exceedances(
+            traj, c_p, c_ptilde, report.tau_center, tau_upper, start)
+        out["momentum" + suffix] = int(np.sum(over_p) + np.sum(over_pt))
+        out["control" + suffix] = int(np.sum(over_tau))
     return out
 
 
@@ -133,10 +138,11 @@ def _bound_payload(bench: Benchmark, constants, report) -> dict:
 
 def run(spec: RunSpec) -> int:
     """Execute a pipeline; writes artifacts and returns the exit status."""
-    return _run(spec, get_benchmark(spec.benchmark, **spec.params))
+    bench = get_benchmark(spec.benchmark, **spec.params)
+    return _run(spec, bench, _sim_config(bench, spec))
 
 
-def _run(spec: RunSpec, bench: Benchmark) -> int:
+def _run(spec: RunSpec, bench: Benchmark, cfg: SimConfig) -> int:
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     exit_code = 0
@@ -154,6 +160,7 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
     constants, report = bench.certificate(samples=spec.samples, mu=spec.mu)
     if spec.hd0 is not None:
         report = bench.report(constants, hd0=spec.hd0)
+    _write_json(out / "bounds.json", _bound_payload(bench, constants, report))
 
     if spec.command in ("bound", "benchmark"):
         violations = validate_constants(
@@ -166,7 +173,6 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
         )
         _write_json(out / "constants.json", {"benchmark": bench.name, "constants": constants,
                                              "validation_violations": violations})
-        _write_json(out / "bounds.json", _bound_payload(bench, constants, report))
         if violations:
             exit_code = 1
         if spec.command == "bound":
@@ -174,11 +180,6 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
 
     # simulate / benchmark
     two_phase = bench.two_phase
-    # the secondary design's energy is a Lyapunov function only after the
-    # switch, so two-phase runs check the decrease post hoc on phase 2
-    monitors = ("phase_switch",) if two_phase else (
-        "energy_decrease", "momentum_bound", "control_bound")
-    cfg = _sim_config(bench, spec, monitors)
     traj = simulate(
         bench.system,
         bench.make_controller(),
@@ -188,10 +189,14 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
         bound_report=None if two_phase else report,
     )
     traj.to_csv(out / "trajectory.csv")
-    _write_json(out / "bounds.json", _bound_payload(bench, constants, report))
 
-    hd_start = int(np.argmax(traj.phase == 2)) if two_phase and np.any(traj.phase == 2) else 0
-    hd_violations = check_hd_decrease(traj, cfg.hd_tol, start_index=hd_start)
+    # the certified part of the run: all of it, or the phase-2 records of a
+    # two-phase run (none if it never switched)
+    start = 0
+    if two_phase:
+        phase2 = np.flatnonzero(traj.phase == 2)
+        start = int(phase2[0]) if phase2.size else len(traj)
+    hd_violations = check_hd_decrease(traj, cfg.hd_tol, start_index=start)
     summary = {
         "benchmark": bench.name,
         "dt": cfg.dt,
@@ -205,31 +210,24 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
         "hd_decrease_violations": len(hd_violations),
         "events": [(t, kind) for t, kind, _ in traj.events],
     }
+    scan = {}
     if two_phase:
         summary["switch_time"] = traj.switch_time
-        pr = bench.params
-        phase1 = traj.phase == 1
-        if np.any(phase1):
-            summary["phase1_peak_tau1_dev"] = float(
-                np.max(np.abs(traj.tau[phase1, 0] - pr.g))
-            )
-            summary["phase1_peak_tau2"] = float(np.max(np.abs(traj.tau[phase1, 1])))
-        sw = traj.switch_state
-        if sw is not None:
-            hd_sw = target_energy(bench.target, sw).total
-            constants2, report2 = bench.certificate(s0=sw, samples=spec.samples, mu=spec.mu)
-            summary["hd_at_switch"] = hd_sw
+        if start:
+            dev = np.max(np.abs(traj.tau[:start] - report.tau_center), axis=0)
+            summary["phase1_peak_tau1_dev"] = float(dev[0])
+            summary["phase1_peak_tau2"] = float(dev[1])
+        if traj.switch_state is not None:
+            _, report2 = bench.certificate(
+                s0=traj.switch_state, samples=spec.samples, mu=spec.mu)
+            summary["hd_at_switch"] = report2.hd_t0
             summary["phase2_certificate"] = {
                 "tau_center": report2.tau_center,
                 "tau_upper": report2.tau_upper,
             }
-            scan = _scan_violations(traj, report2, phase=2)
-            summary["phase2_violations"] = scan
-            if scan["momentum"] or scan["control"]:
-                exit_code = 1
+            scan = summary["phase2_violations"] = _violations(traj, report2, start)
     else:
-        scan = _scan_violations(traj, report)
-        summary["violations"] = scan
+        scan = summary["violations"] = _violations(traj, report, start)
         summary["bounds"] = {
             "c_p": report.c_p,
             "c_ptilde": report.c_ptilde,
@@ -239,10 +237,8 @@ def _run(spec: RunSpec, bench: Benchmark) -> int:
             "tau_upper": report.tau_upper,
             "tau_upper_strict": report.tau_upper_strict,
         }
-        if scan["momentum"] or scan["control"]:
-            exit_code = 1
     ended_early = any(kind in ("blowup", "domain_exit") for _, kind, _ in traj.events)
-    if hd_violations or ended_early:
+    if scan.get("momentum") or scan.get("control") or hd_violations or ended_early:
         exit_code = 1
     summary["exit_code"] = exit_code
     _write_json(out / "summary.json", summary)
@@ -300,10 +296,11 @@ def main(argv=None) -> int:
         # a missing field or a parameter the benchmark does not take raises
         # TypeError, an out-of-range value ValueError
         bench = get_benchmark(spec.benchmark, **spec.params)
+        cfg = _sim_config(bench, spec)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _run(spec, bench)
+    return _run(spec, bench, cfg)
 
 
 if __name__ == "__main__":

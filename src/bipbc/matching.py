@@ -91,22 +91,23 @@ def potential_pde_residual(
     return gperp @ expr
 
 
+def damping_transfer(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) -> np.ndarray:
+    """R M^-1 M_d at q, the damping transfer of the matching conditions."""
+    return np.asarray(sys.damping(q), dtype=float) @ mass_solve(sys, q, tgt.mass_d(q))
+
+
 def build_r2(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) -> np.ndarray:
     """Closed-loop damping matrix R_2(q), symmetrized after assembly."""
     q = np.asarray(q, dtype=float)
-    md = tgt.mass_d(q)
-    r = np.asarray(sys.damping(q), dtype=float)
     g = np.asarray(sys.input_coupling(q), dtype=float)
-    rm_inv_md = r @ mass_solve(sys, q, md)
+    rm_inv_md = damping_transfer(sys, tgt, q)
     r2 = 0.5 * (rm_inv_md + rm_inv_md.T) + g @ tgt.damping_gain @ g.T
     return 0.5 * (r2 + r2.T)
 
 
 def damping_skew(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) -> np.ndarray:
     """J_R = 1/2 (M_d M^-1 R - R M^-1 M_d), the skew part of the damping transfer."""
-    md = tgt.mass_d(q)
-    r = np.asarray(sys.damping(q), dtype=float)
-    rm_inv_md = r @ mass_solve(sys, q, md)
+    rm_inv_md = damping_transfer(sys, tgt, q)
     return 0.5 * (rm_inv_md.T - rm_inv_md)
 
 
@@ -191,9 +192,7 @@ def verify_matching(
         r2_min = min(r2_min, float(np.min(np.linalg.eigvalsh(build_r2(sys, tgt, q)))))
         gperp = annihilator(sys, q)
         if gperp.shape[0]:
-            md = tgt.mass_d(q)
-            r = np.asarray(sys.damping(q), dtype=float)
-            sym = r @ mass_solve(sys, q, md)
+            sym = damping_transfer(sys, tgt, q)
             sym = sym + sym.T
             cond5 = gperp @ sym @ gperp.T
             cond5_min = min(cond5_min, float(np.min(np.linalg.eigvalsh(cond5))))

@@ -1,4 +1,4 @@
-"""Fixed-step RK4 simulation with per-step energy and bound monitoring.
+"""Fixed-step RK4 simulation and the run verdict against a certificate.
 
 The integrated state is (q, p), i.e. momentum rather than velocity, which
 keeps the Hamiltonian structure of the model exact in code. The integrator
@@ -6,6 +6,12 @@ is the classical 4th-order Runge-Kutta scheme with a fixed step; the
 control is evaluated at every stage, the first stage reusing the value
 recorded at the accepted state. Identical inputs produce bit-identical
 trajectories.
+
+A run is checked against its certificate after it ends, on the recorded
+samples, by two array functions: `check_hd_decrease` (H_d does not rise)
+and `bound_exceedances` (the records outside a momentum or effort bound).
+The monitors of `SimConfig`, the CLI's violation counts and the test
+sweeps all read them.
 
 One simulation per thread; independent runs may execute in parallel.
 """
@@ -134,6 +140,13 @@ def simulate(
         bound_report: BoundReport supplying c_p / c_ptilde / tau bounds for
             the momentum_bound and control_bound monitors.
 
+    The monitors run on the finished trajectory and append their events
+    after those of the run: "energy_decrease" (time, {"rise"}) for each
+    rise of `check_hd_decrease`, "momentum_bound" (time, {"norm_p"} or
+    {"norm_ptilde"}) and "control_bound" (time, {"tau"}) for each record
+    that `bound_exceedances` flags against the published bounds, in record
+    order.
+
     The control is evaluated once at each accepted state (the start and the
     end of each step): that value is recorded and drives the step's first
     RK4 stage. A TwoPhaseController starts in phase 1; its switch predicate
@@ -255,33 +268,49 @@ def simulate(
 
 def _run_monitors(traj: Trajectory, cfg: SimConfig, bound_report) -> None:
     if "energy_decrease" in cfg.monitors:
-        for t, rise in check_hd_decrease(traj, cfg.hd_tol):
-            traj.events.append((t, "energy_decrease", {"rise": rise}))
+        rises = check_hd_decrease(traj, cfg.hd_tol)
+        traj.events.extend((t, "energy_decrease", {"rise": rise}) for t, rise in rises)
     if bound_report is None:
         return
+    r = bound_report
+    over_p, over_pt, over_tau = bound_exceedances(
+        traj, r.c_p, r.c_ptilde, r.tau_center, r.tau_upper
+    )
     if "momentum_bound" in cfg.monitors:
-        for k in range(len(traj)):
-            if traj.p_norm[k] > bound_report.c_p:
+        for k in np.flatnonzero(over_p | over_pt):
+            if over_p[k]:
                 traj.events.append(
                     (traj.times[k], "momentum_bound", {"norm_p": float(traj.p_norm[k])})
                 )
-            if np.isfinite(traj.ptilde_norm[k]) and traj.ptilde_norm[k] > bound_report.c_ptilde:
+            if over_pt[k]:
                 traj.events.append(
-                    (
-                        traj.times[k],
-                        "momentum_bound",
-                        {"norm_ptilde": float(traj.ptilde_norm[k])},
-                    )
+                    (traj.times[k], "momentum_bound", {"norm_ptilde": float(traj.ptilde_norm[k])})
                 )
     if "control_bound" in cfg.monitors:
-        upper = np.asarray(bound_report.tau_upper, dtype=float)
-        center = np.asarray(bound_report.tau_center, dtype=float)
-        for k in range(len(traj)):
-            exceed = np.abs(traj.tau[k] - center) - upper
-            if np.any(exceed > 0):
-                traj.events.append(
-                    (traj.times[k], "control_bound", {"tau": traj.tau[k].copy()})
-                )
+        traj.events.extend(
+            (traj.times[k], "control_bound", {"tau": traj.tau[k].copy()})
+            for k in np.flatnonzero(over_tau)
+        )
+
+
+def bound_exceedances(
+    traj: Trajectory, c_p: float, c_ptilde: float, tau_center, tau_upper, start_index: int = 0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-record masks of the records that leave a momentum or effort certificate.
+
+    Returns three boolean arrays of length len(traj): ||p|| > c_p,
+    ||ptilde|| > c_ptilde (a NaN norm, recorded without a target, never
+    exceeds) and |tau_i - tau_center_i| > tau_upper_i for some i. Records
+    before `start_index`, e.g. the primary phase of a two-phase run, are
+    False.
+    """
+    certified = np.arange(len(traj)) >= start_index
+    dev = np.abs(traj.tau - np.asarray(tau_center, dtype=float))
+    return (
+        certified & (traj.p_norm > c_p),
+        certified & (traj.ptilde_norm > c_ptilde),
+        certified & np.any(dev > np.asarray(tau_upper, dtype=float), axis=1),
+    )
 
 
 def check_hd_decrease(
@@ -294,10 +323,6 @@ def check_hd_decrease(
     samples, e.g. the primary phase of a two-phase run, where the target
     energy is not yet a Lyapunov function.
     """
-    out: List[Tuple[float, float]] = []
-    for k in range(start_index, len(traj) - 1):
-        dt = traj.times[k + 1] - traj.times[k]
-        rise = traj.hd[k + 1] - traj.hd[k]
-        if rise > tol * dt:
-            out.append((float(traj.times[k + 1]), float(rise)))
-    return out
+    rise = np.diff(traj.hd[start_index:])
+    up = np.flatnonzero(rise > tol * np.diff(traj.times[start_index:]))
+    return list(zip(traj.times[start_index + 1 + up].tolist(), rise[up].tolist()))

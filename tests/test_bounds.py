@@ -18,12 +18,12 @@ from bipbc import (
     empirical_constants,
     kv_advisory,
     levelset_confinement,
+    bound_report,
     momentum_bounds,
-    select_momentum_bounds,
     ultimate_bounds,
     validate_constants,
 )
-from bipbc.bounds import strict_selection, unit_input_rows
+from bipbc.bounds import unit_input_rows
 
 
 def make_constants(**overrides) -> BoundConstants:
@@ -111,22 +111,28 @@ def test_ultimate_bounds_decrease_with_damping():
 
 def test_selection_rule():
     constants = make_constants(lam_min_R2=5.0, c_Vd=0.5)
-    c_p1, c_pt1, c_p2, c_pt2, c_p, c_pt = select_momentum_bounds(constants, 10.0, 0.0, 0.0)
-    assert c_p2 is not None
-    assert c_p == min(c_p1, c_p2)
+    report = bound_report(constants, 10.0, 0.0, 0.0)
+    assert report.c_p2 is not None
+    assert report.c_p == min(report.c_p1, report.c_p2)
     # initial momentum outside the ultimate bound falls back to the level set
-    _, _, _, _, c_p_far, _ = select_momentum_bounds(constants, 10.0, 1e9, 0.0)
-    assert c_p_far == c_p1
-    none_case = select_momentum_bounds(make_constants(lam_min_R2=0.0), 10.0)
-    assert none_case[2] is None and none_case[4] == none_case[0]
+    far = bound_report(constants, 10.0, 1e9, 0.0)
+    assert far.c_p == far.c_p1
+    none_case = bound_report(make_constants(lam_min_R2=0.0), 10.0)
+    assert none_case.c_p2 is None and none_case.c_ptilde2 is None
+    assert none_case.c_p == none_case.c_p1 and none_case.c_ptilde == none_case.c_ptilde1
 
 
 def test_strict_selection_scales_level_set_only():
-    c_p, c_pt = strict_selection(2.0, 0.44, None, None)
-    assert c_p == pytest.approx(2.0 * math.sqrt(2.0))
-    assert c_pt == pytest.approx(0.44 * math.sqrt(2.0))
-    c_p, _ = strict_selection(2.0, 0.44, 1.0, 1.0, p0_norm=0.5, ptilde0_norm=0.5)
-    assert c_p == 1.0  # the ultimate branch carries no factor
+    # hd0 = 0.24 with lam_min{M_d^-1} = 0.06 gives c_p1 = 2.0, no ultimate bound
+    report = bound_report(make_constants(lam_min_R2=0.0), 0.24)
+    assert report.c_p1 == pytest.approx(2.0, abs=1e-12)
+    assert report.c_p_strict == pytest.approx(2.0 * math.sqrt(2.0))
+    assert report.c_ptilde_strict == pytest.approx(report.c_ptilde1 * math.sqrt(2.0))
+    # a start inside the ultimate bound: the ultimate branch carries no factor
+    report = bound_report(make_constants(lam_min_R2=500.0), 10.0, 0.5, 0.0)
+    assert 0.5 <= report.c_p2 < report.c_p1
+    assert report.c_p_strict == report.c_p == report.c_p2
+    assert report.c_ptilde_strict == report.c_ptilde == report.c_ptilde2
 
 
 def test_control_upper_bound_potential_only_reduction():

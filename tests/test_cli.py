@@ -117,6 +117,18 @@ def test_two_phase_summary_fields(tmp_path):
     assert any(kind == "phase_switch" for _, kind in summary["events"])
 
 
+def test_two_phase_run_without_switch_has_no_energy_check(tmp_path):
+    # the run ends before the switch: the secondary design's H_d is not a
+    # Lyapunov function over the primary phase and is not checked there
+    code = run(RunSpec(command="simulate", benchmark="vtol-two-phase", dt=5e-3,
+                       t_end=1.0, samples=50, out=str(tmp_path)))
+    assert code == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["switch_time"] is None and summary["events"] == []
+    assert summary["hd_decrease_violations"] == 0
+    assert summary["exit_code"] == 0
+
+
 def test_main_cli_args(tmp_path, capsys):
     code = main(["verify", "--benchmark", "ball-beam", "--samples", "100",
                  "--out", str(tmp_path)])
@@ -142,6 +154,10 @@ def test_main_bad_config_exit2(tmp_path, capsys):
     {"command": "verify", "benchmark": "ball-beam", "params": {"bogus": 1}},
     {"command": "verify", "benchmark": "vtol-nonsmooth", "params": {"epsilon": 1.5}},
     {"command": "verify"},
+    {"command": "verify", "benchmark": "ball-beam", "record_stride": 0},
+    {"command": "verify", "benchmark": "ball-beam", "dt": -1.0},
+    {"command": "verify", "benchmark": "ball-beam", "t_end": 0.0},
+    {"command": "verify", "benchmark": "ball-beam", "samples": 0},
 ])
 def test_main_bad_config_values_exit2(config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"

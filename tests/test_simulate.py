@@ -1,6 +1,7 @@
 """Integrator: order, determinism, monitors, CSV export."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from bipbc import (
     simulate,
 )
 from bipbc.bounds import BoundReport
+from bipbc.simulate import _run_monitors, bound_exceedances
 
 
 def particle(n=1, spring=0.0):
@@ -87,8 +89,6 @@ def test_hd_decrease_clean_run(ball_beam):
 def test_hd_decrease_injected_fault(ball_beam, bb_trajectory):
     hd = bb_trajectory.hd.copy()
     hd[100] += 1e-3
-    import dataclasses
-
     broken = dataclasses.replace(bb_trajectory, hd=hd)
     violations = check_hd_decrease(broken, tol=1e-6)
     assert len(violations) == 1
@@ -154,6 +154,112 @@ def test_momentum_and_control_monitors_sound(ball_beam):
     for t, kind, payload in control_events:
         k = times.index(t)
         assert np.any(np.abs(traj.tau[k]) > report.tau_upper)
+
+
+def reference_run_monitors(traj, cfg, bound_report):
+    """The per-record loops the vectorized monitors replaced."""
+    if "energy_decrease" in cfg.monitors:
+        for t, rise in reference_check_hd_decrease(traj, cfg.hd_tol):
+            traj.events.append((t, "energy_decrease", {"rise": rise}))
+    if bound_report is None:
+        return
+    if "momentum_bound" in cfg.monitors:
+        for k in range(len(traj)):
+            if traj.p_norm[k] > bound_report.c_p:
+                traj.events.append(
+                    (traj.times[k], "momentum_bound", {"norm_p": float(traj.p_norm[k])})
+                )
+            if np.isfinite(traj.ptilde_norm[k]) and traj.ptilde_norm[k] > bound_report.c_ptilde:
+                traj.events.append(
+                    (traj.times[k], "momentum_bound", {"norm_ptilde": float(traj.ptilde_norm[k])})
+                )
+    if "control_bound" in cfg.monitors:
+        upper = np.asarray(bound_report.tau_upper, dtype=float)
+        center = np.asarray(bound_report.tau_center, dtype=float)
+        for k in range(len(traj)):
+            if np.any(np.abs(traj.tau[k] - center) - upper > 0):
+                traj.events.append((traj.times[k], "control_bound", {"tau": traj.tau[k].copy()}))
+
+
+def reference_check_hd_decrease(traj, tol, start_index=0):
+    out = []
+    for k in range(start_index, len(traj) - 1):
+        rise = traj.hd[k + 1] - traj.hd[k]
+        if rise > tol * (traj.times[k + 1] - traj.times[k]):
+            out.append((float(traj.times[k + 1]), float(rise)))
+    return out
+
+
+def assert_same_events(got, want):
+    assert len(got) == len(want)
+    for (t, kind, payload), (t_ref, kind_ref, payload_ref) in zip(got, want):
+        assert (type(t), t, kind) == (type(t_ref), t_ref, kind_ref)
+        assert payload.keys() == payload_ref.keys()
+        for key, value in payload.items():
+            assert type(value) is type(payload_ref[key])
+            assert np.array_equal(value, payload_ref[key])
+
+
+@pytest.fixture(scope="module")
+def tight_bound_run(ball_beam):
+    """Ball-beam run with every monitor on and bounds near the median norms,
+    so that records leave the p bound, the ptilde bound, both or neither."""
+    report = BoundReport(
+        c_p1=0.9, c_ptilde1=0.2, c_p2=None, c_ptilde2=None,
+        c_p=0.9, c_ptilde=0.2, c_p_strict=1.3, c_ptilde_strict=0.3,
+        tau_upper=np.array([1.0]), tau_lower=None, tau_center=np.array([3.5]),
+        tau_upper_strict=np.array([1.5]), hd_t0=0.24,
+    )
+    cfg = SimConfig(dt=2e-3, t_end=3.0,
+                    monitors=("energy_decrease", "momentum_bound", "control_bound"))
+    traj = simulate(ball_beam.system, ball_beam.make_controller(), ball_beam.initial_state,
+                    cfg, target=ball_beam.target, bound_report=report)
+    return traj, cfg, report
+
+
+def test_monitors_equal_reference_loops(tight_bound_run):
+    traj, cfg, report = tight_bound_run
+    kinds = {kind for _, kind, _ in traj.events}
+    assert kinds == {"momentum_bound", "control_bound"}
+    one_of_two = (traj.p_norm > report.c_p) != (traj.ptilde_norm > report.c_ptilde)
+    assert np.any(one_of_two) and np.any(traj.p_norm <= report.c_p)
+    clean = dataclasses.replace(traj, events=[])
+    reference_run_monitors(clean, cfg, report)
+    assert_same_events(traj.events, clean.events)
+    # with a rise of H_d injected every 97 records, energy_decrease fires too
+    hd = traj.hd.copy()
+    hd[5::97] += 1e-3
+    got, want = (dataclasses.replace(traj, hd=hd, events=[]) for _ in range(2))
+    _run_monitors(got, cfg, report)
+    reference_run_monitors(want, cfg, report)
+    assert sum(kind == "energy_decrease" for _, kind, _ in got.events) == len(hd[5::97])
+    assert_same_events(got.events, want.events)
+
+
+@pytest.mark.parametrize("start_index", [0, 700, 1499, 5000])
+def test_check_hd_decrease_equals_reference_loop(tight_bound_run, start_index):
+    traj, _, _ = tight_bound_run
+    hd = traj.hd.copy()
+    hd[5::97] += 1e-3
+    broken = dataclasses.replace(traj, hd=hd)
+    got = check_hd_decrease(broken, 1e-6, start_index)
+    assert got == reference_check_hd_decrease(broken, 1e-6, start_index)
+    assert all(type(t) is float and type(rise) is float for t, rise in got)
+    if start_index < 1400:
+        assert got
+
+
+def test_bound_exceedances_masks():
+    traj = simulate(particle(n=2), None, ConfigState(q=np.zeros(2), p=np.array([0.0, 1.0])),
+                    SimConfig(dt=0.1, t_end=0.3))
+    traj.p_norm[:] = [0.5, 2.0, 3.0, 1.0]
+    traj.tau[:] = [[0.0, 0.0], [1.5, 0.0], [1.0, -0.9], [1.0, 1.0]]
+    over_p, over_pt, over_tau = bound_exceedances(traj, 1.0, 0.1, [1.0, 0.0], [0.4, 0.8], 1)
+    assert over_p.tolist() == [False, True, True, False]
+    # no target: the NaN ptilde norm never exceeds
+    assert np.all(np.isnan(traj.ptilde_norm)) and not np.any(over_pt)
+    assert over_tau.tolist() == [False, True, True, True]
+    assert not any(np.any(m) for m in bound_exceedances(traj, 1.0, 0.1, [0, 0], [9, 9], 4))
 
 
 def test_phase_switch_event(vtol_tp_run):
