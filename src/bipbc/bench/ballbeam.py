@@ -148,7 +148,11 @@ class BallBeamBenchmark:
 
 def make_ball_beam(params: BallBeamParams = BallBeamParams()) -> BallBeamBenchmark:
     L, g, k_p, k_v = params.L, params.g, params.k_p, params.k_v
-    r_diag = np.array([params.r1, params.r2])
+    # constant outputs, built once and returned read-only on every call
+    r_mat = np.diag([params.r1, params.r2])
+    g_col, annihilator_row = np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]])
+    for const in (r_mat, g_col, annihilator_row):
+        const.setflags(write=False)
     l2 = L * L
 
     def b_of(q1: float) -> float:
@@ -169,13 +173,13 @@ def make_ball_beam(params: BallBeamParams = BallBeamParams()) -> BallBeamBenchma
         return np.array([-q[0] * p[1] ** 2 / b**2, 0.0])
 
     def input_coupling(q):
-        return np.array([[0.0], [1.0]])
+        return g_col
 
     def damping(q):
-        return np.diag(r_diag)
+        return r_mat
 
     def annihilator(q):
-        return np.array([[1.0, 0.0]])
+        return annihilator_row
 
     def mass_d(q):
         b = b_of(q[0])

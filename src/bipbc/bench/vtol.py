@@ -280,18 +280,23 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
     t0 = math.tanh(math.log(0.9 * eps))
     cc = (g + k1 * eps * t0) / eps
     x_star, y_star = params.x_star, params.y_star
+    # constant outputs, built once and returned read-only on every call
+    eye, zeros, zeros33, grad_v = np.eye(3), np.zeros(3), np.zeros((3, 3)), np.array([0.0, g, 0.0])
+    md_const = np.array([[m11, 0.0, eps], [0.0, 1.0, 0.0], [eps, 0.0, 0.1]])
+    for const in (eye, zeros, zeros33, grad_v, md_const):
+        const.setflags(write=False)
 
     def mass_matrix(q):
-        return np.eye(3)
+        return eye
 
     def potential(q):
         return g * q[1]
 
     def potential_grad(q):
-        return np.array([0.0, g, 0.0])
+        return grad_v
 
     def kinetic_grad(q, p):
-        return np.zeros(3)
+        return zeros
 
     def input_coupling(q):
         th = q[2]
@@ -305,18 +310,16 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
         return np.array([[c * scale, s * scale, -eps * scale]])
 
     def damping(q):
-        return np.zeros((3, 3))
-
-    md_const = np.array([[m11, 0.0, eps], [0.0, 1.0, 0.0], [eps, 0.0, 0.1]])
+        return zeros33
 
     def mass_d(q):
         return md_const
 
     def kinetic_d_grad(q, p):
-        return np.zeros(3)
+        return zeros
 
     def j2(q, pt):
-        return np.zeros((3, 3))
+        return zeros33
 
     def barrier(th: float) -> float:
         arg = eps * (math.cos(th) - 0.1)

@@ -27,15 +27,10 @@ configurable safety inflation on the suprema. Eigenvalue extremes are raw
 per-sample extremes; this is a practical certificate, not interval
 arithmetic, so the workspace declaration is part of the contract.
 
-Every sampled sweep follows one rule: the plant and target callables are
-called point by point, their outputs are stacked over a block of points, and
-the linear algebra (inv, pinv, eigvalsh, 2-norms, matmul) runs once per
-block on the stacks. Extremes are folded across blocks and violations are
-summed. The block is bounded (`_BLOCK` points) because the per-direction
-stacks of `estimate_constants` grow with points x directions; a whole-sweep
-stack would cost tens of MB for no speed. Each batched operation is applied
-item by item in the same order as on one point, so the results are those of
-a point-by-point loop. All reports are immutable values.
+The sampled sweeps stack the plant's per-point outputs over blocks of points
+and run the linear algebra once per block (see `bipbc.stacking`); extremes
+are folded across blocks and violations are summed. All reports are
+immutable values.
 """
 
 from __future__ import annotations
@@ -48,10 +43,12 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, target_energy
-from .errors import NonpositiveEigenvalue
+from .errors import NonpositiveEigenvalue, ToolkitError
 from .matching import build_r2, damping_transfer
 from .phcore import ConfigState, MechanicalSystem, kinetic_energy_grad
 from .sampling import Box
+from .stacking import (_blocks, _dots, _matvec, _momentum_form, _norms, _spectral_norms,
+                       _stack, _stack_pairs, _swap)
 
 
 def unit_input_rows(g: np.ndarray, tol: float = 1e-12) -> Optional[np.ndarray]:
@@ -72,66 +69,6 @@ def unit_input_rows(g: np.ndarray, tol: float = 1e-12) -> Optional[np.ndarray]:
     if np.unique(rows).size != rows.size:
         return None
     return rows
-
-
-#: Points per block of a sampled sweep (see the module docstring).
-_BLOCK = 64
-
-
-def _blocks(count: int):
-    """Slices of at most `_BLOCK` consecutive points covering `count` points."""
-    return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
-
-
-def _stack(fn: Callable, *args: np.ndarray) -> np.ndarray:
-    """`fn` called on the zipped rows of `args`, its outputs stacked on axis 0.
-
-    Each output is copied into the stack as it comes, so no list of
-    per-point arrays is held.
-    """
-    rows = zip(*args)
-    first = np.asarray(fn(*next(rows)), dtype=float)
-    out = np.empty((len(args[0]),) + first.shape)
-    out[0] = first
-    for i, row in enumerate(rows, start=1):
-        out[i] = fn(*row)
-    return out
-
-
-def _stack_pairs(fn: Callable, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """`fn(q, p)` for each q of `qs` (B, n) and each p of its `ps` (B, K, n) row."""
-    b, k, n = ps.shape
-    out = _stack(fn, np.repeat(qs, k, axis=0), ps.reshape(b * k, n))
-    return out.reshape((b, k) + out.shape[1:])
-
-
-def _swap(a: np.ndarray) -> np.ndarray:
-    """Transpose of every matrix of a stack."""
-    return np.swapaxes(a, -1, -2)
-
-
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x over stacks, one matrix-vector product per item."""
-    return (a @ x[..., None])[..., 0]
-
-
-def _dots(x: np.ndarray) -> np.ndarray:
-    """x @ x along the last axis, one vector dot product per item."""
-    return (x[..., None, :] @ x[..., None])[..., 0, 0]
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, as np.linalg.norm of each vector.
-
-    np.linalg.norm(x, axis=-1) sums the squares in another way and can
-    differ from the per-vector norm in the last bit.
-    """
-    return np.sqrt(_dots(x))
-
-
-def _spectral_norms(a: np.ndarray) -> np.ndarray:
-    """Largest singular value of every matrix of a stack."""
-    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
 def _shared_unit_rows(
@@ -180,22 +117,17 @@ def _plant_stack(
 
 
 def actuated_terms(
-    sys: MechanicalSystem,
-    qs: np.ndarray,
-    ps: np.ndarray,
-    rows: Optional[np.ndarray],
-    stack: _PlantStack,
+    kinetic: np.ndarray, rows: Optional[np.ndarray], stack: _PlantStack
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-actuator magnitudes of the terms the effort bound dominates.
 
-    At each point of `qs` (B, n) returns |grad_q V| (B, m), the row norms of
-    Lambda = M_d M^-1 (B, m), and |grad_q K(q, p)| (B, K, m) for each of the
-    K momenta of that point in `ps` (B, K, n). With `rows` (a unit-structure
-    G, see `unit_input_rows`) these are the actuated rows; otherwise each
-    term is pulled back through pinv(G(q)). `stack` is the `_plant_stack`
-    of `qs`, which carries pinv(G) unless `rows` is given.
+    At each of the B points of `stack` (a `_plant_stack`, which carries
+    pinv(G) unless `rows` is given) returns |grad_q V| (B, m), the row norms
+    of Lambda = M_d M^-1 (B, m), and |grad_q K| (B, K, m) for the K kinetic
+    gradients of that point in `kinetic` (B, K, n). With `rows` (a
+    unit-structure G, see `unit_input_rows`) these are the actuated rows;
+    otherwise each term is pulled back through pinv(G(q)).
     """
-    kinetic = _stack_pairs(partial(kinetic_energy_grad, sys), qs, ps)
     if rows is not None:
         return (
             np.abs(stack.grad_v[:, rows]),
@@ -258,13 +190,14 @@ def estimate_constants(
 ) -> BoundConstants:
     """Estimate every bounding constant over the certification workspace.
 
-    The kinetic-term and interconnection constants exploit homogeneity in p:
     grad_q K and grad_q K_d are quadratic in p and J_2 is linear in ptilde,
-    so their defining ratios are evaluated on unit momenta only. Suprema get
-    multiplied by `inflation` (grid maxima under-estimate the true suprema);
-    eigenvalue extremes are reported raw. The unit-structure convention
-    (`unit_structure`) holds only when G has the center's 0/1 rows at every
-    sample; otherwise all terms are pulled back through pinv(G).
+    so their defining ratios are taken on unit momenta, from a few probe
+    momenta per point (`_momentum_form`); at the box center a term that
+    differs from its probes' form on the directions raises ToolkitError.
+    Suprema get multiplied by `inflation` (grid maxima under-estimate the
+    true suprema); eigenvalue extremes are reported raw. The unit-structure
+    convention (`unit_structure`) holds only when G has the center's 0/1 rows
+    at every sample; otherwise all terms are pulled back through pinv(G).
 
     Args:
         region: overrides the system workspace for all constants.
@@ -273,25 +206,28 @@ def estimate_constants(
             smaller region than the full workspace.
     """
     box = region if region is not None else sys.workspace
-    qs = np.vstack([box.sample(samples), box.corners(), box.center()[None, :]])
+    center = box.center()[None, :]
+    qs = np.vstack([box.sample(samples), box.corners(), center])
     n, m = sys.n, sys.m
 
     directions = _unit_directions(n, max(64, 8 * n))
+    forms = {}
+    for name, fn, degree in (("kinetic_grad", partial(kinetic_energy_grad, sys), 2),
+                             ("kinetic_d_grad", partial(kinetic_d_grad, tgt), 2),
+                             ("j2", tgt.j2, 1)):
+        forms[name] = form = _momentum_form(fn, directions, degree)
+        want = _stack_pairs(fn, center, directions)
+        if np.any(np.abs(form(center) - want) > 1e-6 * np.max(np.abs(want))):
+            kind = ("linear", "quadratic")[degree - 1]
+            raise ToolkitError(f"{name} is not {kind} in the momentum at the workspace center")
 
     # decide the row convention up front so the whole sweep uses one of them
-    rows = _shared_unit_rows(sys, np.asarray(sys.input_coupling(box.center()), dtype=float), qs)
+    rows = _shared_unit_rows(sys, np.asarray(sys.input_coupling(center[0]), dtype=float), qs)
 
-    c_v = np.zeros(m)
-    c_lam = np.zeros(m)
-    c_m = np.zeros(m)
-    c_md = 0.0
-    c_j = 0.0
-    g_cap = 0.0
-    g_pinv_cap = 0.0
+    c_v, c_lam, c_m = np.zeros(m), np.zeros(m), np.zeros(m)
+    c_md = c_j = g_cap = g_pinv_cap = 0.0
     sigma = np.full(m, np.inf)
-    lam_min_md = np.inf
-    lam_max_md = -np.inf
-    lam_min_r2 = np.inf
+    lam_min_md, lam_max_md, lam_min_r2 = np.inf, -np.inf, np.inf
 
     for block in _blocks(qs.shape[0]):
         qb = qs[block]
@@ -308,15 +244,12 @@ def estimate_constants(
         sigma_q = _matvec(stack.pinv_g, stack.grad_v - _matvec(stack.lam, grad_vd))
         sigma = np.minimum(sigma, np.min(sigma_q, axis=0))
 
-        units = np.broadcast_to(directions, (qb.shape[0],) + directions.shape)
-        v_q, lam_q, kinetic_q = actuated_terms(sys, qb, units, rows, stack)
+        v_q, lam_q, kinetic_q = actuated_terms(forms["kinetic_grad"](qb), rows, stack)
         c_v = np.maximum(c_v, np.max(v_q, axis=0))
         c_lam = np.maximum(c_lam, np.max(lam_q, axis=0))
         c_m = np.maximum(c_m, np.max(kinetic_q, axis=(0, 1)))
-
-        gkd = _stack_pairs(partial(kinetic_d_grad, tgt), qb, units)
-        c_md = max(c_md, float(np.max(_norms(gkd))))
-        c_j = max(c_j, float(np.max(_spectral_norms(_stack_pairs(tgt.j2, qb, units)))))
+        c_md = max(c_md, float(np.max(_norms(forms["kinetic_d_grad"](qb)))))
+        c_j = max(c_j, float(np.max(_spectral_norms(forms["j2"](qb)))))
 
     c_vd = _sup_vd_grad(tgt, vd_grad_region if vd_grad_region is not None else box, samples)
 
@@ -399,8 +332,7 @@ def validate_constants(
     )
     rows = None
     if constants.unit_structure:
-        center_g = np.asarray(sys.input_coupling(box.center()), dtype=float)
-        rows = _shared_unit_rows(sys, center_g, qs)
+        rows = _shared_unit_rows(sys, np.asarray(sys.input_coupling(box.center()), dtype=float), qs)
     tol = 1e-9
     bad = 0
     for block in _blocks(samples):
@@ -408,7 +340,8 @@ def validate_constants(
         stack = _plant_stack(sys, tgt, qb, general_g=rows is None)
         pn2 = _dots(pb)
         pt = _stack(partial(mass_d_solve, tgt), qb, pb)
-        v_rows, lam_rows, gk_rows = actuated_terms(sys, qb, pb[:, None], rows, stack)
+        gk = _stack(partial(kinetic_energy_grad, sys), qb, pb)[:, None]
+        v_rows, lam_rows, gk_rows = actuated_terms(gk, rows, stack)
         gkd = _stack(partial(kinetic_d_grad, tgt), qb, pb)
         grad_vd = _stack(tgt.potential_d_grad, qb)
         j2_norms = _spectral_norms(_stack(tgt.j2, qb, pt))
@@ -449,21 +382,15 @@ def empirical_constants(sys: MechanicalSystem, tgt: TargetDynamics, traj) -> dic
         sys, np.asarray(sys.input_coupling(tgt.equilibrium), dtype=float), qs
     )
     m = sys.m
-    out = {
-        "c_V": np.zeros(m),
-        "c_Vd": 0.0,
-        "c_M": np.zeros(m),
-        "c_Md": 0.0,
-        "c_J": 0.0,
-        "c_Lambda": np.zeros(m),
-        "p_norm_max": float(np.max(traj.p_norm)),
-        "ptilde_norm_max": float(np.nanmax(traj.ptilde_norm)),
-    }
+    out = {"c_V": np.zeros(m), "c_Vd": 0.0, "c_M": np.zeros(m), "c_Md": 0.0, "c_J": 0.0,
+           "c_Lambda": np.zeros(m), "p_norm_max": float(np.max(traj.p_norm)),
+           "ptilde_norm_max": float(np.nanmax(traj.ptilde_norm))}
     for block in _blocks(qs.shape[0]):
         qb, pb = qs[block], ps[block]
         stack = _plant_stack(sys, tgt, qb, general_g=rows is None)
         grad_vd = _stack(tgt.potential_d_grad, qb)
-        v_q, lam_q, kinetic_q = actuated_terms(sys, qb, pb[:, None], rows, stack)
+        gk = _stack(partial(kinetic_energy_grad, sys), qb, pb)[:, None]
+        v_q, lam_q, kinetic_q = actuated_terms(gk, rows, stack)
         out["c_V"] = np.maximum(out["c_V"], np.max(v_q, axis=0))
         out["c_Lambda"] = np.maximum(out["c_Lambda"], np.max(lam_q, axis=0))
         out["c_Vd"] = max(out["c_Vd"], float(np.max(_norms(grad_vd))))
@@ -729,13 +656,7 @@ def levelset_confinement(
 
     upper, clip_hi = solve_direction(float(box.upper[coordinate]))
     lower, clip_lo = solve_direction(float(box.lower[coordinate]))
-    return ConfinementInterval(
-        coordinate=coordinate,
-        lower=min(lower, upper),
-        upper=max(lower, upper),
-        clipped_lower=clip_lo,
-        clipped_upper=clip_hi,
-    )
+    return ConfinementInterval(coordinate, min(lower, upper), max(lower, upper), clip_lo, clip_hi)
 
 
 @dataclass(frozen=True)
@@ -786,16 +707,15 @@ def kv_advisory(
     branch = "small_kv" if sym > 0 else "kv_for_r2"
 
     kappa_for_pd: Optional[float] = None
-    if branch == "kv_for_r2":
-        if r2_min_with(1e6) > 0:
-            lo, hi = 0.0, 1e6
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if r2_min_with(mid) > 0:
-                    hi = mid
-                else:
-                    lo = mid
-            kappa_for_pd = hi
+    if branch == "kv_for_r2" and r2_min_with(1e6) > 0:
+        lo, hi = 0.0, 1e6
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if r2_min_with(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        kappa_for_pd = hi
 
     ratio_prefix = math.sqrt(constants.lam_max_Md / constants.lam_min_Md) * constants.c_Vd
 
@@ -803,19 +723,12 @@ def kv_advisory(
         return kappa * ratio_prefix / (max(r2_min_with(kappa), 0.0) + constants.mu)
 
     fraction = {kappa: fraction_at(kappa) for kappa in kappas}
-    small = fraction_at(1e-9)
-    large = fraction_at(1e9)
-    below = None
-    for kappa, value in fraction.items():
-        if value < 1.0:
-            below = kappa
-            break
     return KvAdvisory(
         branch=branch,
         sym_min_eig=sym,
         kappa_for_pd=kappa_for_pd,
         fraction=fraction,
-        fraction_limit_small=small,
-        fraction_limit_large=large,
-        kappa_below_one=below,
+        fraction_limit_small=fraction_at(1e-9),
+        fraction_limit_large=fraction_at(1e9),
+        kappa_below_one=next((kappa for kappa, value in fraction.items() if value < 1.0), None),
     )

@@ -52,8 +52,7 @@ class TargetDynamics:
         mass_d: q -> (n, n) desired mass matrix, SPD on the workspace.
         potential_d: q -> scalar desired potential, minimal at `equilibrium`.
         potential_d_grad: q -> (n,) grad_q V_d.
-        j2: (q, ptilde) -> (n, n) skew-symmetric, degree-1 homogeneous in
-            ptilde.
+        j2: (q, ptilde) -> (n, n) skew-symmetric, linear in ptilde.
         damping_gain: (m, m) constant symmetric PSD K_v.
         equilibrium: (n,) desired configuration q*.
         kinetic_d_grad: optional (q, p) -> grad_q K_d with
@@ -81,11 +80,6 @@ class TargetDynamics:
 def mass_d_solve(tgt: TargetDynamics, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """M_d(q)^-1 rhs via a linear solve."""
     return solve_checked(tgt.mass_d(q), rhs, SingularMassD)
-
-
-def ptilde(tgt: TargetDynamics, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """ptilde = M_d(q)^-1 p."""
-    return mass_d_solve(tgt, q, p)
 
 
 def kinetic_d_energy(tgt: TargetDynamics, q: np.ndarray, p: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, ptilde
+from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve
 from .phcore import (
     ConfigState,
     MechanicalSystem,
@@ -122,7 +122,7 @@ def closed_loop_vector_field(
     """
     q, p = s.q, s.p
     qdot = mass_solve(sys, q, p)
-    pt = ptilde(tgt, q, p)
+    pt = mass_d_solve(tgt, q, p)
     grad_hd = np.asarray(tgt.potential_d_grad(q), dtype=float) + kinetic_d_grad(tgt, q, p)
     md = tgt.mass_d(q)
     interconnection = tgt.j2(q, pt) + damping_skew(sys, tgt, q) - build_r2(sys, tgt, q)
@@ -132,7 +132,7 @@ def closed_loop_vector_field(
 
 def hd_rate(sys: MechanicalSystem, tgt: TargetDynamics, s: ConfigState) -> float:
     """-ptilde^T R_2 ptilde, the closed-loop energy rate under linear damping."""
-    pt = ptilde(tgt, s.q, s.p)
+    pt = mass_d_solve(tgt, s.q, s.p)
     return -float(pt @ build_r2(sys, tgt, s.q) @ pt)
 
 

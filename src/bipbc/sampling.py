@@ -17,17 +17,6 @@ from .errors import EmptyWorkspace
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _radical_inverse(i: int, base: int) -> float:
-    """Van der Corput radical inverse of i in `base`; the scalar form of `halton`."""
-    inv = 0.0
-    denom = 1.0
-    while i > 0:
-        denom *= base
-        i, digit = divmod(i, base)
-        inv += digit / denom
-    return inv
-
-
 def halton(count: int, dim: int, skip: int = 0) -> np.ndarray:
     """First `count` Halton points in [0, 1)^dim, skipping `skip` entries.
 
@@ -38,8 +27,8 @@ def halton(count: int, dim: int, skip: int = 0) -> np.ndarray:
     index = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
     out = np.empty((count, dim))
     for d, base in enumerate(_PRIMES[:dim]):
-        # _radical_inverse on every index at once, one digit position per pass;
-        # exhausted indices add 0.0, which leaves their sums unchanged
+        # the van der Corput radical inverse of every index at once, one digit
+        # position per pass; exhausted indices add 0.0, leaving their sums as they are
         i = index
         inv = np.zeros(count)
         denom = 1.0

@@ -1,0 +1,97 @@
+"""Per-point callables stacked over blocks of points, and stacked linear algebra.
+
+The sampled sweeps call the plant and target point by point, stack the
+outputs over a block of at most `_BLOCK` points (whole-sweep stacks of the
+per-direction values would cost tens of MB for no speed) and run the linear
+algebra (inv, pinv, eigvalsh, 2-norms, matmul) once per block. Each batched
+operation is applied item by item in the same order as on one point, so the
+results are those of a point-by-point loop.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Callable
+
+import numpy as np
+
+_BLOCK = 64
+
+
+def _blocks(count: int):
+    """Slices of at most `_BLOCK` consecutive points covering `count` points."""
+    return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
+
+
+def _stack(fn: Callable, *args: np.ndarray) -> np.ndarray:
+    """`fn` called on the zipped rows of `args`, its outputs stacked on axis 0.
+
+    Each output is copied into the stack as it comes, so no list of
+    per-point arrays is held.
+    """
+    rows = zip(*args)
+    first = np.asarray(fn(*next(rows)), dtype=float)
+    out = np.empty((len(args[0]),) + first.shape)
+    out[0] = first
+    for i, row in enumerate(rows, start=1):
+        out[i] = fn(*row)
+    return out
+
+
+def _stack_pairs(fn: Callable, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """`fn(q, p)` for each q of `qs` (B, n) and each p of `ps` (K, n), (B, K, ...)."""
+    out = _stack(fn, np.repeat(qs, len(ps), axis=0), np.tile(ps, (len(qs), 1)))
+    return out.reshape((len(qs), len(ps)) + out.shape[1:])
+
+
+def _momentum_form(fn: Callable, directions: np.ndarray, degree: int) -> Callable:
+    """qs -> `_stack_pairs(fn, qs, directions)` for `fn` linear (`degree` 1) or
+    quadratic (2) in its second argument, from n or n(n+1)/2 calls per point.
+
+    The probes are the axes e_j, and e_j + e_k (j < k) when quadratic. With F_j
+    and F_jk the values there, fn(u) = sum_j u_j (2 u_j - sum_k u_k) F_j
+    + sum_{j<k} u_j u_k F_jk (polarization).
+    """
+    n = directions.shape[1]
+    probes, weights = np.eye(n), directions
+    if degree == 2:
+        j, k = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
+        probes = np.vstack([probes, probes[j] + probes[k]])
+        weights = np.hstack([directions * (2.0 * directions - directions.sum(1, keepdims=True)),
+                             directions[:, j] * directions[:, k]])
+
+    def on_directions(qs: np.ndarray) -> np.ndarray:
+        values = _stack_pairs(fn, qs, probes)
+        flat = weights @ values.reshape(values.shape[:2] + (-1,))
+        return flat.reshape(flat.shape[:2] + values.shape[2:])
+
+    return on_directions
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x over stacks, one matrix-vector product per item."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _dots(x: np.ndarray) -> np.ndarray:
+    """x @ x along the last axis, one vector dot product per item."""
+    return (x[..., None, :] @ x[..., None])[..., 0, 0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, as np.linalg.norm of each vector.
+
+    np.linalg.norm(x, axis=-1) sums the squares in another way and can
+    differ from the per-vector norm in the last bit.
+    """
+    return np.sqrt(_dots(x))
+
+
+def _spectral_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix of a stack."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))

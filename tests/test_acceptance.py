@@ -204,7 +204,7 @@ def test_criterion_09_lyapunov_decrease_and_rate_identity(
     ball_beam, vtol, random_sweep
 ):
     hd_bad = sum(r["hd_violations"] for r in random_sweep)
-    from bipbc.controller import kinetic_d_grad, ptilde
+    from bipbc.controller import kinetic_d_grad, mass_d_solve
     from bipbc.matching import closed_loop_vector_field, hd_rate
 
     rng = np.random.default_rng(77)
@@ -218,7 +218,7 @@ def test_criterion_09_lyapunov_decrease_and_rate_identity(
             s = ConfigState(q=q, p=p)
             f = closed_loop_vector_field(sys, tgt, s)
             grad_q = tgt.potential_d_grad(q) + kinetic_d_grad(tgt, q, p)
-            grad_p = ptilde(tgt, q, p)
+            grad_p = mass_d_solve(tgt, q, p)
             dirdev = float(grad_q @ f[: sys.n] + grad_p @ f[sys.n :])
             worst = max(worst, abs(dirdev - hd_rate(sys, tgt, s)))
     ok = hd_bad == 0 and worst < 1e-9 and len(random_sweep) == 50

@@ -19,7 +19,7 @@ from bipbc import (
     verify_matching,
 )
 from bipbc.bench import get_benchmark
-from bipbc.controller import kinetic_d_grad, ptilde
+from bipbc.controller import kinetic_d_grad, mass_d_solve
 from bipbc.matching import equilibrium_check
 
 
@@ -199,7 +199,7 @@ def test_hd_rate_identity_1e9(ball_beam):
         s = ConfigState(q=q, p=p)
         f = closed_loop_vector_field(sys, tgt, s)
         grad_q = tgt.potential_d_grad(q) + kinetic_d_grad(tgt, q, p)
-        grad_p = ptilde(tgt, q, p)
+        grad_p = mass_d_solve(tgt, q, p)
         dirdev = float(grad_q @ f[:2] + grad_p @ f[2:])
         assert abs(dirdev - hd_rate(sys, tgt, s)) < 1e-9
 

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from bipbc import Box, EmptyWorkspace
-from bipbc.sampling import _PRIMES, _radical_inverse, ball_sample, halton
+from bipbc.sampling import _PRIMES, ball_sample, halton
+
+
+def _radical_inverse(i: int, base: int) -> float:
+    """Van der Corput radical inverse of i in `base`; the scalar form of `halton`."""
+    inv = 0.0
+    denom = 1.0
+    while i > 0:
+        denom *= base
+        i, digit = divmod(i, base)
+        inv += digit / denom
+    return inv
 
 
 def test_box_basics():

@@ -4,10 +4,16 @@ The sweeps in `bipbc.bounds` call the plant per point and run the linear
 algebra once per block of stacked points. The loops below are the
 point-at-a-time form of the same arithmetic; every result must agree
 exactly, not within a tolerance.
+
+`estimate_constants` takes the momentum terms on unit directions from
+polarized probes. Its exact reference is a point loop of that computation;
+a second loop calls the terms directly on every direction, and the two
+agree within stated rounding tolerances.
 """
 
 import dataclasses
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,16 +25,18 @@ from bipbc import (
     MechanicalSystem,
     SimConfig,
     TargetDynamics,
+    ToolkitError,
     empirical_constants,
     estimate_constants,
     kv_advisory,
     simulate,
     validate_constants,
 )
-from bipbc.bounds import _BLOCK, KvAdvisory, _sup_vd_grad, _unit_directions, unit_input_rows
+from bipbc.bounds import KvAdvisory, _sup_vd_grad, _unit_directions, unit_input_rows
 from bipbc.controller import kinetic_d_grad, mass_d_solve
 from bipbc.matching import build_r2
 from bipbc.phcore import kinetic_energy_grad, mass_solve
+from bipbc.stacking import _BLOCK
 
 
 # -- point-by-point references -------------------------------------------------
@@ -45,10 +53,10 @@ def ref_unit_rows(g_ref, gs):
     return rows
 
 
-def ref_actuated_terms(sys, tgt, q, ps, rows, pinv_g=None):
+def ref_actuated_terms(sys, tgt, q, kinetic, rows, pinv_g=None):
+    """Actuated magnitudes at q for the kinetic gradients `kinetic` (K, n)."""
     grad_v = np.asarray(sys.potential_grad(q), dtype=float)
     lam = tgt.mass_d(q) @ np.linalg.inv(sys.mass_matrix(q))
-    kinetic = np.array([kinetic_energy_grad(sys, q, p) for p in ps])
     if rows is not None:
         return np.abs(grad_v[rows]), np.linalg.norm(lam[rows], axis=1), np.abs(kinetic[:, rows])
     if pinv_g is None:
@@ -57,7 +65,35 @@ def ref_actuated_terms(sys, tgt, q, ps, rows, pinv_g=None):
     return np.abs(pinv_g @ grad_v), np.linalg.norm(pinv_g @ lam, axis=1), kinetic
 
 
-def ref_estimate_constants(sys, tgt, samples, inflation=1.05, mu=1e-6):
+def ref_polarized(fn, q, directions, degree):
+    """fn(q, u) on every direction u from its values at the polarization probes.
+
+    A quadratic f(u) = sum_jk u_j u_k A_jk is fixed by F_j = f(e_j) = A_jj and
+    F_jk = f(e_j + e_k) = A_jj + A_kk + 2 A_jk (j < k), so
+    f(u) = sum_j u_j (2 u_j - sum_k u_k) F_j + sum_{j<k} u_j u_k F_jk; a linear
+    f(u) = sum_j u_j f(e_j).
+    """
+    n = q.size
+    eye = np.eye(n)
+    probes, weights = list(eye), [directions[:, j] for j in range(n)]
+    if degree == 2:
+        total = directions.sum(axis=1)
+        weights = [w * (2.0 * w - total) for w in weights]
+        for j in range(n):
+            for k in range(j + 1, n):
+                probes.append(eye[j] + eye[k])
+                weights.append(directions[:, j] * directions[:, k])
+    values = np.array([np.asarray(fn(q, u), dtype=float) for u in probes])
+    flat = np.stack(weights, axis=1) @ values.reshape(len(probes), -1)
+    return flat.reshape((len(directions),) + values.shape[1:])
+
+
+def ref_direct(fn, q, directions, degree):
+    """fn(q, u) called on every direction u."""
+    return np.array([np.asarray(fn(q, u), dtype=float) for u in directions])
+
+
+def ref_estimate_constants(sys, tgt, samples, inflation=1.05, mu=1e-6, momentum=ref_polarized):
     box = sys.workspace
     qs = np.vstack([box.sample(samples), box.corners(), box.center()[None, :]])
     n, m = sys.n, sys.m
@@ -84,13 +120,15 @@ def ref_estimate_constants(sys, tgt, samples, inflation=1.05, mu=1e-6):
         g_cap = max(g_cap, float(np.linalg.norm(g, 2)))
         g_pinv_cap = max(g_pinv_cap, float(np.linalg.norm(pinv_g, 2)))
         sigma = np.minimum(sigma, pinv_g @ (grad_v - lam @ grad_vd))
-        v_q, lam_q, kinetic_q = ref_actuated_terms(sys, tgt, q, directions, rows, pinv_g)
+        kinetic = momentum(partial(kinetic_energy_grad, sys), q, directions, 2)
+        v_q, lam_q, kinetic_q = ref_actuated_terms(sys, tgt, q, kinetic, rows, pinv_g)
         c_v = np.maximum(c_v, v_q)
         c_lam = np.maximum(c_lam, lam_q)
         c_m = np.maximum(c_m, np.max(kinetic_q, axis=0))
-        for u in directions:
-            c_md = max(c_md, float(np.linalg.norm(kinetic_d_grad(tgt, q, u))))
-            c_j = max(c_j, float(np.linalg.norm(tgt.j2(q, u), 2)))
+        for gkd in momentum(partial(kinetic_d_grad, tgt), q, directions, 2):
+            c_md = max(c_md, float(np.linalg.norm(gkd)))
+        for j2 in momentum(tgt.j2, q, directions, 1):
+            c_j = max(c_j, float(np.linalg.norm(j2, 2)))
     c_vd = 0.0
     for q in np.vstack([box.sample(samples, skip=7 * samples), box.corners()]):
         c_vd = max(c_vd, float(np.linalg.norm(tgt.potential_d_grad(q))))
@@ -136,7 +174,8 @@ def ref_validate_constants(sys, tgt, constants, momentum_cap=2.0, samples=10_000
     for q, p in zip(qs, ps):
         pn2 = float(p @ p)
         pt = mass_d_solve(tgt, q, p)
-        v_rows, lam_rows, (gk_rows,) = ref_actuated_terms(sys, tgt, q, (p,), rows)
+        gk = kinetic_energy_grad(sys, q, p)[None]
+        v_rows, lam_rows, (gk_rows,) = ref_actuated_terms(sys, tgt, q, gk, rows)
         ok = (
             np.all(gk_rows <= constants.c_M * pn2 + tol)
             and float(np.linalg.norm(kinetic_d_grad(tgt, q, p))) <= constants.c_Md * pn2 + tol
@@ -160,7 +199,8 @@ def ref_empirical_constants(sys, tgt, traj):
            "c_Lambda": np.zeros(m), "p_norm_max": float(np.max(traj.p_norm)),
            "ptilde_norm_max": float(np.nanmax(traj.ptilde_norm))}
     for q, p in zip(traj.q, traj.p):
-        v_q, lam_q, (kinetic_q,) = ref_actuated_terms(sys, tgt, q, (p,), rows)
+        gk = kinetic_energy_grad(sys, q, p)[None]
+        v_q, lam_q, (kinetic_q,) = ref_actuated_terms(sys, tgt, q, gk, rows)
         out["c_V"] = np.maximum(out["c_V"], v_q)
         out["c_Lambda"] = np.maximum(out["c_Lambda"], lam_q)
         out["c_Vd"] = max(out["c_Vd"], float(np.linalg.norm(tgt.potential_d_grad(q))))
@@ -282,6 +322,45 @@ def switching_rows_plant():
     return sys, tgt
 
 
+def three_dof_plant():
+    """3-DOF toy, every momentum term nonzero: q-dependent diagonal M with FD grad K,
+    a full q-dependent M_d with FD grad K_d, and a J_2 that uses all of ptilde."""
+
+    def j2(q, pt):
+        a, b, c = (1.0 + q[0]) * pt[1], q[1] * pt[2] - pt[0], q[2] * pt[0] + 0.5 * pt[1]
+        return np.array([[0.0, a, b], [-a, 0.0, c], [-b, -c, 0.0]])
+
+    sys = MechanicalSystem(
+        n=3, m=2,
+        mass_matrix=lambda q: np.diag([1.0 + q[0] ** 2, 2.0 + math.sin(q[1]), 1.5 + q[0] * q[2]]),
+        potential=lambda q: float(q @ q),
+        potential_grad=lambda q: 2.0 * q,
+        input_coupling=lambda q: np.array([[1.0, 0.0], [0.0, math.cos(q[2])], [0.0, 1.0]]),
+        damping=lambda q: 0.1 * np.eye(3),
+        workspace=Box(lower=-0.8 * np.ones(3), upper=np.ones(3)),
+    )
+    tgt = TargetDynamics(
+        mass_d=lambda q: np.array([[3.0, 0.2 * q[1], 0.1],
+                                   [0.2 * q[1], 2.0 + q[0] ** 2, 0.3 * q[2]],
+                                   [0.1, 0.3 * q[2], 2.5]]),
+        potential_d=lambda q: float(q @ q),
+        potential_d_grad=lambda q: 2.0 * q,
+        j2=j2,
+        damping_gain=np.eye(2),
+        equilibrium=np.zeros(3),
+    )
+    return sys, tgt
+
+
+def gaps(got, want):
+    """Largest |got - want| / max(|want|) of every BoundConstants field."""
+    out = {}
+    for f in dataclasses.fields(BoundConstants):
+        a, b = np.asarray(getattr(got, f.name), float), np.asarray(getattr(want, f.name), float)
+        out[f.name] = float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(b))), 1e-300))
+    return out
+
+
 def assert_constants_equal(got, want):
     for f in dataclasses.fields(BoundConstants):
         a, b = getattr(got, f.name), getattr(want, f.name)
@@ -307,6 +386,15 @@ def test_configuration_dependent_g_sweeps_match_point_loop(samples):
             got = validate_constants(sys, tgt, c, samples=count, seed=4)
             assert got == ref_validate_constants(sys, tgt, c, samples=count, seed=4)
     assert validate_constants(sys, tgt, crippled, samples=3 * _BLOCK, seed=4) > 0
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+def test_three_dof_sweep_matches_point_loop(samples):
+    # n = 3: six probes for each quadratic term, three for J_2
+    sys, tgt = three_dof_plant()
+    constants = estimate_constants(sys, tgt, samples=samples)
+    assert constants.c_Md > 0 and constants.c_J > 0 and np.all(constants.c_M > 0)
+    assert_constants_equal(constants, ref_estimate_constants(sys, tgt, samples))
 
 
 @pytest.mark.parametrize("samples", EDGE_SAMPLES)
@@ -372,3 +460,96 @@ def test_unit_structure_needs_the_same_rows_at_every_sample():
     # constants taken on the center's rows alone understate c_V
     center_rows = dataclasses.replace(constants, unit_structure=True, c_V=np.array([0.0]))
     assert validate_constants(sys, tgt, center_rows, samples=500) > 0
+
+
+
+# -- momentum forms ---------------------------------------------------------------
+
+#: largest relative gap of any BoundConstants field between the polarized
+#: constants and direct calls on every direction. Analytic terms differ by the
+#: rounding of the polarization (seen: 2.9e-16 on the ball-beam c_Md). A finite
+#: difference of K or K_d is quadratic in p only up to its cancellation error
+#: (seen: 4.4e-10 on the finite-difference ball-beam c_Md, 2.0e-10 on the
+#: configuration-dependent toy, 6.5e-12 on the 3-DOF toy).
+ANALYTIC_TOL = 1e-14
+FINITE_DIFFERENCE_TOL = 1e-8
+
+
+@pytest.mark.parametrize("plant, tol", [
+    ("analytic", ANALYTIC_TOL),
+    ("finite-difference", FINITE_DIFFERENCE_TOL),
+    ("configuration-dependent", FINITE_DIFFERENCE_TOL),
+    ("three-dof", FINITE_DIFFERENCE_TOL),
+])
+def test_polarized_constants_agree_with_direct_calls(ball_beam, plant, tol):
+    sys, tgt = {
+        "analytic": lambda: (ball_beam.system, ball_beam.target),
+        "finite-difference": lambda: finite_difference_plant(ball_beam),
+        "configuration-dependent": configuration_dependent_plant,
+        "three-dof": three_dof_plant,
+    }[plant]()
+    samples = EDGE_SAMPLES[1]
+    got = estimate_constants(sys, tgt, samples=samples)
+    direct = ref_estimate_constants(sys, tgt, samples, momentum=ref_direct)
+    assert max(gaps(got, direct).values()) <= tol
+
+
+def test_momentum_terms_that_are_not_forms_raise():
+    # each replacement is homogeneous of the right degree, but not linear or quadratic
+    sys, tgt = configuration_dependent_plant()
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    cases = {
+        "j2": (sys, dataclasses.replace(tgt, j2=lambda q, pt: float(np.linalg.norm(pt)) * skew)),
+        "kinetic_d_grad": (sys, dataclasses.replace(tgt, kinetic_d_grad=lambda q, p: abs(p) * p)),
+        "kinetic_grad": (dataclasses.replace(
+            sys, kinetic_grad=lambda q, p: np.array([p[0] ** 3 / np.linalg.norm(p), 0.0])), tgt),
+    }
+    for name, (s, t) in cases.items():
+        with pytest.raises(ToolkitError, match=f"^{name} is not"):
+            estimate_constants(s, t, samples=5)
+
+
+def recovered_forms(fn, q):
+    """A (n, n, ...) with fn(q, u) = sum_jk u_j u_k A[j, k], by polarization."""
+    eye = np.eye(q.size)
+    diag = [np.asarray(fn(q, e), dtype=float) for e in eye]
+    forms = np.empty((q.size, q.size) + diag[0].shape)
+    for j in range(q.size):
+        forms[j, j] = diag[j]
+        for k in range(j + 1, q.size):
+            both = np.asarray(fn(q, eye[j] + eye[k]), dtype=float)
+            forms[j, k] = forms[k, j] = 0.5 * (both - diag[j] - diag[k])
+    return forms
+
+
+def test_direction_gap_of_momentum_constants(ball_beam):
+    """The exact unit-p supremum at the estimation points lies between the
+    sampled maximum over the unit directions and the shipped (inflated) constant.
+
+    Per point, a component u^T A_i u has supremum max |eig(A_i)| over unit u,
+    and sqrt(sum_i max |eig(A_i)|^2) bounds the norm of the vector of forms.
+    The ball-beam J_2 is [[0, j], [-j, 0]] with j linear in ptilde, so
+    sup ||J_2(u)|| is the norm of j's coefficients. Sampled values may sit on
+    the exact ones (an axis direction), up to the last bits of an SVD.
+    """
+    sys, tgt = ball_beam.system, ball_beam.target
+    samples = 1000
+    sampled = estimate_constants(sys, tgt, samples=samples, inflation=1.0)
+    shipped = estimate_constants(sys, tgt, samples=samples)
+    box = sys.workspace
+    rows = unit_input_rows(sys.input_coupling(box.center()))
+    exact_m, exact_md, exact_j = np.zeros(sys.m), 0.0, 0.0
+    for q in np.vstack([box.sample(samples), box.corners(), box.center()[None, :]]):
+        gk = np.moveaxis(recovered_forms(partial(kinetic_energy_grad, sys), q), -1, 0)
+        exact_m = np.maximum(exact_m, np.max(np.abs(np.linalg.eigvalsh(gk[rows])), axis=1))
+        gkd = np.moveaxis(recovered_forms(partial(kinetic_d_grad, tgt), q), -1, 0)
+        tops = np.max(np.abs(np.linalg.eigvalsh(gkd)), axis=1)
+        exact_md = max(exact_md, math.sqrt(float(tops @ tops)))
+        exact_j = max(exact_j, math.hypot(*(tgt.j2(q, e)[0, 1] for e in np.eye(2))))
+    assert exact_md > 0 and exact_j > 0
+    for field, exact in (("c_M", exact_m), ("c_Md", exact_md), ("c_J", exact_j)):
+        low, high = getattr(sampled, field), getattr(shipped, field)
+        assert np.all(low <= exact * (1 + 1e-12)), field
+        assert np.all(exact <= high), field
+    # the 68 directions leave c_Md well inside the 1.05 inflation
+    assert exact_md / sampled.c_Md - 1.0 < 1e-3
