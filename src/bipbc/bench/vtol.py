@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -102,6 +102,8 @@ class VtolBenchmark:
     target: TargetDynamics
     initial_state: ConfigState
     two_phase: bool
+    #: theta_max -> worst-case ||grad V_d|| over |roll| <= theta_max (see make_vtol)
+    vd_grad_sup: Callable[[float], float]
     damping_mode: ClassVar[str] = "saturated"
     #: the matching residuals are checked over the whole workspace
     residual_box: ClassVar[Optional[Box]] = None
@@ -203,31 +205,6 @@ class VtolBenchmark:
             "tau_upper": ub,
             "theta_max": theta_max,
         }
-
-    def vd_grad_sup(self, theta_max: float) -> float:
-        """Worst-case ||grad V_d|| over |roll| <= theta_max, any (x, y).
-
-        The x and y components saturate (|tanh| <= 1); the roll component is
-        maximized by aligning the saturated signs with the barrier term.
-        """
-        pr = self.params
-        eps = pr.epsilon
-        m11 = pr.m11_scale * 20.0 * eps * eps
-        gamma = eps / m11
-        t0 = math.tanh(math.log(0.9 * eps))
-        cc = (pr.g + pr.k1 * eps * t0) / eps
-        c_arg = math.sqrt(11.0 / 9.0)
-        beta = 2.0 * (0.1 - eps * eps / m11) / (0.9 * c_arg)
-        vx = pr.k2 * gamma
-        vy = pr.k1 * eps * (1.0 + abs(t0))
-        best = 0.0
-        for th in np.linspace(0.0, theta_max, 601):
-            d = -math.sin(th) / (math.cos(th) - 0.1)
-            t = math.tan(0.5 * th)
-            btheta = -1.0 - 0.5 * beta * c_arg * (1.0 + t * t) / (1.0 - c_arg**2 * t * t)
-            vtheta = (pr.k1 + abs(cc)) * abs(d) + pr.k2 * abs(btheta)
-            best = max(best, math.hypot(vx, math.hypot(vy, vtheta)))
-        return best
 
     def certificate(
         self,
@@ -348,13 +325,17 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
     def potential_d(q):
         return v_d_raw(q) - rho
 
+    def roll_factors(th: float) -> Tuple[float, float]:
+        # d = -sin t / (cos t - 0.1), the roll slope of ln(e (cos t - 0.1)), and dB/dt
+        t = math.tan(0.5 * th)
+        btheta = -1.0 - 0.5 * beta * c_arg * (1.0 + t * t) / (1.0 - c_arg**2 * t * t)
+        return -math.sin(th) / (math.cos(th) - 0.1), btheta
+
     def potential_d_grad(q):
         th = q[2]
         t_a = math.tanh(eps * (q[1] - y_star) + barrier(th))
         t_b = math.tanh(b_term(q))
-        d = -math.sin(th) / (math.cos(th) - 0.1)
-        t = math.tan(0.5 * th)
-        btheta = -1.0 - 0.5 * beta * c_arg * (1.0 + t * t) / (1.0 - c_arg**2 * t * t)
+        d, btheta = roll_factors(th)
         return np.array(
             [
                 k2 * gamma * t_b,
@@ -362,6 +343,21 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
                 (k1 * t_a - cc) * d + k2 * t_b * btheta,
             ]
         )
+
+    def vd_grad_sup(theta_max: float) -> float:
+        """Worst-case ||grad V_d|| over |roll| <= theta_max, any (x, y).
+
+        The x and y components saturate (|tanh| <= 1); the roll component is
+        maximized by aligning the saturated signs with the barrier term.
+        """
+        vx = k2 * gamma
+        vy = k1 * eps * (1.0 + abs(t0))
+        best = 0.0
+        for th in np.linspace(0.0, theta_max, 601):
+            d, btheta = roll_factors(th)
+            vtheta = (k1 + abs(cc)) * abs(d) + k2 * abs(btheta)
+            best = max(best, math.hypot(vx, math.hypot(vy, vtheta)))
+        return best
 
     workspace = Box(
         lower=np.array([-params.xy_box[0], -params.xy_box[1], -params.theta_box]),
@@ -397,4 +393,5 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
         target=target,
         initial_state=ConfigState(q=np.array([20.0, -15.0, 1.3]), p=np.zeros(3)),
         two_phase=two_phase,
+        vd_grad_sup=vd_grad_sup,
     )

@@ -36,7 +36,7 @@ immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -71,69 +71,43 @@ def unit_input_rows(g: np.ndarray, tol: float = 1e-12) -> Optional[np.ndarray]:
     return rows
 
 
-def _shared_unit_rows(
-    sys: MechanicalSystem, g_ref: np.ndarray, qs: np.ndarray
-) -> Optional[np.ndarray]:
-    """Unit-structure rows of `g_ref` when G(q) has them at every q of `qs`.
-
-    A sweep takes one row convention for all its points: the actuated rows
-    of `g_ref` (see `unit_input_rows`) only if each sampled G is that same
-    0/1 matrix, else None, the general-G pull-back through pinv(G).
-    """
-    rows = unit_input_rows(g_ref)
-    if rows is None:
-        return None
-    unit = np.zeros_like(g_ref)
-    unit[rows, np.arange(rows.size)] = 1.0
-    for block in _blocks(qs.shape[0]):
-        if not np.all(np.abs(_stack(sys.input_coupling, qs[block]) - unit) <= 1e-12):
-            return None
-    return rows
-
-
 class _PlantStack(NamedTuple):
     """Plant and target outputs at a block of points, stacked on axis 0."""
 
     grad_v: np.ndarray  # (B, n) grad_q V
+    grad_vd: np.ndarray  # (B, n) grad_q V_d
     md: np.ndarray  # (B, n, n) M_d
     lam: np.ndarray  # (B, n, n) Lambda = M_d M^-1
-    g: Optional[np.ndarray]  # (B, n, m) G, for the general-G pull-back
-    pinv_g: Optional[np.ndarray]  # (B, m, n) pinv(G), likewise
+    g: np.ndarray  # (B, n, m) G
+    pinv_g: np.ndarray  # (B, m, n) pinv(G) = (G^T G)^-1 G^T, the pull-back
 
 
-def _plant_stack(
-    sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray, general_g: bool
-) -> _PlantStack:
-    """Plant and target outputs at `qs`; G and pinv(G) only with `general_g`."""
+def _plant_stack(sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray) -> _PlantStack:
+    """Plant and target outputs at `qs`."""
     md = _stack(tgt.mass_d, qs)
-    g = _stack(sys.input_coupling, qs) if general_g else None
+    g = _stack(sys.input_coupling, qs)
     return _PlantStack(
         grad_v=_stack(sys.potential_grad, qs),
+        grad_vd=_stack(tgt.potential_d_grad, qs),
         md=md,
         lam=md @ np.linalg.inv(_stack(sys.mass_matrix, qs)),
         g=g,
-        pinv_g=None if g is None else np.linalg.pinv(g),
+        pinv_g=np.linalg.pinv(g),
     )
 
 
 def actuated_terms(
-    kinetic: np.ndarray, rows: Optional[np.ndarray], stack: _PlantStack
+    kinetic: np.ndarray, stack: _PlantStack
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-actuator magnitudes of the terms the effort bound dominates.
 
-    At each of the B points of `stack` (a `_plant_stack`, which carries
-    pinv(G) unless `rows` is given) returns |grad_q V| (B, m), the row norms
-    of Lambda = M_d M^-1 (B, m), and |grad_q K| (B, K, m) for the K kinetic
-    gradients of that point in `kinetic` (B, K, n). With `rows` (a
-    unit-structure G, see `unit_input_rows`) these are the actuated rows;
-    otherwise each term is pulled back through pinv(G(q)).
+    At each of the B points of `stack` (a `_plant_stack`) returns
+    |pinv(G) grad_q V| (B, m), the row norms of pinv(G) Lambda with
+    Lambda = M_d M^-1 (B, m), and |pinv(G) grad_q K| (B, K, m) for the K
+    kinetic gradients of that point in `kinetic` (B, K, n). pinv(G) is the
+    only pull-back into actuator coordinates; for a 0/1 unit-structure G it
+    is exactly G^T, so the terms are G's actuated rows.
     """
-    if rows is not None:
-        return (
-            np.abs(stack.grad_v[:, rows]),
-            np.linalg.norm(stack.lam[:, rows], axis=2),
-            np.abs(kinetic[:, :, rows]),
-        )
     pinv_g = stack.pinv_g
     return (
         np.abs(_matvec(pinv_g, stack.grad_v)),
@@ -146,12 +120,12 @@ def actuated_terms(
 class BoundConstants:
     """Workspace constants of the bounding assumptions.
 
-    `c_V`, `c_M`, `c_Lambda`, `sigma` are per-actuator vectors. For plants
-    whose G is a 0/1 unit-structure matrix they dominate the actuated rows
-    of grad V, grad K, and M_d M^-1; for configuration-dependent G they
-    dominate the same quantities pulled back through (G^T G)^-1 G^T (the
-    form the general-G bound uses directly). `unit_structure` records which
-    convention applies.
+    `c_V`, `c_M`, `c_Lambda`, `sigma` are per-actuator vectors: they dominate
+    grad V, grad K and M_d M^-1 pulled back through pinv(G) = (G^T G)^-1 G^T,
+    which for a 0/1 unit-structure G are its actuated rows. `unit_structure`
+    records that G is the center's 0/1 matrix at every sample, so that
+    `bound_report` may use the sharp effort form. `mu` must be positive and
+    finite.
     """
 
     c_V: np.ndarray
@@ -173,10 +147,9 @@ class BoundConstants:
     unit_structure: bool = True
     samples: int = 0
 
-    def with_mu(self, mu: float) -> "BoundConstants":
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        return replace(self, mu=mu)
+    def __post_init__(self):
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
 
 
 def estimate_constants(
@@ -192,12 +165,13 @@ def estimate_constants(
 
     grad_q K and grad_q K_d are quadratic in p and J_2 is linear in ptilde,
     so their defining ratios are taken on unit momenta, from a few probe
-    momenta per point (`_momentum_form`); at the box center a term that
-    differs from its probes' form on the directions raises ToolkitError.
+    momenta per point (`_momentum_form`). At each term's witness, the sample
+    where its largest value on the directions peaks, a term that differs
+    from its probes' form on the directions raises ToolkitError.
     Suprema get multiplied by `inflation` (grid maxima under-estimate the
-    true suprema); eigenvalue extremes are reported raw. The unit-structure
-    convention (`unit_structure`) holds only when G has the center's 0/1 rows
-    at every sample; otherwise all terms are pulled back through pinv(G).
+    true suprema); eigenvalue extremes are reported raw. Every term is pulled
+    back through pinv(G) (`actuated_terms`); `unit_structure` is set when G
+    is the center's 0/1 matrix at every sample.
 
     Args:
         region: overrides the system workspace for all constants.
@@ -211,28 +185,24 @@ def estimate_constants(
     n, m = sys.n, sys.m
 
     directions = _unit_directions(n, max(64, 8 * n))
-    forms = {}
-    for name, fn, degree in (("kinetic_grad", partial(kinetic_energy_grad, sys), 2),
-                             ("kinetic_d_grad", partial(kinetic_d_grad, tgt), 2),
-                             ("j2", tgt.j2, 1)):
-        forms[name] = form = _momentum_form(fn, directions, degree)
-        want = _stack_pairs(fn, center, directions)
-        if np.any(np.abs(form(center) - want) > 1e-6 * np.max(np.abs(want))):
-            kind = ("linear", "quadratic")[degree - 1]
-            raise ToolkitError(f"{name} is not {kind} in the momentum at the workspace center")
+    terms = {"kinetic_grad": (partial(kinetic_energy_grad, sys), 2),
+             "kinetic_d_grad": (partial(kinetic_d_grad, tgt), 2), "j2": (tgt.j2, 1)}
+    forms = {name: _momentum_form(fn, directions, degree) for name, (fn, degree) in terms.items()}
+    witness = dict.fromkeys(terms, (0.0, 0))  # per term: (largest value on the directions, point)
 
-    # decide the row convention up front so the whole sweep uses one of them
-    rows = _shared_unit_rows(sys, np.asarray(sys.input_coupling(center[0]), dtype=float), qs)
+    rows = unit_input_rows(np.asarray(sys.input_coupling(center[0]), dtype=float))
+    unit = None if rows is None else np.eye(n)[:, rows]  # G's exact 0/1 matrix at the center
 
     c_v, c_lam, c_m = np.zeros(m), np.zeros(m), np.zeros(m)
-    c_md = c_j = g_cap = g_pinv_cap = 0.0
+    g_cap = g_pinv_cap = 0.0
     sigma = np.full(m, np.inf)
     lam_min_md, lam_max_md, lam_min_r2 = np.inf, -np.inf, np.inf
 
     for block in _blocks(qs.shape[0]):
         qb = qs[block]
-        stack = _plant_stack(sys, tgt, qb, general_g=True)
-        grad_vd = _stack(tgt.potential_d_grad, qb)
+        stack = _plant_stack(sys, tgt, qb)
+        if unit is not None and not np.all(np.abs(stack.g - unit) <= 1e-12):
+            unit = None
 
         eigs = np.linalg.eigvalsh(0.5 * (stack.md + _swap(stack.md)))
         lam_min_md = min(lam_min_md, float(np.min(eigs[:, 0])))
@@ -241,15 +211,26 @@ def estimate_constants(
         lam_min_r2 = min(lam_min_r2, float(np.min(np.linalg.eigvalsh(r2))))
         g_cap = max(g_cap, float(np.max(_spectral_norms(stack.g))))
         g_pinv_cap = max(g_pinv_cap, float(np.max(_spectral_norms(stack.pinv_g))))
-        sigma_q = _matvec(stack.pinv_g, stack.grad_v - _matvec(stack.lam, grad_vd))
+        sigma_q = _matvec(stack.pinv_g, stack.grad_v - _matvec(stack.lam, stack.grad_vd))
         sigma = np.minimum(sigma, np.min(sigma_q, axis=0))
 
-        v_q, lam_q, kinetic_q = actuated_terms(forms["kinetic_grad"](qb), rows, stack)
+        kinetic = forms["kinetic_grad"](qb)
+        v_q, lam_q, kinetic_q = actuated_terms(kinetic, stack)
         c_v = np.maximum(c_v, np.max(v_q, axis=0))
         c_lam = np.maximum(c_lam, np.max(lam_q, axis=0))
         c_m = np.maximum(c_m, np.max(kinetic_q, axis=(0, 1)))
-        c_md = max(c_md, float(np.max(_norms(forms["kinetic_d_grad"](qb)))))
-        c_j = max(c_j, float(np.max(_spectral_norms(forms["j2"](qb)))))
+        for name, peak in (("kinetic_grad", np.max(_norms(kinetic), axis=1)),
+                           ("kinetic_d_grad", np.max(_norms(forms["kinetic_d_grad"](qb)), axis=1)),
+                           ("j2", np.max(_spectral_norms(forms["j2"](qb)), axis=1))):
+            witness[name] = max(witness[name], *zip(peak.tolist(), range(block.start, block.stop)))
+
+    # each term's form against direct calls at its witness, the point where the term peaks
+    for name, (fn, degree) in terms.items():
+        q = qs[None, witness[name][1]]
+        want = _stack_pairs(fn, q, directions)
+        if np.any(np.abs(forms[name](q) - want) > 1e-6 * np.max(np.abs(want))):
+            kind = ("linear", "quadratic")[degree - 1]
+            raise ToolkitError(f"{name} is not {kind} in the momentum at q = {q[0]}")
 
     c_vd = _sup_vd_grad(tgt, vd_grad_region if vd_grad_region is not None else box, samples)
 
@@ -263,8 +244,8 @@ def estimate_constants(
         c_V=inflation * c_v,
         c_Vd=inflation * c_vd,
         c_M=inflation * c_m,
-        c_Md=inflation * c_md,
-        c_J=inflation * c_j,
+        c_Md=inflation * witness["kinetic_d_grad"][0],
+        c_J=inflation * witness["j2"][0],
         c_Lambda=inflation * c_lam,
         lam_min_MdInv=1.0 / lam_max_md,
         lam_max_MdInv=1.0 / lam_min_md,
@@ -276,7 +257,7 @@ def estimate_constants(
         G_m=inflation * g_cap,
         sigma=sigma,
         mu=mu,
-        unit_structure=rows is not None,
+        unit_structure=unit is not None,
         samples=int(qs.shape[0]),
     )
 
@@ -298,6 +279,21 @@ def _sup_vd_grad(tgt: TargetDynamics, box: Box, samples: int) -> float:
     return best
 
 
+def _sample_terms(sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray, ps: np.ndarray):
+    """Magnitudes of the bounded terms at each state (q, p) of a block.
+
+    Calls the plant and target directly at each state and returns
+    |pinv(G) grad_q V| (B, m), the row norms of pinv(G) M_d M^-1 (B, m),
+    |pinv(G) grad_q K| (B, m), ||grad_q K_d||, ||J_2(q, ptilde)||,
+    ||grad_q V_d||, ||p||^2 and ||ptilde|| (each (B,)).
+    """
+    stack = _plant_stack(sys, tgt, qs)
+    pt = _stack(partial(mass_d_solve, tgt), qs, ps)
+    v, lam, k = actuated_terms(_stack(partial(kinetic_energy_grad, sys), qs, ps)[:, None], stack)
+    return (v, lam, k[:, 0], _norms(_stack(partial(kinetic_d_grad, tgt), qs, ps)),
+            _spectral_norms(_stack(tgt.j2, qs, pt)), _norms(stack.grad_vd), _dots(ps), _norms(pt))
+
+
 def validate_constants(
     sys: MechanicalSystem,
     tgt: TargetDynamics,
@@ -314,11 +310,10 @@ def validate_constants(
 
         |(grad_q K)_i| <= c_M_i ||p||^2,   ||grad_q K_d|| <= c_Md ||p||^2,
         ||J_2(q, ptilde)|| <= c_J ||ptilde||,   row bounds on Lambda,
-        |(grad_q V)_i| <= c_V_i,   ||grad_q V_d|| <= c_Vd.
+        |(grad_q V)_i| <= c_V_i,   ||grad_q V_d|| <= c_Vd,
 
-    Constants of unit-structure G are checked on the center's actuated rows
-    only when every validation sample's G has those rows; otherwise each
-    term is pulled back through pinv(G) at its sample.
+    with each per-actuator term pulled back through pinv(G) at its sample,
+    whatever `constants.unit_structure` says.
 
     Returns the number of violating samples (0 means the certificate holds
     on the validation set).
@@ -330,28 +325,17 @@ def validate_constants(
     ps *= (momentum_cap * rng.random((samples, 1)) ** (1.0 / sys.n)) / np.linalg.norm(
         ps, axis=1, keepdims=True
     )
-    rows = None
-    if constants.unit_structure:
-        rows = _shared_unit_rows(sys, np.asarray(sys.input_coupling(box.center()), dtype=float), qs)
     tol = 1e-9
     bad = 0
     for block in _blocks(samples):
-        qb, pb = qs[block], ps[block]
-        stack = _plant_stack(sys, tgt, qb, general_g=rows is None)
-        pn2 = _dots(pb)
-        pt = _stack(partial(mass_d_solve, tgt), qb, pb)
-        gk = _stack(partial(kinetic_energy_grad, sys), qb, pb)[:, None]
-        v_rows, lam_rows, gk_rows = actuated_terms(gk, rows, stack)
-        gkd = _stack(partial(kinetic_d_grad, tgt), qb, pb)
-        grad_vd = _stack(tgt.potential_d_grad, qb)
-        j2_norms = _spectral_norms(_stack(tgt.j2, qb, pt))
+        v, lam, k, kd, j2, vd, pn2, ptn = _sample_terms(sys, tgt, qs[block], ps[block])
         ok = (
-            np.all(gk_rows[:, 0] <= constants.c_M * pn2[:, None] + tol, axis=1)
-            & (_norms(gkd) <= constants.c_Md * pn2 + tol)
-            & (j2_norms <= constants.c_J * _norms(pt) + tol)
-            & np.all(lam_rows <= constants.c_Lambda + tol, axis=1)
-            & np.all(v_rows <= constants.c_V + tol, axis=1)
-            & (_norms(grad_vd) <= constants.c_Vd + tol)
+            np.all(k <= constants.c_M * pn2[:, None] + tol, axis=1)
+            & (kd <= constants.c_Md * pn2 + tol)
+            & (j2 <= constants.c_J * ptn + tol)
+            & np.all(lam <= constants.c_Lambda + tol, axis=1)
+            & np.all(v <= constants.c_V + tol, axis=1)
+            & (vd <= constants.c_Vd + tol)
         )
         bad += int(np.count_nonzero(~ok))
     return bad
@@ -373,41 +357,28 @@ def empirical_constants(sys: MechanicalSystem, tgt: TargetDynamics, traj) -> dic
     declared workspace box, the supremum region is the set of states the
     closed loop actually visited. Useful for judging how conservative the
     workspace certificate is, and for reproducing constants that were
-    quoted for a specific run rather than for a region. The actuated rows
-    of G(q*) are used only when G has them at every visited state.
+    quoted for a specific run rather than for a region. The per-actuator
+    terms are pulled back through pinv(G) at each visited state.
     """
     qs = np.asarray(traj.q, dtype=float)
     ps = np.asarray(traj.p, dtype=float)
-    rows = _shared_unit_rows(
-        sys, np.asarray(sys.input_coupling(tgt.equilibrium), dtype=float), qs
-    )
     m = sys.m
     out = {"c_V": np.zeros(m), "c_Vd": 0.0, "c_M": np.zeros(m), "c_Md": 0.0, "c_J": 0.0,
            "c_Lambda": np.zeros(m), "p_norm_max": float(np.max(traj.p_norm)),
            "ptilde_norm_max": float(np.nanmax(traj.ptilde_norm))}
     for block in _blocks(qs.shape[0]):
-        qb, pb = qs[block], ps[block]
-        stack = _plant_stack(sys, tgt, qb, general_g=rows is None)
-        grad_vd = _stack(tgt.potential_d_grad, qb)
-        gk = _stack(partial(kinetic_energy_grad, sys), qb, pb)[:, None]
-        v_q, lam_q, kinetic_q = actuated_terms(gk, rows, stack)
-        out["c_V"] = np.maximum(out["c_V"], np.max(v_q, axis=0))
-        out["c_Lambda"] = np.maximum(out["c_Lambda"], np.max(lam_q, axis=0))
-        out["c_Vd"] = max(out["c_Vd"], float(np.max(_norms(grad_vd))))
-        pn2 = _dots(pb)
+        v, lam, k, kd, j2, vd, pn2, ptn = _sample_terms(sys, tgt, qs[block], ps[block])
+        out["c_V"] = np.maximum(out["c_V"], np.max(v, axis=0))
+        out["c_Lambda"] = np.maximum(out["c_Lambda"], np.max(lam, axis=0))
+        out["c_Vd"] = max(out["c_Vd"], float(np.max(vd)))
         moving = pn2 > 1e-12
         if not np.any(moving):
             continue
-        qm, pm, pn2 = qb[moving], pb[moving], pn2[moving]
-        gkd = _stack(partial(kinetic_d_grad, tgt), qm, pm)
-        pt = _stack(partial(mass_d_solve, tgt), qm, pm)
-        ptn = _norms(pt)
-        out["c_M"] = np.maximum(out["c_M"], np.max(kinetic_q[moving, 0] / pn2[:, None], axis=0))
-        out["c_Md"] = max(out["c_Md"], float(np.max(_norms(gkd) / pn2)))
-        turning = ptn > 1e-9
+        out["c_M"] = np.maximum(out["c_M"], np.max(k[moving] / pn2[moving, None], axis=0))
+        out["c_Md"] = max(out["c_Md"], float(np.max(kd[moving] / pn2[moving])))
+        turning = moving & (ptn > 1e-9)
         if np.any(turning):
-            j2_norms = _spectral_norms(_stack(tgt.j2, qm[turning], pt[turning]))
-            out["c_J"] = max(out["c_J"], float(np.max(j2_norms / ptn[turning])))
+            out["c_J"] = max(out["c_J"], float(np.max(j2[turning] / ptn[turning])))
     return out
 
 

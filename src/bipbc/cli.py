@@ -58,6 +58,8 @@ class RunSpec:
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if not 0.0 < self.mu < float("inf"):
+            raise ValueError("mu must be positive and finite")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)

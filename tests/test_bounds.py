@@ -243,9 +243,10 @@ def test_validate_constants_catches_understated_bound(ball_beam, bb_certificate)
 
 def test_mu_must_be_positive(bb_certificate):
     constants, _ = bb_certificate
-    with pytest.raises(ValueError):
-        constants.with_mu(0.0)
-    assert constants.with_mu(1e-3).mu == 1e-3
+    for mu in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            dataclasses.replace(constants, mu=mu)
+    assert dataclasses.replace(constants, mu=1e-3).mu == 1e-3
 
 
 def test_levelset_zero_budget_degenerate(ball_beam):

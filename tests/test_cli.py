@@ -164,3 +164,12 @@ def test_main_bad_config_values_exit2(config, tmp_path, capsys):
     cfg.write_text(json.dumps({**config, "out": str(tmp_path)}))
     assert main(["verify", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", ["-1", "0", "nan", "inf"])
+def test_main_nonpositive_mu_exits_2(mu, tmp_path, capsys):
+    code = main(["bound", "--benchmark", "ball-beam", "--mu", mu, "--samples", "50",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "mu must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.json").exists()

@@ -78,7 +78,7 @@ specs = st.builds(
     t_end=optional_positive,
     record_stride=st.integers(1, 100),
     samples=st.integers(1, 10_000),
-    mu=st.floats(0.0, 1.0),
+    mu=st.floats(0.0, 1.0, exclude_min=True),
     seed=st.integers(0, 2**31 - 1),
     hd0=st.none() | finite,
     out=st.text(max_size=16),

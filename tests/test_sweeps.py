@@ -12,6 +12,7 @@ agree within stated rounding tolerances.
 """
 
 import dataclasses
+import itertools
 import math
 from functools import partial
 from types import SimpleNamespace
@@ -450,6 +451,24 @@ def test_kv_advisory_matches_point_loop(name, bb_certificate, vtol_certificate):
 # -- unit structure -------------------------------------------------------------
 
 
+def test_pinv_of_unit_structure_g_is_its_transpose():
+    # the sweeps pull every term back through a stacked pinv(G); on a 0/1
+    # unit-structure G that must be G^T bit for bit, so that the pull-back
+    # selects G's actuated rows exactly (`ref_actuated_terms` with rows)
+    rng = np.random.default_rng(5)
+    for n in range(1, 5):
+        for m in range(1, n + 1):
+            choices = list(itertools.permutations(range(n), m))
+            gs = np.zeros((len(choices), n, m))
+            for g, rows in zip(gs, choices):
+                g[rows, range(m)] = 1.0
+            pinv_g = np.linalg.pinv(gs)
+            assert np.array_equal(pinv_g, np.swapaxes(gs, 1, 2)), (n, m)
+            x = rng.standard_normal((len(choices), n))
+            picked = np.array([xi[list(rows)] for xi, rows in zip(x, choices)])
+            assert np.array_equal((pinv_g @ x[..., None])[..., 0], picked), (n, m)
+
+
 def test_unit_structure_needs_the_same_rows_at_every_sample():
     # the center picks row 0, half the box picks row 1 where grad V = 5
     sys, tgt = switching_rows_plant()
@@ -495,16 +514,21 @@ def test_polarized_constants_agree_with_direct_calls(ball_beam, plant, tol):
 
 
 def test_momentum_terms_that_are_not_forms_raise():
-    # each replacement is homogeneous of the right degree, but not linear or quadratic
+    # each replacement is homogeneous of the right degree, but not linear or quadratic;
+    # the q1-scaled ones vanish at the box center, so only a check away from it sees them
     sys, tgt = configuration_dependent_plant()
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    cases = {
-        "j2": (sys, dataclasses.replace(tgt, j2=lambda q, pt: float(np.linalg.norm(pt)) * skew)),
-        "kinetic_d_grad": (sys, dataclasses.replace(tgt, kinetic_d_grad=lambda q, p: abs(p) * p)),
-        "kinetic_grad": (dataclasses.replace(
+    cases = [
+        ("j2", sys, dataclasses.replace(tgt, j2=lambda q, pt: float(np.linalg.norm(pt)) * skew)),
+        ("j2", sys, dataclasses.replace(
+            tgt, j2=lambda q, pt: q[0] * float(np.linalg.norm(pt)) * skew)),
+        ("kinetic_d_grad", sys, dataclasses.replace(tgt, kinetic_d_grad=lambda q, p: abs(p) * p)),
+        ("kinetic_d_grad", sys, dataclasses.replace(
+            tgt, kinetic_d_grad=lambda q, p: q[0] * abs(p) * p)),
+        ("kinetic_grad", dataclasses.replace(
             sys, kinetic_grad=lambda q, p: np.array([p[0] ** 3 / np.linalg.norm(p), 0.0])), tgt),
-    }
-    for name, (s, t) in cases.items():
+    ]
+    for name, s, t in cases:
         with pytest.raises(ToolkitError, match=f"^{name} is not"):
             estimate_constants(s, t, samples=5)
 
