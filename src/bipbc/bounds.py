@@ -388,7 +388,7 @@ def momentum_bounds(constants: BoundConstants, hd_t0: float) -> Tuple[float, flo
     Raises:
         NonpositiveEigenvalue: a required eigenvalue extreme is <= 0.
     """
-    if hd_t0 < 0:
+    if not hd_t0 >= 0:
         raise ValueError("hd_t0 must be nonnegative")
     if constants.lam_min_MdInv <= 0 or constants.lam_min_Md <= 0:
         raise NonpositiveEigenvalue("momentum bounds need positive lam_min extremes")
@@ -579,7 +579,7 @@ def levelset_confinement(
     restrict the supremum of non-smooth grad V_d terms to the region the
     trajectory can actually reach.
     """
-    if hd_t0 < 0:
+    if not hd_t0 >= 0:
         raise ValueError("hd_t0 must be nonnegative")
     qstar = tgt.equilibrium
     base = float(tgt.potential_d(qstar))

@@ -60,6 +60,8 @@ class RunSpec:
             raise ValueError("samples must be >= 1")
         if not 0.0 < self.mu < float("inf"):
             raise ValueError("mu must be positive and finite")
+        if self.hd0 is not None and not 0.0 <= self.hd0 < float("inf"):
+            raise ValueError("hd0 must be nonnegative and finite")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)

@@ -9,9 +9,13 @@ J_2, and injected damping K_v:
           - K_v G^T ptilde                 (linear damping)
     or    - K_v tanh(G^T ptilde)           (saturated damping, elementwise)
 
-with ptilde = M_d^-1 p. The pseudo-inverse is evaluated through a QR
-factorization; the damping term is applied after the projection, which is
-algebraically identical because (G^T G)^-1 G^T G = I.
+with ptilde = M_d^-1 p. `matching_terms` is the one place that forms the
+bracket, as a potential part grad_q V - M_d M^-1 grad_q V_d and a kinetic
+part grad_q K - M_d M^-1 grad_q K_d + J_2 ptilde: the law is pinv(G) applied
+to their sum, and the matching residuals of `matching` are Gperp applied to
+each part. The pseudo-inverse is evaluated through a QR factorization; the
+damping term is applied after the projection, which is algebraically
+identical because (G^T G)^-1 G^T G = I.
 
 Controllers are pure functions of the state, so one instance can serve any
 number of simulations.
@@ -110,6 +114,28 @@ def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.solve(rmat, qmat.T @ v)
 
 
+def matching_terms(
+    sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(potential, kinetic, ptilde) at (q, p): the two parts of the shaping vector.
+
+    potential = grad_q V - M_d M^-1 grad_q V_d and
+    kinetic = grad_q K - M_d M^-1 grad_q K_d + J_2 ptilde, with ptilde = M_d^-1 p.
+    The kinetic part is quadratic in p, so it vanishes at p = 0.
+    """
+    mass = sys.mass_matrix(q)
+    md = tgt.mass_d(q)
+    pt = solve_checked(md, p, SingularMassD)
+    potential = sys.potential_grad(q) - md @ solve_checked(
+        mass, tgt.potential_d_grad(q), SingularMass)
+    kinetic = (
+        kinetic_energy_grad(sys, q, p)
+        - md @ solve_checked(mass, kinetic_d_grad(tgt, q, p), SingularMass)
+        + tgt.j2(q, pt) @ pt
+    )
+    return potential, kinetic, pt
+
+
 def ida_pbc_control_raw(
     sys: MechanicalSystem,
     tgt: TargetDynamics,
@@ -120,24 +146,9 @@ def ida_pbc_control_raw(
     """IDA-PBC feedback on raw arrays; the hot path behind ida_pbc_control."""
     if damping_mode not in ("linear", "saturated"):
         raise ValueError(f"unknown damping_mode {damping_mode!r}")
+    potential, kinetic, pt = matching_terms(sys, tgt, q, p)
     g = sys.input_coupling(q)
-    mass = sys.mass_matrix(q)
-    md = tgt.mass_d(q)
-
-    grad_v = sys.potential_grad(q)
-    grad_vd = tgt.potential_d_grad(q)
-    terms = grad_v - md @ solve_checked(mass, grad_vd, SingularMass)
-    if not np.any(p):
-        # p = 0: kinetic and damping terms vanish exactly
-        return pseudo_inverse_apply(g, terms)
-    pt = solve_checked(md, p, SingularMassD)
-    terms = (
-        terms
-        + kinetic_energy_grad(sys, q, p)
-        - md @ solve_checked(mass, kinetic_d_grad(tgt, q, p), SingularMass)
-        + tgt.j2(q, pt) @ pt
-    )
-    tau = pseudo_inverse_apply(g, terms)
+    tau = pseudo_inverse_apply(g, potential + kinetic)
     y = g.T @ pt
     if damping_mode == "saturated":
         # math.tanh per entry: np.tanh may differ in the last bit

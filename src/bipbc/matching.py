@@ -7,8 +7,11 @@ kinetic and potential matching PDEs hold on the unactuated directions:
             + 2 J_2 M_d^-1 p } = 0
     Gperp { grad_q V - M_d M^-1 grad_q V_d } = 0
 
-with Gperp a left annihilator of G. This module evaluates those residuals
-on deterministic sample sweeps, assembles the closed-loop damping matrix
+with Gperp a left annihilator of G. The bracketed vectors are twice the
+kinetic part and the potential part of `controller.matching_terms`, whose
+sum the IDA-PBC law pulls back through pinv(G): the residuals are Gperp
+applied to those parts. This module evaluates them on deterministic sample
+sweeps, assembles the closed-loop damping matrix
 
     R_2 = 1/2 (R M^-1 M_d + M_d M^-1 R) + G K_v G^T,
 
@@ -30,14 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve
-from .phcore import (
-    ConfigState,
-    MechanicalSystem,
-    fd_hessian,
-    kinetic_energy_grad,
-    mass_solve,
-)
+from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, matching_terms
+from .phcore import ConfigState, MechanicalSystem, fd_hessian, mass_solve
 from .sampling import Box, ball_sample
 
 EQUILIBRIUM_GRAD_TOL = 1e-8
@@ -62,18 +59,8 @@ def kinetic_pde_residual(
 ) -> np.ndarray:
     """Residual of the kinetic matching PDE at (q, p), an (n-m,) vector."""
     q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    gperp = annihilator(sys, q)
-    if gperp.shape[0] == 0:
-        return np.zeros(0)
-    md = tgt.mass_d(q)
-    pt = mass_d_solve(tgt, q, p)
-    expr = (
-        2.0 * kinetic_energy_grad(sys, q, p)
-        - md @ mass_solve(sys, q, 2.0 * kinetic_d_grad(tgt, q, p))
-        + 2.0 * tgt.j2(q, pt) @ pt
-    )
-    return gperp @ expr
+    _, kinetic, _ = matching_terms(sys, tgt, q, np.asarray(p, dtype=float))
+    return annihilator(sys, q) @ (2.0 * kinetic)
 
 
 def potential_pde_residual(
@@ -81,14 +68,8 @@ def potential_pde_residual(
 ) -> np.ndarray:
     """Residual of the potential matching PDE at q, an (n-m,) vector."""
     q = np.asarray(q, dtype=float)
-    gperp = annihilator(sys, q)
-    if gperp.shape[0] == 0:
-        return np.zeros(0)
-    md = tgt.mass_d(q)
-    expr = np.asarray(sys.potential_grad(q), dtype=float) - md @ mass_solve(
-        sys, q, np.asarray(tgt.potential_d_grad(q), dtype=float)
-    )
-    return gperp @ expr
+    potential, _, _ = matching_terms(sys, tgt, q, np.zeros_like(q))
+    return annihilator(sys, q) @ potential
 
 
 def damping_transfer(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) -> np.ndarray:
@@ -96,19 +77,17 @@ def damping_transfer(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) 
     return np.asarray(sys.damping(q), dtype=float) @ mass_solve(sys, q, tgt.mass_d(q))
 
 
+def _r2(transfer: np.ndarray, g: np.ndarray, damping_gain: np.ndarray) -> np.ndarray:
+    """R_2 = sym(R M^-1 M_d) + G K_v G^T from the damping transfer, symmetrized."""
+    r2 = 0.5 * (transfer + transfer.T) + g @ damping_gain @ g.T
+    return 0.5 * (r2 + r2.T)
+
+
 def build_r2(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) -> np.ndarray:
     """Closed-loop damping matrix R_2(q), symmetrized after assembly."""
     q = np.asarray(q, dtype=float)
     g = np.asarray(sys.input_coupling(q), dtype=float)
-    rm_inv_md = damping_transfer(sys, tgt, q)
-    r2 = 0.5 * (rm_inv_md + rm_inv_md.T) + g @ tgt.damping_gain @ g.T
-    return 0.5 * (r2 + r2.T)
-
-
-def damping_skew(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) -> np.ndarray:
-    """J_R = 1/2 (M_d M^-1 R - R M^-1 M_d), the skew part of the damping transfer."""
-    rm_inv_md = damping_transfer(sys, tgt, q)
-    return 0.5 * (rm_inv_md.T - rm_inv_md)
+    return _r2(damping_transfer(sys, tgt, q), g, tgt.damping_gain)
 
 
 def closed_loop_vector_field(
@@ -117,15 +96,20 @@ def closed_loop_vector_field(
     """(qdot, pdot) of the target closed loop, as a 2n vector.
 
     qdot uses the identity M^-1 M_d grad_p H_d = M^-1 p; pdot is
-    -M_d M^-1 grad_q H_d + (J_2 + J_R - R_2) ptilde with J_R the
-    damping-transfer skew term (see module docstring).
+    -M_d M^-1 grad_q H_d + (J_2 + J_R - R_2) ptilde with
+    J_R = 1/2 (M_d M^-1 R - R M^-1 M_d) the skew part of the damping
+    transfer (see module docstring).
     """
     q, p = s.q, s.p
     qdot = mass_solve(sys, q, p)
     pt = mass_d_solve(tgt, q, p)
     grad_hd = np.asarray(tgt.potential_d_grad(q), dtype=float) + kinetic_d_grad(tgt, q, p)
     md = tgt.mass_d(q)
-    interconnection = tgt.j2(q, pt) + damping_skew(sys, tgt, q) - build_r2(sys, tgt, q)
+    transfer = damping_transfer(sys, tgt, q)
+    g = np.asarray(sys.input_coupling(q), dtype=float)
+    interconnection = (
+        tgt.j2(q, pt) + 0.5 * (transfer.T - transfer) - _r2(transfer, g, tgt.damping_gain)
+    )
     pdot = -md @ mass_solve(sys, q, grad_hd) + interconnection @ pt
     return np.concatenate([qdot, pdot])
 
@@ -184,17 +168,15 @@ def verify_matching(
     r2_min = np.inf
     cond5_min = np.inf
     for q, p in zip(qs, ps):
-        kin = kinetic_pde_residual(sys, tgt, q, p)
-        pot = potential_pde_residual(sys, tgt, q)
-        if kin.size:
-            kin_max = max(kin_max, float(np.linalg.norm(kin)))
-            pot_max = max(pot_max, float(np.linalg.norm(pot)))
-        r2_min = min(r2_min, float(np.min(np.linalg.eigvalsh(build_r2(sys, tgt, q)))))
+        transfer = damping_transfer(sys, tgt, q)
+        r2 = _r2(transfer, np.asarray(sys.input_coupling(q), dtype=float), tgt.damping_gain)
+        r2_min = min(r2_min, float(np.min(np.linalg.eigvalsh(r2))))
         gperp = annihilator(sys, q)
         if gperp.shape[0]:
-            sym = damping_transfer(sys, tgt, q)
-            sym = sym + sym.T
-            cond5 = gperp @ sym @ gperp.T
+            potential, kinetic, _ = matching_terms(sys, tgt, q, p)
+            kin_max = max(kin_max, float(np.linalg.norm(gperp @ (2.0 * kinetic))))
+            pot_max = max(pot_max, float(np.linalg.norm(gperp @ potential)))
+            cond5 = gperp @ (transfer + transfer.T) @ gperp.T
             cond5_min = min(cond5_min, float(np.min(np.linalg.eigvalsh(cond5))))
     return MatchingReport(
         kinetic_residual_max=kin_max,

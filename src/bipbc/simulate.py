@@ -47,8 +47,8 @@ class SimConfig:
     blowup_limit: float = 1e9
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end:
-            raise ValueError("need 0 < dt <= t_end")
+        if not 0.0 < self.dt <= self.t_end < float("inf"):
+            raise ValueError("need 0 < dt <= t_end, both finite")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         unknown = set(self.monitors) - set(MONITORS)

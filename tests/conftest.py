@@ -1,5 +1,7 @@
 """Shared fixtures: benchmarks, certificates, and the expensive nominal runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,14 @@ from bipbc.bench import get_benchmark
 @pytest.fixture(scope="session")
 def ball_beam():
     return get_benchmark("ball-beam")
+
+
+@pytest.fixture(scope="session")
+def fd_ball_beam(ball_beam):
+    """(system, target) of ball-beam without analytic kinetic gradients or
+    annihilator: the finite-difference and SVD path of custom plants."""
+    return (dataclasses.replace(ball_beam.system, kinetic_grad=None, annihilator=None),
+            dataclasses.replace(ball_beam.target, kinetic_d_grad=None))
 
 
 @pytest.fixture(scope="session")

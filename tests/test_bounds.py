@@ -69,6 +69,8 @@ def test_momentum_bounds_rejects_nonpositive_eigenvalue():
         momentum_bounds(make_constants(lam_min_MdInv=0.0), 0.24)
     with pytest.raises(ValueError):
         momentum_bounds(make_constants(), -1.0)
+    with pytest.raises(ValueError):
+        momentum_bounds(make_constants(), math.nan)
 
 
 def test_scale_coherence_sqrt():
@@ -253,6 +255,12 @@ def test_levelset_zero_budget_degenerate(ball_beam):
     conf = levelset_confinement(ball_beam.target, 0.0, 0, ball_beam.system.workspace)
     assert conf.lower == conf.upper == 0.0
     assert not conf.clipped_lower and not conf.clipped_upper
+
+
+def test_levelset_rejects_negative_or_nan_budget(ball_beam):
+    for hd in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="hd_t0 must be nonnegative"):
+            levelset_confinement(ball_beam.target, hd, 0, ball_beam.system.workspace)
 
 
 def test_levelset_monotone_in_budget(ball_beam):

@@ -158,6 +158,9 @@ def test_main_bad_config_exit2(tmp_path, capsys):
     {"command": "verify", "benchmark": "ball-beam", "dt": -1.0},
     {"command": "verify", "benchmark": "ball-beam", "t_end": 0.0},
     {"command": "verify", "benchmark": "ball-beam", "samples": 0},
+    {"command": "verify", "benchmark": "ball-beam", "dt": float("nan")},
+    {"command": "verify", "benchmark": "ball-beam", "t_end": float("nan")},
+    {"command": "verify", "benchmark": "ball-beam", "t_end": float("inf")},
 ])
 def test_main_bad_config_values_exit2(config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
@@ -172,4 +175,15 @@ def test_main_nonpositive_mu_exits_2(mu, tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "mu must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.json").exists()
+
+
+@pytest.mark.parametrize("bench_name, hd0", [
+    ("ball-beam", "-1"), ("vtol-nonsmooth", "-1"), ("ball-beam", "nan"), ("ball-beam", "inf"),
+])
+def test_main_bad_hd0_exits_2(bench_name, hd0, tmp_path, capsys):
+    code = main(["bound", "--benchmark", bench_name, "--hd0", hd0, "--samples", "50",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "hd0 must be nonnegative and finite" in capsys.readouterr().err
     assert not (tmp_path / "bounds.json").exists()

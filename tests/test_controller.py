@@ -14,7 +14,8 @@ from bipbc import (
     simulate,
     target_energy,
 )
-from bipbc.controller import log_cosh, pseudo_inverse_apply
+from bipbc.controller import ida_pbc_control_raw, log_cosh, pseudo_inverse_apply
+from bipbc.phcore import mass_solve
 
 
 def test_equilibrium_zero_control(ball_beam):
@@ -34,6 +35,23 @@ def test_zero_velocity_reduction(ball_beam):
         lam = tgt.mass_d(q) @ np.linalg.inv(sys.mass_matrix(q))
         expected = np.linalg.pinv(g) @ (sys.potential_grad(q) - lam @ tgt.potential_d_grad(q))
         assert np.allclose(tau, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("plant", ["ball-beam", "vtol-nonsmooth", "ball-beam-fd"])
+def test_control_at_rest_is_the_potential_pull_back(plant, ball_beam, vtol, fd_ball_beam):
+    # at p = 0 the kinetic, J_2 and damping terms are exactly zero, so the
+    # law is pinv(G) (grad V - M_d M^-1 grad V_d) to the last bit
+    bench = vtol if plant == "vtol-nonsmooth" else ball_beam
+    sys, tgt = fd_ball_beam if plant == "ball-beam-fd" else (bench.system, bench.target)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        q = rng.uniform(0.9 * sys.workspace.lower, 0.9 * sys.workspace.upper)
+        potential = sys.potential_grad(q) - tgt.mass_d(q) @ mass_solve(
+            sys, q, tgt.potential_d_grad(q))
+        expected = pseudo_inverse_apply(sys.input_coupling(q), potential)
+        for mode in ("linear", "saturated"):
+            tau = ida_pbc_control_raw(sys, tgt, q, np.zeros(sys.n), mode)
+            assert np.array_equal(tau, expected)
 
 
 def test_nominal_start_control_moderate(ball_beam):

@@ -20,7 +20,9 @@ from bipbc import (
 )
 from bipbc.bench import get_benchmark
 from bipbc.controller import kinetic_d_grad, mass_d_solve
-from bipbc.matching import equilibrium_check
+from bipbc.matching import MatchingReport, equilibrium_check
+from bipbc.phcore import kinetic_energy_grad, mass_solve
+from bipbc.sampling import ball_sample
 
 
 def fully_actuated_system():
@@ -252,3 +254,55 @@ def test_equilibrium_check_rejects_shifted_minimum(ball_beam):
     )
     assert not equilibrium_check(shifted)
     assert equilibrium_check(ball_beam.target)
+
+
+def reference_matching_report(sys, tgt, samples, region, momentum_cap=2.0):
+    """`verify_matching` written out one sample at a time from the PDEs.
+
+    Each residual, R_2 and condition 5 is formed from its own formula, with
+    no term shared between them.
+    """
+    qs = (region if region is not None else sys.workspace).sample(samples)
+    ps = ball_sample(samples, sys.n, momentum_cap, skip=samples)
+    kin_max = pot_max = 0.0
+    r2_min = cond5_min = np.inf
+    for q, p in zip(qs, ps):
+        gperp = annihilator(sys, q)
+        md = tgt.mass_d(q)
+        transfer = np.asarray(sys.damping(q), dtype=float) @ mass_solve(sys, q, md)
+        if gperp.shape[0]:
+            pt = mass_d_solve(tgt, q, p)
+            kin = gperp @ (
+                2.0 * kinetic_energy_grad(sys, q, p)
+                - md @ mass_solve(sys, q, 2.0 * kinetic_d_grad(tgt, q, p))
+                + 2.0 * tgt.j2(q, pt) @ pt
+            )
+            pot = gperp @ (
+                np.asarray(sys.potential_grad(q), dtype=float)
+                - md @ mass_solve(sys, q, np.asarray(tgt.potential_d_grad(q), dtype=float))
+            )
+            kin_max = max(kin_max, float(np.linalg.norm(kin)))
+            pot_max = max(pot_max, float(np.linalg.norm(pot)))
+            cond5 = gperp @ (transfer + transfer.T) @ gperp.T
+            cond5_min = min(cond5_min, float(np.min(np.linalg.eigvalsh(cond5))))
+        g = np.asarray(sys.input_coupling(q), dtype=float)
+        r2 = 0.5 * (transfer + transfer.T) + g @ tgt.damping_gain @ g.T
+        r2_min = min(r2_min, float(np.min(np.linalg.eigvalsh(0.5 * (r2 + r2.T)))))
+    return MatchingReport(
+        kinetic_residual_max=kin_max,
+        potential_residual_max=pot_max,
+        r2_min_eig=float(r2_min),
+        condition5_min_eig=float(cond5_min) if np.isfinite(cond5_min) else 0.0,
+        equilibrium_ok=equilibrium_check(tgt),
+        samples=samples,
+    )
+
+
+@pytest.mark.parametrize("plant", ["ball-beam", "vtol-nonsmooth", "ball-beam-fd"])
+def test_verify_matching_equals_pointwise_reference(plant, ball_beam, vtol, fd_ball_beam):
+    # exact: the report is a max/min over the same per-point values
+    bench = vtol if plant == "vtol-nonsmooth" else ball_beam
+    sys, tgt = fd_ball_beam if plant == "ball-beam-fd" else (bench.system, bench.target)
+    samples = 100 if plant == "ball-beam-fd" else 300
+    report = verify_matching(sys, tgt, samples=samples, region=bench.residual_box)
+    assert report == reference_matching_report(sys, tgt, samples, bench.residual_box)
