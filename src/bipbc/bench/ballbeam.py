@@ -76,6 +76,10 @@ class BallBeamParams:
     q1_max: float = 0.96
     q2_max: float = 0.19
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, dataclasses.astuple(self))):
+            raise ValueError("ball-beam parameters must be finite")
+
 
 @dataclass
 class BallBeamBenchmark:

@@ -30,7 +30,7 @@ input's damping share never exceeds lam_max{K_v}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, ClassVar, Optional, Tuple
 
 import numpy as np
@@ -55,6 +55,7 @@ from ..controller import (
 from ..phcore import MechanicalSystem
 from ..sampling import Box
 from ..simulate import SimConfig
+from ..stacking import _matvec, _spectral_norms, _stack
 
 #: roll angle at which the barrier terms become singular (cos t = 0.1)
 THETA_SINGULAR = math.acos(0.1)
@@ -90,6 +91,9 @@ class VtolParams:
     xy_box: Tuple[float, float] = (60.0, 25.0)
 
     def __post_init__(self):
+        flat = [x for v in astuple(self) for x in (v if isinstance(v, (tuple, list)) else [v])]
+        if not all(map(math.isfinite, flat)):
+            raise ValueError("VTOL parameters must be finite")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
 
@@ -109,36 +113,26 @@ class VtolBenchmark:
     residual_box: ClassVar[Optional[Box]] = None
 
     def make_controller(self):
-        if self.two_phase:
-            return self._make_two_phase()
-        sys, tgt, mode = self.system, self.target, self.damping_mode
+        """The IDA-PBC law, or for two-phase runs a primary law before it."""
+        sys, tgt, mode, pr = self.system, self.target, self.damping_mode, self.params
 
         def control(t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
             return ida_pbc_control_raw(sys, tgt, q, p, damping_mode=mode)
 
-        return control
-
-    def _make_two_phase(self) -> TwoPhaseController:
-        pr = self.params
-        g = pr.g
+        if not self.two_phase:
+            return control
 
         def primary(t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-            tau1 = g - pr.sat_gain_y * math.tanh(
-                pr.kappa1 * (q[1] - pr.y_star) + pr.kappa2 * p[1]
-            )
+            tau1 = pr.g - pr.sat_gain_y * math.tanh(pr.kappa1 * (q[1] - pr.y_star)
+                                                    + pr.kappa2 * p[1])
             tau2 = -pr.sat_gain_roll * math.tanh(pr.kappa3 * q[2] + pr.kappa4 * p[2])
             return np.array([tau1, tau2])
 
         def switch(q: np.ndarray, p: np.ndarray) -> bool:
             return abs(q[2]) < pr.switch_roll and abs(p[2]) < pr.switch_roll_rate
 
-        return TwoPhaseController(
-            primary_law=primary,
-            switch_predicate=switch,
-            sys=self.system,
-            target=self.target,
-            damping_mode=self.damping_mode,
-        )
+        return TwoPhaseController(primary_law=primary, switch_predicate=switch,
+                                  secondary_law=control)
 
     def default_sim(self) -> SimConfig:
         # the single-phase run needs the long horizon: the saturated
@@ -186,16 +180,13 @@ class VtolBenchmark:
         pr = self.params
         qs = np.zeros((1201, 3))
         qs[:, 2] = np.linspace(-theta_max, theta_max, 1201)
-        pinv = np.linalg.pinv(np.array([self.system.input_coupling(q) for q in qs]))
-        grad_v = np.array([self.system.potential_grad(q) for q in qs])
-        gv = (pinv @ grad_v[..., None])[..., 0]
-        md = np.array([self.target.mass_d(q) for q in qs])
+        pinv = np.linalg.pinv(_stack(self.system.input_coupling, qs))
+        gv = _matvec(pinv, _stack(self.system.potential_grad, qs))
         max1 = float(np.max(np.abs(pr.g - gv[:, 0])))
         max2 = float(np.max(np.abs(gv[:, 1])))
-        nrm = float(np.max(np.linalg.norm(pinv @ md, 2, axis=(1, 2))))
+        nrm = float(np.max(_spectral_norms(pinv @ _stack(self.target.mass_d, qs))))
         c_vd = self.vd_grad_sup(theta_max)
-        kv_term = pr.kv
-        ub = np.array([max1 + nrm * c_vd + kv_term, max2 + nrm * c_vd + kv_term])
+        ub = np.array([max1 + nrm * c_vd + pr.kv, max2 + nrm * c_vd + pr.kv])
         return {
             "max_row1": max1,
             "max_row2": max2,

@@ -44,25 +44,30 @@ import numpy as np
 
 from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, target_energy
 from .errors import NonpositiveEigenvalue, ToolkitError
-from .matching import build_r2, damping_transfer
+from .matching import _r2, damping_transfer
 from .phcore import ConfigState, MechanicalSystem, kinetic_energy_grad
 from .sampling import Box
-from .stacking import (_blocks, _dots, _matvec, _momentum_form, _norms, _spectral_norms,
+from .stacking import (_blocks, _dots, _fold, _matvec, _momentum_form, _norms, _spectral_norms,
                        _stack, _stack_pairs, _swap)
 
+UNIT_TOL = 1e-12  # entrywise tolerance of a 0/1 unit-structure G
+VALIDATION_MOMENTUM_CAP = 2.0  # radius of the momentum ball of `validate_constants`
+ADVISORY_KAPPAS = (0.1, 1.0, 5.0, 50.0)  # the K_v = kappa I that `kv_advisory` tabulates
+CONFINEMENT_TOL = 1e-10  # relative bracket width that ends `levelset_confinement`
 
-def unit_input_rows(g: np.ndarray, tol: float = 1e-12) -> Optional[np.ndarray]:
+
+def unit_input_rows(g: np.ndarray) -> Optional[np.ndarray]:
     """Actuated-row indices when G is a permutation-selected [I_m; 0] block.
 
     Returns the row index carrying the 1 of each column, or None when G is
-    not of that 0/1 unit structure.
+    not of that 0/1 unit structure (entries within UNIT_TOL).
     """
     g = np.asarray(g, dtype=float)
     rows = np.full(g.shape[1], -1, dtype=int)
     for j in range(g.shape[1]):
         col = g[:, j]
-        ones = np.flatnonzero(np.abs(col - 1.0) <= tol)
-        zeros = np.flatnonzero(np.abs(col) <= tol)
+        ones = np.flatnonzero(np.abs(col - 1.0) <= UNIT_TOL)
+        zeros = np.flatnonzero(np.abs(col) <= UNIT_TOL)
         if ones.size != 1 or ones.size + zeros.size != col.size:
             return None
         rows[j] = ones[0]
@@ -159,7 +164,6 @@ def estimate_constants(
     inflation: float = 1.05,
     mu: float = 1e-6,
     region: Box | None = None,
-    vd_grad_region: Box | None = None,
 ) -> BoundConstants:
     """Estimate every bounding constant over the certification workspace.
 
@@ -171,13 +175,10 @@ def estimate_constants(
     Suprema get multiplied by `inflation` (grid maxima under-estimate the
     true suprema); eigenvalue extremes are reported raw. Every term is pulled
     back through pinv(G) (`actuated_terms`); `unit_structure` is set when G
-    is the center's 0/1 matrix at every sample.
+    is the center's 0/1 matrix at every sample. A NaN sample makes its constants NaN.
 
     Args:
         region: overrides the system workspace for all constants.
-        vd_grad_region: separate region for the grad V_d supremum, for
-            designs whose grad V_d is confined by a level-set argument to a
-            smaller region than the full workspace.
     """
     box = region if region is not None else sys.workspace
     center = box.center()[None, :]
@@ -201,16 +202,16 @@ def estimate_constants(
     for block in _blocks(qs.shape[0]):
         qb = qs[block]
         stack = _plant_stack(sys, tgt, qb)
-        if unit is not None and not np.all(np.abs(stack.g - unit) <= 1e-12):
+        if unit is not None and not np.all(np.abs(stack.g - unit) <= UNIT_TOL):
             unit = None
 
         eigs = np.linalg.eigvalsh(0.5 * (stack.md + _swap(stack.md)))
-        lam_min_md = min(lam_min_md, float(np.min(eigs[:, 0])))
-        lam_max_md = max(lam_max_md, float(np.max(eigs[:, -1])))
-        r2 = _stack(partial(build_r2, sys, tgt), qb)
-        lam_min_r2 = min(lam_min_r2, float(np.min(np.linalg.eigvalsh(r2))))
-        g_cap = max(g_cap, float(np.max(_spectral_norms(stack.g))))
-        g_pinv_cap = max(g_pinv_cap, float(np.max(_spectral_norms(stack.pinv_g))))
+        lam_min_md = _fold(min, lam_min_md, float(np.min(eigs[:, 0])))
+        lam_max_md = _fold(max, lam_max_md, float(np.max(eigs[:, -1])))
+        r2 = _r2(_stack(partial(damping_transfer, sys, tgt), qb), stack.g, tgt.damping_gain)
+        lam_min_r2 = _fold(min, lam_min_r2, float(np.min(np.linalg.eigvalsh(r2))))
+        g_cap = _fold(max, g_cap, float(np.max(_spectral_norms(stack.g))))
+        g_pinv_cap = _fold(max, g_pinv_cap, float(np.max(_spectral_norms(stack.pinv_g))))
         sigma_q = _matvec(stack.pinv_g, stack.grad_v - _matvec(stack.lam, stack.grad_vd))
         sigma = np.minimum(sigma, np.min(sigma_q, axis=0))
 
@@ -222,7 +223,9 @@ def estimate_constants(
         for name, peak in (("kinetic_grad", np.max(_norms(kinetic), axis=1)),
                            ("kinetic_d_grad", np.max(_norms(forms["kinetic_d_grad"](qb)), axis=1)),
                            ("j2", np.max(_spectral_norms(forms["j2"](qb)), axis=1))):
-            witness[name] = max(witness[name], *zip(peak.tolist(), range(block.start, block.stop)))
+            # NaN ranks above every number, so a NaN peak becomes the term's value
+            witness[name] = max(witness[name], *zip(peak.tolist(), range(block.start, block.stop)),
+                                key=lambda w: (math.isnan(w[0]), w))
 
     # each term's form against direct calls at its witness, the point where the term peaks
     for name, (fn, degree) in terms.items():
@@ -232,8 +235,6 @@ def estimate_constants(
             kind = ("linear", "quadratic")[degree - 1]
             raise ToolkitError(f"{name} is not {kind} in the momentum at q = {q[0]}")
 
-    c_vd = _sup_vd_grad(tgt, vd_grad_region if vd_grad_region is not None else box, samples)
-
     if lam_min_md <= 0:
         raise NonpositiveEigenvalue("M_d not positive definite on the workspace")
 
@@ -242,7 +243,7 @@ def estimate_constants(
 
     return BoundConstants(
         c_V=inflation * c_v,
-        c_Vd=inflation * c_vd,
+        c_Vd=inflation * _sup_vd_grad(tgt, box, samples),
         c_M=inflation * c_m,
         c_Md=inflation * witness["kinetic_d_grad"][0],
         c_J=inflation * witness["j2"][0],
@@ -275,7 +276,7 @@ def _sup_vd_grad(tgt: TargetDynamics, box: Box, samples: int) -> float:
     qs = np.vstack([box.sample(samples, skip=7 * samples), box.corners()])
     best = 0.0
     for block in _blocks(qs.shape[0]):
-        best = max(best, float(np.max(_norms(_stack(tgt.potential_d_grad, qs[block])))))
+        best = _fold(max, best, float(np.max(_norms(_stack(tgt.potential_d_grad, qs[block])))))
     return best
 
 
@@ -298,7 +299,7 @@ def validate_constants(
     sys: MechanicalSystem,
     tgt: TargetDynamics,
     constants: BoundConstants,
-    momentum_cap: float = 2.0,
+    *,
     samples: int = 10_000,
     seed: int = 1,
     region: Box | None = None,
@@ -322,7 +323,7 @@ def validate_constants(
     rng = np.random.default_rng(seed)
     qs = box.lower + rng.random((samples, sys.n)) * (box.upper - box.lower)
     ps = rng.standard_normal((samples, sys.n))
-    ps *= (momentum_cap * rng.random((samples, 1)) ** (1.0 / sys.n)) / np.linalg.norm(
+    ps *= (VALIDATION_MOMENTUM_CAP * rng.random((samples, 1)) ** (1.0 / sys.n)) / np.linalg.norm(
         ps, axis=1, keepdims=True
     )
     tol = 1e-9
@@ -370,15 +371,15 @@ def empirical_constants(sys: MechanicalSystem, tgt: TargetDynamics, traj) -> dic
         v, lam, k, kd, j2, vd, pn2, ptn = _sample_terms(sys, tgt, qs[block], ps[block])
         out["c_V"] = np.maximum(out["c_V"], np.max(v, axis=0))
         out["c_Lambda"] = np.maximum(out["c_Lambda"], np.max(lam, axis=0))
-        out["c_Vd"] = max(out["c_Vd"], float(np.max(vd)))
+        out["c_Vd"] = _fold(max, out["c_Vd"], float(np.max(vd)))
         moving = pn2 > 1e-12
         if not np.any(moving):
             continue
         out["c_M"] = np.maximum(out["c_M"], np.max(k[moving] / pn2[moving, None], axis=0))
-        out["c_Md"] = max(out["c_Md"], float(np.max(kd[moving] / pn2[moving])))
+        out["c_Md"] = _fold(max, out["c_Md"], float(np.max(kd[moving] / pn2[moving])))
         turning = moving & (ptn > 1e-9)
         if np.any(turning):
-            out["c_J"] = max(out["c_J"], float(np.max(j2[turning] / ptn[turning])))
+            out["c_J"] = _fold(max, out["c_J"], float(np.max(j2[turning] / ptn[turning])))
     return out
 
 
@@ -570,7 +571,6 @@ def levelset_confinement(
     hd_t0: float,
     coordinate: int,
     box: Box,
-    tol: float = 1e-10,
 ) -> ConfinementInterval:
     """Excursion interval of q_i on the level set {V_d <= hd_t0}.
 
@@ -621,7 +621,7 @@ def levelset_confinement(
                 hi = mid
             else:
                 lo = mid
-            if abs(hi - lo) < tol * max(1.0, abs(hi)):
+            if abs(hi - lo) < CONFINEMENT_TOL * max(1.0, abs(hi)):
                 break
         return 0.5 * (lo + hi), False
 
@@ -658,7 +658,6 @@ def kv_advisory(
     sys: MechanicalSystem,
     tgt: TargetDynamics,
     constants: BoundConstants,
-    kappas: Tuple[float, ...] = (0.1, 1.0, 5.0, 50.0),
     samples: int = 200,
 ) -> KvAdvisory:
     """Classify the design and tabulate the damping-term ratio over kappa."""
@@ -668,11 +667,9 @@ def kv_advisory(
     # R M^-1 M_d and G at every point, stacked once for all the kappas below
     s = _stack(partial(damping_transfer, sys, tgt), qs)
     g = _stack(sys.input_coupling, qs)
-    s_sym = 0.5 * (s + _swap(s))
 
     def r2_min_with(kappa: float) -> float:
-        kv = kappa * np.eye(sys.m)
-        return float(np.min(np.linalg.eigvalsh(s_sym + g @ kv @ _swap(g))))
+        return float(np.min(np.linalg.eigvalsh(_r2(s, g, kappa * np.eye(sys.m)))))
 
     sym = float(np.min(np.linalg.eigvalsh(s + _swap(s))))
     branch = "small_kv" if sym > 0 else "kv_for_r2"
@@ -693,7 +690,7 @@ def kv_advisory(
     def fraction_at(kappa: float) -> float:
         return kappa * ratio_prefix / (max(r2_min_with(kappa), 0.0) + constants.mu)
 
-    fraction = {kappa: fraction_at(kappa) for kappa in kappas}
+    fraction = {kappa: fraction_at(kappa) for kappa in ADVISORY_KAPPAS}
     return KvAdvisory(
         branch=branch,
         sym_min_eig=sym,

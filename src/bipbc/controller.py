@@ -177,7 +177,7 @@ def ida_pbc_control(
 
 @dataclass(frozen=True)
 class TwoPhaseController:
-    """Primary hand-designed law in phase 1, the IDA-PBC law in phase 2.
+    """Primary law in phase 1, secondary law in phase 2.
 
     A pure function of (t, q, p, phase). `simulate` holds the phase: it
     tests `switch_predicate` on accepted states only and moves to phase 2,
@@ -186,12 +186,10 @@ class TwoPhaseController:
 
     primary_law: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     switch_predicate: Callable[[np.ndarray, np.ndarray], bool]
-    sys: MechanicalSystem
-    target: TargetDynamics
-    damping_mode: str = "saturated"
+    secondary_law: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
     def control(self, t: float, q: np.ndarray, p: np.ndarray, phase: int) -> np.ndarray:
-        """tau of the law that rules `phase` (1: primary, 2: IDA-PBC)."""
+        """tau of the law that rules `phase` (1: primary, 2: secondary)."""
         if phase == 2:
-            return ida_pbc_control_raw(self.sys, self.target, q, p, self.damping_mode)
+            return self.secondary_law(t, q, p)
         return np.asarray(self.primary_law(t, q, p), dtype=float)

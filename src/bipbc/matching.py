@@ -36,6 +36,7 @@ import numpy as np
 from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, matching_terms
 from .phcore import ConfigState, MechanicalSystem, fd_hessian, mass_solve
 from .sampling import Box, ball_sample
+from .stacking import _fold, _swap
 
 EQUILIBRIUM_GRAD_TOL = 1e-8
 
@@ -78,9 +79,9 @@ def damping_transfer(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) 
 
 
 def _r2(transfer: np.ndarray, g: np.ndarray, damping_gain: np.ndarray) -> np.ndarray:
-    """R_2 = sym(R M^-1 M_d) + G K_v G^T from the damping transfer, symmetrized."""
-    r2 = 0.5 * (transfer + transfer.T) + g @ damping_gain @ g.T
-    return 0.5 * (r2 + r2.T)
+    """R_2 = sym(R M^-1 M_d) + G K_v G^T, symmetrized, at one point or over a stack."""
+    r2 = 0.5 * (transfer + _swap(transfer)) + g @ damping_gain @ _swap(g)
+    return 0.5 * (r2 + _swap(r2))
 
 
 def build_r2(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) -> np.ndarray:
@@ -163,26 +164,24 @@ def verify_matching(
     box = region if region is not None else sys.workspace
     qs = box.sample(samples)
     ps = ball_sample(samples, sys.n, momentum_cap, skip=samples)
-    kin_max = 0.0
-    pot_max = 0.0
-    r2_min = np.inf
-    cond5_min = np.inf
+    kin_max = pot_max = 0.0
+    r2_min = cond5_min = np.inf
     for q, p in zip(qs, ps):
         transfer = damping_transfer(sys, tgt, q)
         r2 = _r2(transfer, np.asarray(sys.input_coupling(q), dtype=float), tgt.damping_gain)
-        r2_min = min(r2_min, float(np.min(np.linalg.eigvalsh(r2))))
+        r2_min = _fold(min, r2_min, float(np.min(np.linalg.eigvalsh(r2))))
         gperp = annihilator(sys, q)
         if gperp.shape[0]:
             potential, kinetic, _ = matching_terms(sys, tgt, q, p)
-            kin_max = max(kin_max, float(np.linalg.norm(gperp @ (2.0 * kinetic))))
-            pot_max = max(pot_max, float(np.linalg.norm(gperp @ potential)))
+            kin_max = _fold(max, kin_max, float(np.linalg.norm(gperp @ (2.0 * kinetic))))
+            pot_max = _fold(max, pot_max, float(np.linalg.norm(gperp @ potential)))
             cond5 = gperp @ (transfer + transfer.T) @ gperp.T
-            cond5_min = min(cond5_min, float(np.min(np.linalg.eigvalsh(cond5))))
+            cond5_min = _fold(min, cond5_min, float(np.min(np.linalg.eigvalsh(cond5))))
     return MatchingReport(
         kinetic_residual_max=kin_max,
         potential_residual_max=pot_max,
         r2_min_eig=float(r2_min),
-        condition5_min_eig=float(cond5_min) if np.isfinite(cond5_min) else 0.0,
+        condition5_min_eig=0.0 if cond5_min == np.inf else cond5_min,
         equilibrium_ok=equilibrium_check(tgt),
         samples=samples,
     )

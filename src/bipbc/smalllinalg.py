@@ -76,16 +76,19 @@ def solve_checked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
 
 
 def smallest_singular_value(g: np.ndarray) -> float:
-    """sigma_min of a tall (n x m) matrix, closed form for m <= 2."""
+    """sigma_min of a tall (n x m) matrix, closed form for m <= 2.
+
+    For m = 2, the Gram eigenvalues are det / largest and largest, with det G^T G
+    summed from the 2 x 2 minors (Lagrange identity): half_trace - disc would cancel.
+    """
     m = g.shape[1]
     if m == 1:
         return float(np.linalg.norm(g[:, 0]))
     if m == 2:
-        # eigenvalues of the 2x2 Gram matrix
-        g00 = float(g[:, 0] @ g[:, 0])
-        g11 = float(g[:, 1] @ g[:, 1])
-        g01 = float(g[:, 0] @ g[:, 1])
-        half_trace = 0.5 * (g00 + g11)
-        disc = math.sqrt(max(0.25 * (g00 - g11) ** 2 + g01 * g01, 0.0))
-        return math.sqrt(max(half_trace - disc, 0.0))
+        a, b = g[:, 0].tolist(), g[:, 1].tolist()
+        trace = math.fsum(x * x for x in a + b)
+        det = math.fsum((a[i] * b[j] - a[j] * b[i]) ** 2
+                        for i in range(len(a)) for j in range(i + 1, len(a)))
+        largest = 0.5 * (trace + math.sqrt(max(trace * trace - 4.0 * det, 0.0)))
+        return math.sqrt(det / largest) if largest else 0.0
     return float(np.linalg.svd(g, compute_uv=False)[-1])

@@ -10,6 +10,7 @@ results are those of a point-by-point loop.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Callable
 
@@ -66,6 +67,11 @@ def _momentum_form(fn: Callable, directions: np.ndarray, degree: int) -> Callabl
         return flat.reshape(flat.shape[:2] + values.shape[2:])
 
     return on_directions
+
+
+def _fold(pick: Callable, acc: float, value: float) -> float:
+    """pick(acc, value) of min or max, NaN if either is: a bare min or max skips a NaN value."""
+    return value if math.isnan(value) else pick(acc, value)
 
 
 def _swap(a: np.ndarray) -> np.ndarray:

@@ -16,12 +16,14 @@ from bipbc import (
     control_bound_general_g,
     control_upper_bound,
     empirical_constants,
+    estimate_constants,
     kv_advisory,
     levelset_confinement,
     bound_report,
     momentum_bounds,
     ultimate_bounds,
     validate_constants,
+    verify_matching,
 )
 from bipbc.bounds import unit_input_rows
 
@@ -213,21 +215,6 @@ def test_estimated_constants_vanish_for_constant_masses(vtol, vtol_certificate):
     assert not constants.unit_structure
 
 
-def test_vd_grad_region_restriction(ball_beam):
-    # the gradient supremum of V_d may be taken over a level-set-confined
-    # region smaller than the workspace; other constants are unaffected
-    from bipbc import Box, estimate_constants
-
-    small = Box(lower=np.array([-0.3, -0.05]), upper=np.array([0.3, 0.05]))
-    c_all = estimate_constants(ball_beam.system, ball_beam.target, samples=200)
-    c_small = estimate_constants(
-        ball_beam.system, ball_beam.target, samples=200, vd_grad_region=small
-    )
-    assert c_small.c_Vd < 0.5 * c_all.c_Vd
-    assert c_small.c_V[0] == c_all.c_V[0]
-    assert c_small.c_J == c_all.c_J
-
-
 def test_constants_validation_zero_violations(ball_beam, bb_certificate):
     constants, _ = bb_certificate
     bad = validate_constants(ball_beam.system, ball_beam.target, constants,
@@ -322,12 +309,34 @@ def test_kv_advisory_structural_zero_branch(vtol, vtol_certificate):
 
 def test_kv_advisory_ballbeam_fraction_table(ball_beam, bb_certificate):
     constants, _ = bb_certificate
-    adv = kv_advisory(ball_beam.system, ball_beam.target, constants,
-                      kappas=(0.1, 1.0, 5.0, 50.0), samples=60)
+    adv = kv_advisory(ball_beam.system, ball_beam.target, constants, samples=60)
     assert set(adv.fraction) == {0.1, 1.0, 5.0, 50.0}
     assert all(v > 0 for v in adv.fraction.values())
     assert adv.branch == "kv_for_r2"
     assert adv.kappa_for_pd is not None and adv.kappa_for_pd > 0.0
+
+
+def test_nan_samples_propagate_through_the_folds(ball_beam):
+    # Python min/max drop NaN (min(inf, nan) is inf): a block with one NaN
+    # sample used to lose every sample of the block, and lam_min_R2 came out
+    # infinite, which made the ultimate bounds (0, 0) and c_p = 0
+    sys, tgt = ball_beam.system, ball_beam.target
+    nominal, broken = np.diag([0.2, 0.1]), np.diag([0.2, np.nan])
+    leaky = dataclasses.replace(sys, damping=lambda q: broken if q[0] > 0.5 else nominal)
+    constants = estimate_constants(leaky, tgt, samples=200)
+    assert math.isnan(constants.lam_min_R2)
+    report = bound_report(constants, 0.2, 0.0, 0.0)
+    assert report.c_p == report.c_p1 == pytest.approx(1.853, abs=1e-3)
+    assert report.c_ptilde == report.c_ptilde1 > 0.0
+    assert math.isnan(verify_matching(leaky, tgt, samples=200).r2_min_eig)
+
+    grad_vd = tgt.potential_d_grad
+    bad_vd = dataclasses.replace(
+        tgt, potential_d_grad=lambda q: grad_vd(q) * (np.nan if q[0] > 0.5 else 1.0))
+    assert math.isnan(estimate_constants(sys, bad_vd, samples=50).c_Vd)
+    qs = np.array([[0.0, 0.1], [0.6, 0.0], [0.2, -0.1]])
+    traj = SimpleNamespace(q=qs, p=np.ones_like(qs), p_norm=np.ones(3), ptilde_norm=np.ones(3))
+    assert math.isnan(empirical_constants(sys, bad_vd, traj)["c_Vd"])
 
 
 def test_empirical_kinetic_constant_for_configuration_dependent_g():

@@ -161,12 +161,17 @@ def test_main_bad_config_exit2(tmp_path, capsys):
     {"command": "verify", "benchmark": "ball-beam", "dt": float("nan")},
     {"command": "verify", "benchmark": "ball-beam", "t_end": float("nan")},
     {"command": "verify", "benchmark": "ball-beam", "t_end": float("inf")},
+    {"command": "verify", "benchmark": "ball-beam", "params": {"k_v": float("nan")}},
+    {"command": "bound", "benchmark": "ball-beam", "params": {"k_v": float("nan")}},
+    {"command": "bound", "benchmark": "ball-beam", "params": {"k_p": float("nan")}},
+    {"command": "bound", "benchmark": "vtol-nonsmooth", "params": {"xy_box": [60.0, float("inf")]}},
 ])
 def test_main_bad_config_values_exit2(config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**config, "out": str(tmp_path)}))
-    assert main(["verify", "--config", str(cfg)]) == 2
+    assert main([config["command"], "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["bad.json"]
 
 
 @pytest.mark.parametrize("mu", ["-1", "0", "nan", "inf"])

@@ -16,6 +16,7 @@ from bipbc import (
 )
 from bipbc.controller import ida_pbc_control_raw, log_cosh, pseudo_inverse_apply
 from bipbc.phcore import mass_solve
+from bipbc.smalllinalg import smallest_singular_value
 
 
 def test_equilibrium_zero_control(ball_beam):
@@ -135,8 +136,7 @@ def test_two_phase_never_switches(vtol_two_phase):
     ctrl = TwoPhaseController(
         primary_law=lambda t, q, p: np.array([1.0, 2.0]),
         switch_predicate=lambda q, p: False,
-        sys=bench.system,
-        target=bench.target,
+        secondary_law=bench.make_controller().secondary_law,
     )
     rng = np.random.default_rng(9)
     for k in range(50):
@@ -147,6 +147,28 @@ def test_two_phase_never_switches(vtol_two_phase):
     assert np.all(traj.phase == 1)
     assert traj.switch_time is None and traj.switch_state is None
     assert traj.events == []
+
+
+def test_two_phase_secondary_is_the_single_phase_law(vtol_two_phase):
+    bench = vtol_two_phase
+    ctrl = bench.make_controller()
+    rng = np.random.default_rng(11)
+    for k in range(100):
+        q = np.array([rng.uniform(-30, 30), rng.uniform(-20, 20), rng.uniform(-1.3, 1.3)])
+        p = 5.0 * rng.standard_normal(3)
+        want = ida_pbc_control_raw(bench.system, bench.target, q, p, damping_mode="saturated")
+        assert np.array_equal(ctrl.control(0.1 * k, q, p, 2), want)
+
+
+def test_rank_guard_catches_nearly_parallel_columns():
+    # sigma_min = 4.7e-12: the Gram eigenvalue half_trace - disc cancels to 1.05e-8
+    g = np.array([[-0.5442589828573099, -0.8004875493516173],
+                  [-0.31630015636915454, -0.46520929375231407],
+                  [0.4116305363741328, 0.6054197168711769]])
+    want = np.linalg.svd(g, compute_uv=False)[-1]
+    assert smallest_singular_value(g) == pytest.approx(want, rel=1e-3)
+    with pytest.raises(RankDeficientG):
+        pseudo_inverse_apply(g, np.array([1.0, 0.0, 0.0]))
 
 
 def test_vtol_primary_bounds_by_construction(vtol_two_phase):

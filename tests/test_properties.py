@@ -1,4 +1,4 @@
-"""Property tests: small solves, workspace boxes, RunSpec round-trip.
+"""Property tests: small solves, the rank guard, workspace boxes, RunSpec round-trip.
 
 Hypothesis runs derandomized with a fixed example budget, so every run of
 the suite checks the same cases.
@@ -6,13 +6,14 @@ the suite checks the same cases.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bipbc import Box, SingularMass
 from bipbc.bench import BENCHMARK_NAMES
 from bipbc.cli import COMMANDS, RunSpec
-from bipbc.smalllinalg import solve_checked
+from bipbc.controller import SIGMA_MIN_LIMIT
+from bipbc.smalllinalg import smallest_singular_value, solve_checked
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -48,6 +49,30 @@ def test_solve_checked_rejects_rank_one(vectors):
     u, v = (np.array(x, dtype=float) for x in vectors)
     with pytest.raises(SingularMass):
         solve_checked(np.outer(u, v), np.ones(u.size), SingularMass)
+
+
+@st.composite
+def nearly_rank_deficient(draw):
+    """A tall n x m G (m = 1..3) = U diag(s) V^T whose smallest singular value
+    is 10^-12..10^-6 and the others 0.1..10, with U and V orthonormal."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(max(m, 2), m + 2))
+    unit = st.floats(-1.0, 1.0)
+    u, _ = np.linalg.qr(np.array(draw(st.lists(unit, min_size=n * m, max_size=n * m)))
+                        .reshape(n, m) + np.eye(n, m))
+    v, _ = np.linalg.qr(np.array(draw(st.lists(unit, min_size=m * m, max_size=m * m)))
+                        .reshape(m, m) + 2.0 * np.eye(m))
+    large = draw(st.lists(st.floats(0.1, 10.0), min_size=m - 1, max_size=m - 1))
+    s = np.array(large + [10.0 ** draw(st.floats(-12.0, -6.0))])
+    return (u * s) @ v.T
+
+
+@PROPERTY
+@given(nearly_rank_deficient())
+def test_rank_guard_agrees_with_svd(g):
+    sigma = np.linalg.svd(g, compute_uv=False)[-1]
+    assume(not 0.5 * SIGMA_MIN_LIMIT <= sigma <= 2.0 * SIGMA_MIN_LIMIT)
+    assert (smallest_singular_value(g) < SIGMA_MIN_LIMIT) == (sigma < SIGMA_MIN_LIMIT)
 
 
 @st.composite

@@ -18,6 +18,7 @@ from bipbc import (
     simulate,
 )
 from bipbc.bounds import BoundReport
+from bipbc.controller import ida_pbc_control_raw
 from bipbc.simulate import _run_monitors, bound_exceedances
 
 
@@ -318,8 +319,8 @@ def test_two_phase_switch_is_one_shot():
         return 0.3 < q[0] < 0.5
 
     ctrl = TwoPhaseController(primary_law=lambda t, q, p: np.zeros(1),
-                              switch_predicate=window, sys=sys, target=target,
-                              damping_mode="linear")
+                              switch_predicate=window,
+                              secondary_law=lambda t, q, p: ida_pbc_control_raw(sys, target, q, p))
     traj = simulate(sys, ctrl, ConfigState(q=np.zeros(1), p=np.ones(1)),
                     SimConfig(dt=1e-2, t_end=4.0, monitors=("phase_switch",)))
     k = int(np.argmax(traj.phase == 2))
