@@ -24,6 +24,7 @@ from .bounds import (
     validate_constants,
 )
 from .controller import (
+    IdaPbcLaw,
     TargetDynamics,
     TwoPhaseController,
     ida_pbc_control,
@@ -68,6 +69,7 @@ __all__ = [
     "ConfinementInterval",
     "EmptyWorkspace",
     "EnergyRecord",
+    "IdaPbcLaw",
     "MatchingReport",
     "MechanicalSystem",
     "NonpositiveEigenvalue",

@@ -44,8 +44,10 @@ from ..bounds import (
     levelset_confinement,
     start_budget,
 )
-from ..controller import (
+# ida_pbc_control_raw is unused here; perfbench's tracer wraps this attribute
+from ..controller import (  # noqa: F401
     ConfigState,
+    IdaPbcLaw,
     TargetDynamics,
     ida_pbc_control_raw,
     log_cosh,
@@ -114,13 +116,10 @@ class VtolBenchmark:
 
     def make_controller(self):
         """The IDA-PBC law, or for two-phase runs a primary law before it."""
-        sys, tgt, mode, pr = self.system, self.target, self.damping_mode, self.params
-
-        def control(t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-            return ida_pbc_control_raw(sys, tgt, q, p, damping_mode=mode)
-
+        control = IdaPbcLaw(self.system, self.target, self.damping_mode)
         if not self.two_phase:
             return control
+        pr = self.params
 
         def primary(t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
             tau1 = pr.g - pr.sat_gain_y * math.tanh(pr.kappa1 * (q[1] - pr.y_star)

@@ -56,6 +56,9 @@ class RunSpec:
             raise ValueError(f"command must be one of {COMMANDS}")
         if self.benchmark not in BENCHMARK_NAMES:
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
+        for name in ("record_stride", "samples", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 0.0 < self.mu < float("inf"):

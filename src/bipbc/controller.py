@@ -17,6 +17,9 @@ each part. The pseudo-inverse is evaluated through a QR factorization; the
 damping term is applied after the projection, which is algebraically
 identical because (G^T G)^-1 G^T G = I.
 
+`IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `field` reuses
+the law's plant evaluation; `simulate` takes it at the interior RK4 stages.
+
 Controllers are pure functions of the state, so one instance can serve any
 number of simulations.
 """
@@ -35,6 +38,7 @@ from .phcore import (
     EnergyRecord,
     MechanicalSystem,
     fd_gradient,
+    hamiltonian_field,
     kinetic_energy_grad,
 )
 from .smalllinalg import smallest_singular_value, solve_checked
@@ -114,6 +118,22 @@ def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.solve(rmat, qmat.T @ v)
 
 
+def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.ndarray):
+    """(M, grad_q V, grad_q K) for the open-loop field, then `matching_terms`."""
+    mass = sys.mass_matrix(q)
+    md = tgt.mass_d(q)
+    pt = solve_checked(md, p, SingularMassD)
+    grad_v = sys.potential_grad(q)
+    potential = grad_v - md @ solve_checked(mass, tgt.potential_d_grad(q), SingularMass)
+    grad_k = kinetic_energy_grad(sys, q, p)
+    kinetic = (
+        grad_k
+        - md @ solve_checked(mass, kinetic_d_grad(tgt, q, p), SingularMass)
+        + tgt.j2(q, pt) @ pt
+    )
+    return mass, grad_v, grad_k, potential, kinetic, pt
+
+
 def matching_terms(
     sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,17 +143,22 @@ def matching_terms(
     kinetic = grad_q K - M_d M^-1 grad_q K_d + J_2 ptilde, with ptilde = M_d^-1 p.
     The kinetic part is quadratic in p, so it vanishes at p = 0.
     """
-    mass = sys.mass_matrix(q)
-    md = tgt.mass_d(q)
-    pt = solve_checked(md, p, SingularMassD)
-    potential = sys.potential_grad(q) - md @ solve_checked(
-        mass, tgt.potential_d_grad(q), SingularMass)
-    kinetic = (
-        kinetic_energy_grad(sys, q, p)
-        - md @ solve_checked(mass, kinetic_d_grad(tgt, q, p), SingularMass)
-        + tgt.j2(q, pt) @ pt
-    )
-    return potential, kinetic, pt
+    return _shaping(sys, tgt, q, p)[3:]
+
+
+def _feedback(tgt, g, potential, kinetic, pt, damping_mode):
+    """tau = pinv(G) (potential + kinetic) minus the damping on G^T ptilde."""
+    tau = pseudo_inverse_apply(g, potential + kinetic)
+    y = g.T @ pt
+    if damping_mode == "saturated":
+        # math.tanh per entry: np.tanh may differ in the last bit
+        return tau - tgt.damping_gain @ np.array([math.tanh(yi) for yi in y])
+    return tau - tgt.damping_gain @ y
+
+
+def _check_mode(damping_mode: str) -> None:
+    if damping_mode not in ("linear", "saturated"):
+        raise ValueError(f"unknown damping_mode {damping_mode!r}")
 
 
 def ida_pbc_control_raw(
@@ -144,16 +169,38 @@ def ida_pbc_control_raw(
     damping_mode: str = "linear",
 ) -> np.ndarray:
     """IDA-PBC feedback on raw arrays; the hot path behind ida_pbc_control."""
-    if damping_mode not in ("linear", "saturated"):
-        raise ValueError(f"unknown damping_mode {damping_mode!r}")
+    _check_mode(damping_mode)
     potential, kinetic, pt = matching_terms(sys, tgt, q, p)
-    g = sys.input_coupling(q)
-    tau = pseudo_inverse_apply(g, potential + kinetic)
-    y = g.T @ pt
-    if damping_mode == "saturated":
-        # math.tanh per entry: np.tanh may differ in the last bit
-        return tau - tgt.damping_gain @ np.array([math.tanh(yi) for yi in y])
-    return tau - tgt.damping_gain @ y
+    return _feedback(tgt, sys.input_coupling(q), potential, kinetic, pt, damping_mode)
+
+
+@dataclass(frozen=True)
+class IdaPbcLaw:
+    """The IDA-PBC law of (sys, tgt) as a controller (t, q, p) -> tau.
+
+    Calling it is `ida_pbc_control_raw`. `field(q, p)` equals
+    open_loop_field_raw(sys, q, p, law(t, q, p)) bit for bit, from one
+    evaluation of M, M_d, grad_q V, grad_q K and G at (q, p).
+    """
+
+    sys: MechanicalSystem
+    tgt: TargetDynamics
+    damping_mode: str = "linear"
+
+    def __post_init__(self):
+        _check_mode(self.damping_mode)
+
+    def __call__(self, t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode)
+
+    def field(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """(qdot, pdot) of the plant under the law at (q, p)."""
+        sys = self.sys
+        mass, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, self.tgt, q, p)
+        g = sys.input_coupling(q)
+        tau = _feedback(self.tgt, g, potential, kinetic, pt, self.damping_mode)
+        return hamiltonian_field(
+            solve_checked(mass, p, SingularMass), grad_v + grad_k, sys.damping(q), g @ tau)
 
 
 def ida_pbc_control(

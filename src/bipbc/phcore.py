@@ -177,8 +177,14 @@ def open_loop_field_raw(
     """Unvalidated open-loop field; the simulation inner loop lives here."""
     qdot = solve_checked(sys.mass_matrix(q), p, SingularMass)
     grad_h = sys.potential_grad(q) + kinetic_energy_grad(sys, q, p)
-    pdot = -grad_h - sys.damping(q) @ qdot + sys.input_coupling(q) @ tau
-    return np.concatenate([qdot, pdot])
+    return hamiltonian_field(qdot, grad_h, sys.damping(q), sys.input_coupling(q) @ tau)
+
+
+def hamiltonian_field(
+    qdot: np.ndarray, grad_h: np.ndarray, damping: np.ndarray, force: np.ndarray
+) -> np.ndarray:
+    """(qdot, pdot) with pdot = -grad_q H - R qdot + G tau, given qdot = M^-1 p and G tau."""
+    return np.concatenate([qdot, -grad_h - damping @ qdot + force])
 
 
 def open_loop_vector_field(

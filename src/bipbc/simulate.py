@@ -4,8 +4,8 @@ The integrated state is (q, p), i.e. momentum rather than velocity, which
 keeps the Hamiltonian structure of the model exact in code. The integrator
 is the classical 4th-order Runge-Kutta scheme with a fixed step; the
 control is evaluated at every stage, the first stage reusing the value
-recorded at the accepted state. Identical inputs produce bit-identical
-trajectories.
+recorded at the accepted state (interior stages of an `IdaPbcLaw` take its
+`field`). Identical inputs produce bit-identical trajectories.
 
 A run is checked against its certificate after it ends, on the recorded
 samples, by two array functions: `check_hd_decrease` (H_d does not rise)
@@ -19,12 +19,14 @@ One simulation per thread; independent runs may execute in parallel.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .controller import TargetDynamics, TwoPhaseController, mass_d_solve
+from .controller import IdaPbcLaw, TargetDynamics, TwoPhaseController, mass_d_solve
 from .errors import SingularMass, ToolkitError
 from .phcore import ConfigState, MechanicalSystem, open_loop_field_raw
 from .smalllinalg import solve_checked
@@ -49,8 +51,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.dt <= self.t_end < float("inf"):
             raise ValueError("need 0 < dt <= t_end, both finite")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        if not isinstance(self.record_stride, numbers.Integral) or self.record_stride < 1:
+            raise ValueError("record_stride must be an integer >= 1")
         unknown = set(self.monitors) - set(MONITORS)
         if unknown:
             raise ValueError(f"unknown monitors: {sorted(unknown)}")
@@ -123,6 +125,14 @@ def _law_of(controller: Controller, m: int):
     return lambda t, q, p, phase: controller(t, q, p)
 
 
+def _fused_fields(sys: MechanicalSystem, controller: Controller) -> dict:
+    """phase -> `IdaPbcLaw.field` for each phase ruled by an IdaPbcLaw on `sys`."""
+    laws = ({1: controller.primary_law, 2: controller.secondary_law}
+            if isinstance(controller, TwoPhaseController) else {0: controller})
+    return {phase: law.field for phase, law in laws.items()
+            if isinstance(law, IdaPbcLaw) and law.sys is sys}
+
+
 def simulate(
     sys: MechanicalSystem,
     controller: Controller,
@@ -134,8 +144,8 @@ def simulate(
     """Integrate the plant under a feedback law.
 
     Args:
-        controller: callable (t, q, p) -> tau, a TwoPhaseController, or None
-            for the unforced plant.
+        controller: callable (t, q, p) -> tau (such as an IdaPbcLaw), a
+            TwoPhaseController, or None for the unforced plant.
         target: closed-loop design used to record H_d and ptilde norms.
         bound_report: BoundReport supplying c_p / c_ptilde / tau bounds for
             the momentum_bound and control_bound monitors.
@@ -153,7 +163,9 @@ def simulate(
     is tested at each accepted state, and the first state where it holds
     and every later one are in phase 2, so each step integrates under one
     law. That state and its time are `Trajectory.switch_state` and
-    `switch_time`.
+    `switch_time`. The interior stages (k2 to k4) of a phase ruled by an
+    `IdaPbcLaw` on `sys` take `IdaPbcLaw.field`, the same values from one
+    plant evaluation; other laws' tau goes to the open-loop field.
 
     The run ends at the last accepted state with a "blowup" event if any
     state component leaves [-blowup_limit, blowup_limit] or becomes
@@ -162,6 +174,7 @@ def simulate(
     Such errors at the start state propagate.
     """
     law = _law_of(controller, sys.m)
+    fused = _fused_fields(sys, controller)
     n = sys.n
     x = np.concatenate([s0.q, s0.p]).astype(float)
     steps = int(round(cfg.t_end / cfg.dt))
@@ -181,6 +194,8 @@ def simulate(
         return np.atleast_1d(np.asarray(law(t, xv[:n], xv[n:], phase), dtype=float))
 
     def field_at(t: float, xv: np.ndarray, phase: int) -> np.ndarray:
+        if phase in fused:
+            return fused[phase](xv[:n], xv[n:])
         return open_loop_field_raw(sys, xv[:n], xv[n:], tau_at(t, xv, phase))
 
     def accept(t: float, xv: np.ndarray, phase: int):
@@ -195,11 +210,11 @@ def simulate(
         qs[idx] = q
         ps[idx] = p
         taus[idx] = tau
-        p_norms[idx] = np.linalg.norm(p)
+        p_norms[idx] = math.sqrt(float(p @ p))
         if target is not None:
             pt = mass_d_solve(target, q, p)
             hds[idx] = 0.5 * float(p @ pt) + float(target.potential_d(q))
-            pt_norms[idx] = np.linalg.norm(pt)
+            pt_norms[idx] = math.sqrt(float(pt @ pt))
         else:
             hds[idx] = 0.5 * float(p @ solve_checked(sys.mass_matrix(q), p, SingularMass)) + float(
                 sys.potential(q)

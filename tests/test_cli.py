@@ -165,6 +165,10 @@ def test_main_bad_config_exit2(tmp_path, capsys):
     {"command": "bound", "benchmark": "ball-beam", "params": {"k_v": float("nan")}},
     {"command": "bound", "benchmark": "ball-beam", "params": {"k_p": float("nan")}},
     {"command": "bound", "benchmark": "vtol-nonsmooth", "params": {"xy_box": [60.0, float("inf")]}},
+    {"command": "simulate", "benchmark": "ball-beam", "samples": 50, "t_end": 0.01,
+     "record_stride": 2.5},
+    {"command": "verify", "benchmark": "ball-beam", "samples": 20.5},
+    {"command": "bound", "benchmark": "ball-beam", "samples": 50, "seed": 1.5},
 ])
 def test_main_bad_config_values_exit2(config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"

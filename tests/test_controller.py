@@ -14,8 +14,8 @@ from bipbc import (
     simulate,
     target_energy,
 )
-from bipbc.controller import ida_pbc_control_raw, log_cosh, pseudo_inverse_apply
-from bipbc.phcore import mass_solve
+from bipbc.controller import IdaPbcLaw, ida_pbc_control_raw, log_cosh, pseudo_inverse_apply
+from bipbc.phcore import mass_solve, open_loop_field_raw
 from bipbc.smalllinalg import smallest_singular_value
 
 
@@ -55,6 +55,20 @@ def test_control_at_rest_is_the_potential_pull_back(plant, ball_beam, vtol, fd_b
             assert np.array_equal(tau, expected)
 
 
+@pytest.mark.parametrize("plant", ["ball-beam", "vtol-nonsmooth", "ball-beam-fd"])
+def test_law_field_is_the_open_loop_field_under_the_law(plant, ball_beam, vtol, fd_ball_beam):
+    # the field reuses the law's evaluation of M, grad V, grad_q K and G and
+    # must not move a bit (vtol-nonsmooth: saturated damping)
+    bench = vtol if plant == "vtol-nonsmooth" else ball_beam
+    sys, tgt = fd_ball_beam if plant == "ball-beam-fd" else (bench.system, bench.target)
+    law = IdaPbcLaw(sys, tgt, bench.damping_mode)
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        q = rng.uniform(0.9 * sys.workspace.lower, 0.9 * sys.workspace.upper)
+        p = 2.0 * rng.standard_normal(sys.n)
+        assert np.array_equal(law.field(q, p), open_loop_field_raw(sys, q, p, law(0.0, q, p)))
+
+
 def test_nominal_start_control_moderate(ball_beam):
     tau = ida_pbc_control(ball_beam.system, ball_beam.target, ball_beam.initial_state)
     assert abs(tau[0]) < 15.0
@@ -79,6 +93,8 @@ def test_unknown_damping_mode(ball_beam):
     with pytest.raises(ValueError):
         ida_pbc_control(ball_beam.system, ball_beam.target, ball_beam.initial_state,
                         damping_mode="bogus")
+    with pytest.raises(ValueError):
+        IdaPbcLaw(ball_beam.system, ball_beam.target, "bogus")
 
 
 def test_rank_deficient_g_raises():

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from bipbc import (
     simulate,
 )
 from bipbc.bounds import BoundReport
-from bipbc.controller import ida_pbc_control_raw
+from bipbc.controller import IdaPbcLaw, ida_pbc_control_raw
 from bipbc.simulate import _run_monitors, bound_exceedances
 
 
@@ -70,6 +72,63 @@ def test_determinism_bit_identical(ball_beam):
                  cfg, target=ball_beam.target)
     assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
     assert np.array_equal(a.tau, b.tau) and np.array_equal(a.hd, b.hd)
+
+
+FD_RUN = Path(__file__).parent / "data" / "fd_plant_run.json"
+RUN_ARRAYS = ("times", "q", "p", "tau", "hd", "p_norm", "ptilde_norm", "phase")
+
+
+def assert_same_run(a, b):
+    for name in RUN_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert [e[:2] for e in a.events] == [e[:2] for e in b.events]
+    assert a.switch_time == b.switch_time
+
+
+def test_fd_plant_run_equals_its_capture(ball_beam, fd_ball_beam):
+    # the finite-difference path of simulate, against arrays captured before
+    # the law and the open-loop field shared one plant evaluation
+    sys, tgt = fd_ball_beam
+    want = json.loads(FD_RUN.read_text())
+    traj = simulate(sys, IdaPbcLaw(sys, tgt), ball_beam.initial_state,
+                    SimConfig(dt=2e-3, t_end=0.4, record_stride=4), target=tgt)
+    assert traj.events == []
+    for name in RUN_ARRAYS[:-1]:
+        assert np.array_equal(getattr(traj, name), np.array(want[name])), name
+
+
+@pytest.mark.parametrize("name", ["ball-beam", "vtol-two-phase"])
+def test_law_run_equals_the_law_as_a_plain_callable(name, ball_beam, vtol_two_phase):
+    # a plain callable is evaluated before the open-loop field at every
+    # stage; an IdaPbcLaw shares one evaluation with it at stages k2 to k4
+    bench = ball_beam if name == "ball-beam" else vtol_two_phase
+    ctrl = bench.make_controller()
+    if name == "ball-beam":
+        plain = lambda t, q, p: ctrl(t, q, p)  # noqa: E731
+        cfg = SimConfig(dt=2e-3, t_end=0.4)
+    else:
+        law = ctrl.secondary_law
+        plain = dataclasses.replace(ctrl, secondary_law=lambda t, q, p: law(t, q, p))
+        cfg = SimConfig(dt=2e-3, t_end=2.0, monitors=("phase_switch",))  # switch at 1.756 s
+    a = simulate(bench.system, ctrl, bench.initial_state, cfg, target=bench.target)
+    b = simulate(bench.system, plain, bench.initial_state, cfg, target=bench.target)
+    assert_same_run(a, b)
+    assert name == "ball-beam" or a.switch_time is not None
+
+
+def test_law_of_another_plant_drives_the_simulated_plant(ball_beam):
+    # model mismatch: the law's field belongs to its own plant, so simulate
+    # evaluates the law and integrates the plant it was given
+    law = ball_beam.make_controller()
+    damped = dataclasses.replace(ball_beam.system, damping=lambda q: 0.5 * np.eye(2))
+    cfg = SimConfig(dt=2e-3, t_end=0.4)
+    a = simulate(damped, law, ball_beam.initial_state, cfg, target=ball_beam.target)
+    b = simulate(damped, lambda t, q, p: law(t, q, p), ball_beam.initial_state, cfg,
+                 target=ball_beam.target)
+    nominal = simulate(ball_beam.system, law, ball_beam.initial_state, cfg,
+                       target=ball_beam.target)
+    assert_same_run(a, b)
+    assert not np.array_equal(a.p, nominal.p)
 
 
 def test_open_loop_conservation_per_step():
@@ -374,5 +433,7 @@ def test_simconfig_validation():
         SimConfig(dt=2.0, t_end=1.0)
     with pytest.raises(ValueError):
         SimConfig(record_stride=0)
+    with pytest.raises(ValueError):
+        SimConfig(record_stride=2.5)
     with pytest.raises(ValueError):
         SimConfig(monitors=("bogus",))
