@@ -13,9 +13,10 @@ with ptilde = M_d^-1 p. `matching_terms` is the one place that forms the
 bracket, as a potential part grad_q V - M_d M^-1 grad_q V_d and a kinetic
 part grad_q K - M_d M^-1 grad_q K_d + J_2 ptilde: the law is pinv(G) applied
 to their sum, and the matching residuals of `matching` are Gperp applied to
-each part. The pseudo-inverse is evaluated through a QR factorization; the
-damping term is applied after the projection, which is algebraically
-identical because (G^T G)^-1 G^T G = I.
+each part. The pseudo-inverse is evaluated through a QR factorization, in
+closed form for one and two inputs and by numpy for more; the damping term
+is applied after the projection, which is algebraically identical because
+(G^T G)^-1 G^T G = I.
 
 `IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `field` reuses
 the law's plant evaluation; `simulate` takes it at the interior RK4 stages.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,12 +110,35 @@ def target_energy(tgt: TargetDynamics, s: ConfigState) -> EnergyRecord:
 
 
 def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(G^T G)^-1 G^T v through QR, guarding against rank loss."""
-    if smallest_singular_value(g) < SIGMA_MIN_LIMIT:
-        raise RankDeficientG("smallest singular value of G below 1e-9")
-    if g.shape[1] == 1:
+    """(G^T G)^-1 G^T v = R^-1 Q^T v from a thin QR factorization G = Q R.
+
+    Raises RankDeficientG when sigma_min(G) is below 1e-9 or not finite (a NaN
+    or infinite entry of G). m = 1 is g^T v / g^T g. For m = 2, Q = [q1, w / r22]
+    comes from Gram-Schmidt with one reorthogonalization, in Python floats with
+    fsum dot products: as accurate as Householder QR, where the adjugate of
+    G^T G loses accuracy with cond(G)^2. Larger m uses numpy's QR.
+    """
+    sigma = smallest_singular_value(g)
+    if not SIGMA_MIN_LIMIT <= sigma < math.inf:
+        raise RankDeficientG("smallest singular value of G below 1e-9 or not finite")
+    m = g.shape[1]
+    if m == 1:
         col = g[:, 0]
         return np.array([float(col @ v) / float(col @ col)])
+    if m == 2:
+        (a, b), v = g.T.tolist(), v.tolist()
+        r11 = math.sqrt(math.fsum(map(mul, a, a)))
+        q1 = [x / r11 for x in a]
+        r12 = math.fsum(map(mul, q1, b))
+        w = [y - r12 * x for x, y in zip(q1, b)]
+        c = math.fsum(map(mul, q1, w))
+        r12 += c
+        w = [y - c * x for x, y in zip(q1, w)]
+        r22 = math.sqrt(math.fsum(map(mul, w, w)))
+        y1 = math.fsum(map(mul, q1, v))
+        y2 = math.fsum(x / r22 * (y - y1 * z) for x, y, z in zip(w, v, q1))
+        x2 = y2 / r22
+        return np.array([(y1 - r12 * x2) / r11, x2])
     qmat, rmat = np.linalg.qr(g)
     return np.linalg.solve(rmat, qmat.T @ v)
 

@@ -1,6 +1,8 @@
 """Control-law layer: feedback evaluation and the two-phase scheme."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +102,75 @@ def test_unknown_damping_mode(ball_beam):
 def test_rank_deficient_g_raises():
     with pytest.raises(RankDeficientG):
         pseudo_inverse_apply(np.array([[1e-12], [0.0]]), np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("m", [1, 2])
+def test_non_finite_g_raises(m, bad):
+    # sigma_min of such a G is NaN or inf, which a bare `< 1e-9` lets through
+    for n in range(m, 4):
+        for i, j in itertools.product(range(n), range(m)):
+            g = np.eye(n, m)
+            g[i, j] = bad
+            with pytest.raises(RankDeficientG):
+                pseudo_inverse_apply(g, np.ones(n))
+
+
+def exact_least_squares(g, v):
+    """(x, r): the normal equations G^T G x = G^T v in rationals, r = v - G x."""
+    n, m = g.shape
+    gf = [[Fraction(e) for e in row] for row in g.tolist()]
+    vf = [Fraction(e) for e in v.tolist()]
+    a = [[sum(gf[k][i] * gf[k][j] for k in range(n)) for j in range(m)] +
+         [sum(gf[k][i] * vf[k] for k in range(n))] for i in range(m)]
+    for i in range(m):  # G^T G is positive definite: no pivoting
+        for row in a[i + 1:]:
+            f = row[i] / a[i][i]
+            row[i:] = [x - f * y for x, y in zip(row[i:], a[i][i:])]
+    x = [Fraction(0)] * m
+    for i in reversed(range(m)):
+        x[i] = (a[i][m] - sum(a[i][j] * x[j] for j in range(i + 1, m))) / a[i][i]
+    return x, [vf[k] - sum(gf[k][j] * x[j] for j in range(m)) for k in range(n)]
+
+
+def test_pull_back_is_backward_stable():
+    # G = U diag(s) V^T with cond(G) = 1..1e8 and v = G x0 plus a small
+    # residual; the pull-back must be as accurate as Householder QR,
+    # |x - x*| / |x*| <= 16 eps k (1 + k |r| / (|G| |x*|)) with k = cond(G).
+    # The adjugate of G^T G, whose error grows with k^2, fails it from k = 1e2.
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    for m in (1, 2, 3):
+        for log_kappa in range(9):
+            for _ in range(12):
+                n = int(rng.integers(max(m, 2), 5))
+                u, _ = np.linalg.qr(rng.standard_normal((n, m)))
+                w, _ = np.linalg.qr(rng.standard_normal((m, m)))
+                s = np.logspace(0.0, -log_kappa, m) * 10.0 ** rng.uniform(0.0, 2.0)
+                g = (u * s) @ w.T
+                v = g @ rng.standard_normal(m) + 1e-6 * rng.standard_normal(n)
+                x, r = exact_least_squares(g, v)
+                sv = np.linalg.svd(g, compute_uv=False)
+                kappa = sv[0] / sv[-1]
+                x_norm = math.sqrt(sum(e * e for e in x))
+                r_norm = math.sqrt(sum(e * e for e in r))
+                got = pseudo_inverse_apply(g, v).tolist()
+                err = math.sqrt(sum((Fraction(a) - b) ** 2 for a, b in zip(got, x))) / x_norm
+                bound = 16.0 * eps * kappa * (1.0 + kappa * r_norm / (sv[0] * x_norm))
+                assert err <= bound, (m, n, kappa, err / bound)
+
+
+def test_pull_back_of_unit_structure_g_selects_its_rows():
+    # per point, as `test_pinv_of_unit_structure_g_is_its_transpose` on
+    # stacks: on a 0/1 unit-structure G the pull-back is G's actuated rows
+    rng = np.random.default_rng(6)
+    for n in range(1, 5):
+        for m in range(1, min(n, 2) + 1):
+            for rows in itertools.permutations(range(n), m):
+                g = np.zeros((n, m))
+                g[rows, range(m)] = 1.0
+                v = rng.standard_normal(n)
+                assert np.array_equal(pseudo_inverse_apply(g, v), v[list(rows)]), rows
 
 
 def test_saturation_contract(vtol):

@@ -406,6 +406,29 @@ def test_domain_error_truncates_with_event(vtol):
         simulate(vtol.system, vtol.make_controller(), beyond, cfg, target=vtol.target)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_g_turning_nan_is_a_domain_exit(m):
+    # a NaN input coupling fails the law's rank guard; it used to yield a NaN
+    # tau, so the run ended in "blowup" one step later
+    def input_coupling(q):
+        return np.full((2, m), np.nan) if q[0] > 0.5 else np.eye(2, m)
+
+    sys = dataclasses.replace(particle(n=2), m=m, input_coupling=input_coupling)
+    tgt = TargetDynamics(
+        mass_d=lambda q: np.eye(2),
+        potential_d=lambda q: 0.5 * float(q @ q),
+        potential_d_grad=lambda q: q,
+        j2=lambda q, pt: np.zeros((2, 2)),
+        damping_gain=np.eye(m),
+        equilibrium=np.zeros(2),
+    )
+    s0 = ConfigState(q=np.array([0.4, 0.0]), p=np.array([5.0, 0.0]))
+    traj = simulate(sys, IdaPbcLaw(sys, tgt), s0, SimConfig(dt=1e-2, t_end=1.0), target=tgt)
+    assert [kind for _, kind, _ in traj.events] == ["domain_exit"]
+    assert "singular value of G" in traj.events[0][2]["error"]
+    assert traj.q[-1][0] <= 0.5 and np.all(np.isfinite(traj.tau))
+
+
 def test_csv_schema_and_values(tmp_path, ball_beam):
     s0 = ball_beam.initial_state
     traj = simulate(ball_beam.system, ball_beam.make_controller(), s0,
