@@ -27,7 +27,6 @@ from .controller import (
     IdaPbcLaw,
     TargetDynamics,
     TwoPhaseController,
-    ida_pbc_control,
     target_energy,
 )
 from .errors import (
@@ -52,7 +51,6 @@ from .phcore import (
     ConfigState,
     EnergyRecord,
     MechanicalSystem,
-    open_loop_vector_field,
     total_energy,
 )
 from .sampling import Box
@@ -91,12 +89,10 @@ __all__ = [
     "empirical_constants",
     "estimate_constants",
     "hd_rate",
-    "ida_pbc_control",
     "kinetic_pde_residual",
     "kv_advisory",
     "levelset_confinement",
     "momentum_bounds",
-    "open_loop_vector_field",
     "potential_pde_residual",
     "simulate",
     "target_energy",

@@ -79,7 +79,10 @@ class BallBeamParams:
     q2_max: float = 0.19
 
     def __post_init__(self):
-        if not all(map(math.isfinite, dataclasses.astuple(self))):
+        values = dataclasses.astuple(self)
+        if any(isinstance(v, bool) for v in values):
+            raise ValueError("ball-beam parameters must be numbers, not booleans")
+        if not all(map(math.isfinite, values)):
             raise ValueError("ball-beam parameters must be finite")
 
 
@@ -216,7 +219,6 @@ def make_ball_beam(params: BallBeamParams = BallBeamParams()) -> BallBeamBenchma
         upper=np.array([params.q1_max, params.q2_max]),
     )
     system = MechanicalSystem(
-        n=2,
         m=1,
         mass_matrix=mass_matrix,
         potential=potential,
@@ -226,7 +228,6 @@ def make_ball_beam(params: BallBeamParams = BallBeamParams()) -> BallBeamBenchma
         workspace=workspace,
         kinetic_grad=kinetic_grad,
         annihilator=annihilator,
-        name="ball-beam",
     )
     target = TargetDynamics(
         mass_d=mass_d,
@@ -236,7 +237,6 @@ def make_ball_beam(params: BallBeamParams = BallBeamParams()) -> BallBeamBenchma
         damping_gain=np.array([[k_v]]),
         equilibrium=np.zeros(2),
         kinetic_d_grad=kinetic_d_grad,
-        name="ball-beam-target",
     )
     return BallBeamBenchmark(
         name="ball-beam",

@@ -94,6 +94,8 @@ class VtolParams:
 
     def __post_init__(self):
         flat = [x for v in astuple(self) for x in (v if isinstance(v, (tuple, list)) else [v])]
+        if any(isinstance(v, bool) for v in flat):
+            raise ValueError("VTOL parameters must be numbers, not booleans")
         if not all(map(math.isfinite, flat)):
             raise ValueError("VTOL parameters must be finite")
         if not 0.0 < self.epsilon < 1.0:
@@ -354,7 +356,6 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
         upper=np.array([params.xy_box[0], params.xy_box[1], params.theta_box]),
     )
     system = MechanicalSystem(
-        n=3,
         m=2,
         mass_matrix=mass_matrix,
         potential=potential,
@@ -364,7 +365,6 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
         workspace=workspace,
         kinetic_grad=kinetic_grad,
         annihilator=annihilator,
-        name="vtol",
     )
     target = TargetDynamics(
         mass_d=mass_d,
@@ -374,7 +374,6 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
         damping_gain=params.kv * np.eye(2),
         equilibrium=np.array([x_star, y_star, 0.0]),
         kinetic_d_grad=kinetic_d_grad,
-        name="vtol-target",
     )
     return VtolBenchmark(
         name="vtol-two-phase" if two_phase else "vtol-nonsmooth",

@@ -23,7 +23,7 @@ potential terms gives per-actuator lower bounds (tension-only actuators).
 
 Constants are estimated by sampling the defining ratios over the declared
 workspace box (plus its corners and center) and taking maxima, with a
-configurable safety inflation on the suprema. Eigenvalue extremes are raw
+fixed safety inflation (INFLATION) on the suprema. Eigenvalue extremes are raw
 per-sample extremes; this is a practical certificate, not interval
 arithmetic, so the workspace declaration is part of the contract.
 
@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, target_energy
-from .errors import NonpositiveEigenvalue, ToolkitError
+from .errors import EmptyWorkspace, NonpositiveEigenvalue, ToolkitError
 from .matching import _r2, damping_transfer
 from .phcore import ConfigState, MechanicalSystem, kinetic_energy_grad
 from .sampling import Box
@@ -51,6 +51,7 @@ from .stacking import (_blocks, _dots, _fold, _matvec, _momentum_form, _norms, _
                        _stack, _stack_pairs, _swap)
 
 UNIT_TOL = 1e-12  # entrywise tolerance of a 0/1 unit-structure G
+INFLATION = 1.05  # safety factor on the sampled suprema of `estimate_constants`
 VALIDATION_MOMENTUM_CAP = 2.0  # radius of the momentum ball of `validate_constants`
 ADVISORY_KAPPAS = (0.1, 1.0, 5.0, 50.0)  # the K_v = kappa I that `kv_advisory` tabulates
 CONFINEMENT_TOL = 1e-10  # relative bracket width that ends `levelset_confinement`
@@ -161,7 +162,7 @@ def estimate_constants(
     sys: MechanicalSystem,
     tgt: TargetDynamics,
     samples: int = 1000,
-    inflation: float = 1.05,
+    *,
     mu: float = 1e-6,
     region: Box | None = None,
 ) -> BoundConstants:
@@ -172,7 +173,7 @@ def estimate_constants(
     momenta per point (`_momentum_form`). At each term's witness, the sample
     where its largest value on the directions peaks, a term that differs
     from its probes' form on the directions raises ToolkitError.
-    Suprema get multiplied by `inflation` (grid maxima under-estimate the
+    Suprema get multiplied by INFLATION (grid maxima under-estimate the
     true suprema); eigenvalue extremes are reported raw. Every term is pulled
     back through pinv(G) (`actuated_terms`); `unit_structure` is set when G
     is the center's 0/1 matrix at every sample. A NaN sample makes its constants NaN.
@@ -242,20 +243,20 @@ def estimate_constants(
     lam_max_kv = float(np.max(np.linalg.eigvalsh(0.5 * (kv + kv.T))))
 
     return BoundConstants(
-        c_V=inflation * c_v,
-        c_Vd=inflation * _sup_vd_grad(tgt, box, samples),
-        c_M=inflation * c_m,
-        c_Md=inflation * witness["kinetic_d_grad"][0],
-        c_J=inflation * witness["j2"][0],
-        c_Lambda=inflation * c_lam,
+        c_V=INFLATION * c_v,
+        c_Vd=INFLATION * _sup_vd_grad(tgt, box, samples),
+        c_M=INFLATION * c_m,
+        c_Md=INFLATION * witness["kinetic_d_grad"][0],
+        c_J=INFLATION * witness["j2"][0],
+        c_Lambda=INFLATION * c_lam,
         lam_min_MdInv=1.0 / lam_max_md,
         lam_max_MdInv=1.0 / lam_min_md,
         lam_min_Md=lam_min_md,
         lam_max_Md=lam_max_md,
         lam_min_R2=float(lam_min_r2),
         lam_max_Kv=lam_max_kv,
-        G_M=inflation * g_pinv_cap,
-        G_m=inflation * g_cap,
+        G_M=INFLATION * g_pinv_cap,
+        G_m=INFLATION * g_cap,
         sigma=sigma,
         mu=mu,
         unit_structure=unit is not None,
@@ -318,7 +319,12 @@ def validate_constants(
 
     Returns the number of violating samples (0 means the certificate holds
     on the validation set).
+
+    Raises:
+        EmptyWorkspace: `samples` is below 1, as for the other sampled sweeps.
     """
+    if samples < 1:
+        raise EmptyWorkspace("requested an empty sample set")
     box = region if region is not None else sys.workspace
     rng = np.random.default_rng(seed)
     qs = box.lower + rng.random((samples, sys.n)) * (box.upper - box.lower)

@@ -30,7 +30,7 @@ import numpy as np
 from .bench import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .bounds import validate_constants
 from .matching import verify_matching
-from .simulate import SimConfig, bound_exceedances, check_hd_decrease, simulate
+from .simulate import HD_TOL, SimConfig, bound_exceedances, check_hd_decrease, simulate
 
 COMMANDS = ("verify", "bound", "simulate", "benchmark")
 
@@ -59,6 +59,10 @@ class RunSpec:
         for name in ("record_stride", "samples", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer")
+        # a JSON true is an int, so it would pass every range check below as 1
+        for name in ("dt", "t_end", "mu", "hd0"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 0.0 < self.mu < float("inf"):
@@ -203,7 +207,7 @@ def _run(spec: RunSpec, bench: Benchmark, cfg: SimConfig) -> int:
     if two_phase:
         phase2 = np.flatnonzero(traj.phase == 2)
         start = int(phase2[0]) if phase2.size else len(traj)
-    hd_violations = check_hd_decrease(traj, cfg.hd_tol, start_index=start)
+    hd_violations = check_hd_decrease(traj, HD_TOL, start_index=start)
     summary = {
         "benchmark": bench.name,
         "dt": cfg.dt,

@@ -28,7 +28,7 @@ number of simulations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Optional
 
@@ -76,7 +76,6 @@ class TargetDynamics:
     damping_gain: np.ndarray
     equilibrium: np.ndarray
     kinetic_d_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    name: str = field(default="target")
 
     def __post_init__(self):
         object.__setattr__(
@@ -193,7 +192,16 @@ def ida_pbc_control_raw(
     p: np.ndarray,
     damping_mode: str = "linear",
 ) -> np.ndarray:
-    """IDA-PBC feedback on raw arrays; the hot path behind ida_pbc_control."""
+    """IDA-PBC feedback at (q, p), the law that calling an `IdaPbcLaw` evaluates.
+
+    Args:
+        damping_mode: "linear" for -K_v G^T ptilde, "saturated" for
+            -K_v tanh(G^T ptilde) applied elementwise.
+
+    Raises:
+        RankDeficientG: G(q) lost column rank.
+        SingularMass / SingularMassD: mass matrices numerically singular.
+    """
     _check_mode(damping_mode)
     potential, kinetic, pt = matching_terms(sys, tgt, q, p)
     return _feedback(tgt, sys.input_coupling(q), potential, kinetic, pt, damping_mode)
@@ -226,25 +234,6 @@ class IdaPbcLaw:
         tau = _feedback(self.tgt, g, potential, kinetic, pt, self.damping_mode)
         return hamiltonian_field(
             solve_checked(mass, p, SingularMass), grad_v + grad_k, sys.damping(q), g @ tau)
-
-
-def ida_pbc_control(
-    sys: MechanicalSystem,
-    tgt: TargetDynamics,
-    s: ConfigState,
-    damping_mode: str = "linear",
-) -> np.ndarray:
-    """Evaluate the IDA-PBC feedback at a state.
-
-    Args:
-        damping_mode: "linear" for -K_v G^T ptilde, "saturated" for
-            -K_v tanh(G^T ptilde) applied elementwise.
-
-    Raises:
-        RankDeficientG: G(q) lost column rank.
-        SingularMass / SingularMassD: mass matrices numerically singular.
-    """
-    return ida_pbc_control_raw(sys, tgt, s.q, s.p, damping_mode)
 
 
 @dataclass(frozen=True)

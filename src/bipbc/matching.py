@@ -39,6 +39,7 @@ from .sampling import Box, ball_sample
 from .stacking import _fold, _swap
 
 EQUILIBRIUM_GRAD_TOL = 1e-8
+MATCHING_MOMENTUM_CAP = 2.0  # radius of the momentum ball of `verify_matching`
 
 
 def annihilator(sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
@@ -153,17 +154,17 @@ def verify_matching(
     sys: MechanicalSystem,
     tgt: TargetDynamics,
     samples: int = 1000,
-    momentum_cap: float = 2.0,
+    *,
     region: Box | None = None,
 ) -> MatchingReport:
     """Sweep residuals, R_2 spectra, and the equilibrium over a sample set.
 
     Sampling is a deterministic low-discrepancy sequence over
-    region x {momentum ball of radius momentum_cap}.
+    region x {momentum ball of radius MATCHING_MOMENTUM_CAP}.
     """
     box = region if region is not None else sys.workspace
     qs = box.sample(samples)
-    ps = ball_sample(samples, sys.n, momentum_cap, skip=samples)
+    ps = ball_sample(samples, sys.n, MATCHING_MOMENTUM_CAP, skip=samples)
     kin_max = pot_max = 0.0
     r2_min = cond5_min = np.inf
     for q, p in zip(qs, ps):

@@ -15,7 +15,7 @@ pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +27,8 @@ from .smalllinalg import solve_checked
 #: relative step for central finite differences, with an absolute floor
 FD_REL_STEP = 1e-6
 FD_ABS_FLOOR = 1e-8
+#: step of the central-difference Hessian of `fd_hessian`
+FD_HESSIAN_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,6 @@ class ConfigState:
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise ValueError("state entries must be finite")
 
-    @property
-    def n(self) -> int:
-        return self.q.size
-
 
 @dataclass(frozen=True)
 class MechanicalSystem:
@@ -60,20 +58,19 @@ class MechanicalSystem:
     differences when they are absent.
 
     Attributes:
-        n: degrees of freedom.
         m: number of actuator inputs (m <= n).
         mass_matrix: q -> (n, n) symmetric positive definite M(q).
         potential: q -> scalar V(q).
         potential_grad: q -> (n,) grad_q V.
         input_coupling: q -> (n, m) G(q), full column rank on the workspace.
         damping: q -> (n, n) symmetric positive semi-definite R(q).
-        workspace: box over which workspace suprema / eigen extremes are taken.
+        workspace: box over which workspace suprema / eigen extremes are taken;
+            its dimension is the number of degrees of freedom `n`.
         kinetic_grad: optional (q, p) -> grad_q K with K = 1/2 p^T M^-1 p.
         annihilator: optional q -> (n-m, n) left annihilator of G (rows span
             the left null space). When absent an SVD-based basis is used.
     """
 
-    n: int
     m: int
     mass_matrix: Callable[[np.ndarray], np.ndarray]
     potential: Callable[[np.ndarray], float]
@@ -83,13 +80,15 @@ class MechanicalSystem:
     workspace: Box
     kinetic_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     annihilator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = field(default="system")
 
     def __post_init__(self):
         if not (0 < self.m <= self.n):
             raise ValueError("need 0 < m <= n")
-        if self.workspace.dim != self.n:
-            raise ValueError("workspace dimension must equal n")
+
+    @property
+    def n(self) -> int:
+        """Degrees of freedom, the dimension of the workspace."""
+        return self.workspace.dim
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,9 @@ def fd_gradient(f: Callable[[np.ndarray], float], q: np.ndarray) -> np.ndarray:
     return g
 
 
-def fd_hessian(f: Callable[[np.ndarray], float], q: np.ndarray, h: float = 1e-4) -> np.ndarray:
+def fd_hessian(f: Callable[[np.ndarray], float], q: np.ndarray) -> np.ndarray:
     """Central-difference Hessian, used for equilibrium curvature checks."""
+    h = FD_HESSIAN_STEP
     q = np.asarray(q, dtype=float)
     n = q.size
     hess = np.empty((n, n))
@@ -174,7 +174,11 @@ def total_energy(sys: MechanicalSystem, s: ConfigState) -> EnergyRecord:
 def open_loop_field_raw(
     sys: MechanicalSystem, q: np.ndarray, p: np.ndarray, tau: np.ndarray
 ) -> np.ndarray:
-    """Unvalidated open-loop field; the simulation inner loop lives here."""
+    """(qdot, pdot) of the open-loop plant under input tau, as a 2n vector.
+
+    Arguments are not validated: tau must have length m. The simulation inner
+    loop lives here.
+    """
     qdot = solve_checked(sys.mass_matrix(q), p, SingularMass)
     grad_h = sys.potential_grad(q) + kinetic_energy_grad(sys, q, p)
     return hamiltonian_field(qdot, grad_h, sys.damping(q), sys.input_coupling(q) @ tau)
@@ -185,13 +189,3 @@ def hamiltonian_field(
 ) -> np.ndarray:
     """(qdot, pdot) with pdot = -grad_q H - R qdot + G tau, given qdot = M^-1 p and G tau."""
     return np.concatenate([qdot, -grad_h - damping @ qdot + force])
-
-
-def open_loop_vector_field(
-    sys: MechanicalSystem, s: ConfigState, tau: np.ndarray
-) -> np.ndarray:
-    """(qdot, pdot) of the open-loop plant under input tau, as a 2n vector."""
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    if tau.size != sys.m:
-        raise ValueError(f"tau must have length m={sys.m}")
-    return open_loop_field_raw(sys, s.q, s.p, tau)

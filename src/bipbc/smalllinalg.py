@@ -80,6 +80,8 @@ def smallest_singular_value(g: np.ndarray) -> float:
 
     For m = 2, the Gram eigenvalues are det / largest and largest, with det G^T G
     summed from the 2 x 2 minors (Lagrange identity): half_trace - disc would cancel.
+    For m >= 3 a non-finite entry gives NaN without calling LAPACK, whose SVD
+    would fail on it.
     """
     m = g.shape[1]
     if m == 1:
@@ -91,4 +93,6 @@ def smallest_singular_value(g: np.ndarray) -> float:
                         for i in range(len(a)) for j in range(i + 1, len(a)))
         largest = 0.5 * (trace + math.sqrt(max(trace * trace - 4.0 * det, 0.0)))
         return math.sqrt(det / largest) if largest else 0.0
+    if not np.all(np.isfinite(g)):
+        return math.nan
     return float(np.linalg.svd(g, compute_uv=False)[-1])

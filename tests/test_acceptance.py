@@ -16,10 +16,10 @@ import pytest
 
 from bipbc import (
     ConfigState,
+    IdaPbcLaw,
     control_bound_general_g,
     control_upper_bound,
     empirical_constants,
-    ida_pbc_control,
     momentum_bounds,
     validate_constants,
     verify_matching,
@@ -36,7 +36,6 @@ def test_criterion_01_ballbeam_matching_residuals(ball_beam):
         ball_beam.system,
         ball_beam.target,
         samples=1000,
-        momentum_cap=2.0,
         region=ball_beam.residual_box,
     )
     elapsed = time.perf_counter() - start
@@ -268,11 +267,8 @@ def test_criterion_11_property_suite(ball_beam, vtol, bb_certificate):
     # the VTOL's saturated damping along p = s p0: zero at rest, monotone in
     # s, and never more than lam_max{K_v} on any input
     q, p0 = np.array([1.0, -2.0, 0.4]), np.array([0.3, -1.0, 0.7])
-    shares = np.array([
-        ida_pbc_control(vtol.system, vtol.target, ConfigState(q=q, p=s * p0),
-                        damping_mode="saturated")
-        for s in np.linspace(-100.0, 100.0, 201)
-    ])
+    law = IdaPbcLaw(vtol.system, vtol.target, "saturated")
+    shares = np.array([law(0.0, q, s * p0) for s in np.linspace(-100.0, 100.0, 201)])
     shares -= shares[100]
     steps = np.diff(shares, axis=0)
     kv = float(np.max(np.linalg.eigvalsh(vtol.target.damping_gain)))
@@ -294,10 +290,10 @@ def test_criterion_11_property_suite(ball_beam, vtol, bb_certificate):
     results["j2_skew_homogeneous"] = skew_ok
 
     reduction_ok = True
+    law = IdaPbcLaw(ball_beam.system, ball_beam.target)
     for _ in range(20):
         q = rng.uniform([-2, -1], [2, 1])
-        tau = ida_pbc_control(ball_beam.system, ball_beam.target,
-                              ConfigState(q=q, p=np.zeros(2)))
+        tau = law(0.0, q, np.zeros(2))
         g = ball_beam.system.input_coupling(q)
         lam = ball_beam.target.mass_d(q) @ np.linalg.inv(ball_beam.system.mass_matrix(q))
         expected = np.linalg.pinv(g) @ (

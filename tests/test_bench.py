@@ -54,7 +54,7 @@ def test_ballbeam_reference_constants_carried(ball_beam):
 def test_vtol_equilibrium_design(vtol):
     tgt = vtol.target
     assert np.allclose(tgt.potential_d_grad(tgt.equilibrium), 0.0, atol=1e-12)
-    hess = fd_hessian(tgt.potential_d, tgt.equilibrium, h=1e-5)
+    hess = fd_hessian(tgt.potential_d, tgt.equilibrium)
     assert np.min(np.linalg.eigvalsh(hess)) > 0.0
     assert float(tgt.potential_d(tgt.equilibrium)) == pytest.approx(0.0, abs=1e-12)
 

@@ -10,6 +10,7 @@ import pytest
 from bipbc import (
     BoundConstants,
     Box,
+    EmptyWorkspace,
     MechanicalSystem,
     NonpositiveEigenvalue,
     TargetDynamics,
@@ -230,6 +231,14 @@ def test_validate_constants_catches_understated_bound(ball_beam, bb_certificate)
     assert bad > 0
 
 
+def test_validate_constants_rejects_an_empty_set(ball_beam, bb_certificate):
+    # zero samples would report zero violations; the other sweeps raise here too
+    constants, _ = bb_certificate
+    for samples in (0, -1):
+        with pytest.raises(EmptyWorkspace):
+            validate_constants(ball_beam.system, ball_beam.target, constants, samples=samples)
+
+
 def test_mu_must_be_positive(bb_certificate):
     constants, _ = bb_certificate
     for mu in (0.0, -1.0, math.nan, math.inf):
@@ -275,7 +284,6 @@ def test_kv_advisory_small_kv_branch():
 
     n = 2
     sys = MechanicalSystem(
-        n=n,
         m=1,
         mass_matrix=lambda q: np.eye(n),
         potential=lambda q: 0.5 * float(q @ q),
@@ -349,7 +357,7 @@ def test_empirical_kinetic_constant_for_configuration_dependent_g():
         return np.array([[math.cos(q[0])], [1.0 + 0.5 * math.sin(q[1])]])
 
     sys = MechanicalSystem(
-        n=2, m=1,
+        m=1,
         mass_matrix=lambda q: np.diag([1.0 + q[1] ** 2, 2.0 + math.sin(q[0])]),
         potential=lambda q: float(q[0] ** 2),
         potential_grad=lambda q: np.array([2.0 * q[0], 0.0]),

@@ -169,6 +169,13 @@ def test_main_bad_config_exit2(tmp_path, capsys):
      "record_stride": 2.5},
     {"command": "verify", "benchmark": "ball-beam", "samples": 20.5},
     {"command": "bound", "benchmark": "ball-beam", "samples": 50, "seed": 1.5},
+    {"command": "bound", "benchmark": "ball-beam", "samples": 50, "mu": True},
+    {"command": "simulate", "benchmark": "ball-beam", "samples": 50, "dt": True},
+    {"command": "simulate", "benchmark": "ball-beam", "samples": 50, "t_end": True},
+    {"command": "bound", "benchmark": "ball-beam", "samples": 50, "hd0": True},
+    {"command": "verify", "benchmark": "ball-beam", "params": {"k_v": True}},
+    {"command": "verify", "benchmark": "vtol-nonsmooth", "params": {"kv": True}},
+    {"command": "verify", "benchmark": "vtol-nonsmooth", "params": {"xy_box": [60.0, True]}},
 ])
 def test_main_bad_config_values_exit2(config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"

@@ -12,23 +12,20 @@ from bipbc import (
     build_r2,
     closed_loop_vector_field,
     hd_rate,
-    ida_pbc_control,
     kinetic_pde_residual,
-    open_loop_vector_field,
     potential_pde_residual,
     verify_matching,
 )
 from bipbc.bench import get_benchmark
-from bipbc.controller import kinetic_d_grad, mass_d_solve
+from bipbc.controller import IdaPbcLaw, kinetic_d_grad, mass_d_solve
 from bipbc.matching import MatchingReport, equilibrium_check
-from bipbc.phcore import kinetic_energy_grad, mass_solve
+from bipbc.phcore import kinetic_energy_grad, mass_solve, open_loop_field_raw
 from bipbc.sampling import ball_sample
 
 
 def fully_actuated_system():
     n = 2
     return MechanicalSystem(
-        n=n,
         m=n,
         mass_matrix=lambda q: np.eye(n),
         potential=lambda q: 0.5 * float(q @ q),
@@ -149,7 +146,6 @@ def test_annihilator_svd_matches_closed_form(vtol):
     # the SVD null-space basis must span the same line as the closed form
     sys = vtol.system
     generic = MechanicalSystem(
-        n=sys.n,
         m=sys.m,
         mass_matrix=sys.mass_matrix,
         potential=sys.potential,
@@ -171,15 +167,14 @@ def test_annihilator_svd_matches_closed_form(vtol):
 def test_matching_identity_100_states(ball_beam):
     # plugging the feedback into the plant reproduces the target field
     sys, tgt = ball_beam.system, ball_beam.target
+    law = IdaPbcLaw(sys, tgt, "linear")
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
         q = rng.uniform([-2, -1], [2, 1])
         p = rng.standard_normal(2)
-        s = ConfigState(q=q, p=p)
-        tau = ida_pbc_control(sys, tgt, s, damping_mode="linear")
-        f_open = open_loop_vector_field(sys, s, tau)
-        f_closed = closed_loop_vector_field(sys, tgt, s)
+        f_open = open_loop_field_raw(sys, q, p, law(0.0, q, p))
+        f_closed = closed_loop_vector_field(sys, tgt, ConfigState(q=q, p=p))
         worst = max(worst, float(np.max(np.abs(f_open - f_closed))))
     assert worst < 1e-8
 
@@ -211,7 +206,6 @@ def test_fd_fallback_residuals(ball_beam):
     # finite-difference path, which carries the looser 1e-3 threshold
     sys = ball_beam.system
     fd_sys = MechanicalSystem(
-        n=sys.n,
         m=sys.m,
         mass_matrix=sys.mass_matrix,
         potential=sys.potential,
@@ -232,13 +226,14 @@ def test_fd_fallback_residuals(ball_beam):
         equilibrium=tgt.equilibrium,
         kinetic_d_grad=None,
     )
+    fd_law, law = IdaPbcLaw(fd_sys, fd_tgt), IdaPbcLaw(sys, tgt)
     rng = np.random.default_rng(11)
     for _ in range(50):
         q = rng.uniform([-2, -1], [2, 1])
         p = rng.standard_normal(2)
         assert np.linalg.norm(kinetic_pde_residual(fd_sys, fd_tgt, q, p)) < 1e-3
-        tau_fd = ida_pbc_control(fd_sys, fd_tgt, ConfigState(q=q, p=p))
-        tau = ida_pbc_control(sys, tgt, ConfigState(q=q, p=p))
+        tau_fd = fd_law(0.0, q, p)
+        tau = law(0.0, q, p)
         assert np.allclose(tau_fd, tau, atol=1e-4)
 
 

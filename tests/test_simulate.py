@@ -21,12 +21,11 @@ from bipbc import (
 )
 from bipbc.bounds import BoundReport
 from bipbc.controller import IdaPbcLaw, ida_pbc_control_raw
-from bipbc.simulate import _run_monitors, bound_exceedances
+from bipbc.simulate import HD_TOL, _run_monitors, bound_exceedances
 
 
 def particle(n=1, spring=0.0):
     return MechanicalSystem(
-        n=n,
         m=n,
         mass_matrix=lambda q: np.eye(n),
         potential=lambda q: 0.5 * spring * float(q @ q),
@@ -158,7 +157,6 @@ def test_hd_decrease_injected_fault(ball_beam, bb_trajectory):
 def test_blowup_truncates_with_event():
     n = 1
     unstable = MechanicalSystem(
-        n=n,
         m=n,
         mass_matrix=lambda q: np.eye(n),
         potential=lambda q: -0.5 * 1e6 * float(q @ q),
@@ -169,7 +167,7 @@ def test_blowup_truncates_with_event():
         kinetic_grad=lambda q, p: np.zeros(n),
     )
     traj = simulate(unstable, None, ConfigState(q=np.ones(1), p=np.zeros(1)),
-                    SimConfig(dt=1e-2, t_end=10.0, blowup_limit=1e6))
+                    SimConfig(dt=1e-2, t_end=10.0))
     kinds = [kind for _, kind, _ in traj.events]
     assert "blowup" in kinds
     assert traj.times[-1] < 10.0
@@ -219,7 +217,7 @@ def test_momentum_and_control_monitors_sound(ball_beam):
 def reference_run_monitors(traj, cfg, bound_report):
     """The per-record loops the vectorized monitors replaced."""
     if "energy_decrease" in cfg.monitors:
-        for t, rise in reference_check_hd_decrease(traj, cfg.hd_tol):
+        for t, rise in reference_check_hd_decrease(traj, HD_TOL):
             traj.events.append((t, "energy_decrease", {"rise": rise}))
     if bound_report is None:
         return
