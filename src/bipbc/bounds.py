@@ -154,7 +154,7 @@ class BoundConstants:
     samples: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.mu < math.inf:
+        if isinstance(self.mu, bool) or not 0.0 < self.mu < math.inf:
             raise ValueError("mu must be positive and finite")
 
 

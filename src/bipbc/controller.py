@@ -18,8 +18,9 @@ closed form for one and two inputs and by numpy for more; the damping term
 is applied after the projection, which is algebraically identical because
 (G^T G)^-1 G^T G = I.
 
-`IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `field` reuses
-the law's plant evaluation; `simulate` takes it at the interior RK4 stages.
+`IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `evaluate` and
+`field` return the plant's closed-loop field from the law's own plant
+evaluation; `simulate` takes them at accepted states and interior RK4 stages.
 
 Controllers are pure functions of the state, so one instance can serve any
 number of simulations.
@@ -150,17 +151,13 @@ def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.nd
     grad_v = sys.potential_grad(q)
     potential = grad_v - md @ solve_checked(mass, tgt.potential_d_grad(q), SingularMass)
     grad_k = kinetic_energy_grad(sys, q, p)
-    kinetic = (
-        grad_k
-        - md @ solve_checked(mass, kinetic_d_grad(tgt, q, p), SingularMass)
-        + tgt.j2(q, pt) @ pt
-    )
+    kinetic = (grad_k - md @ solve_checked(mass, kinetic_d_grad(tgt, q, p), SingularMass)
+               + tgt.j2(q, pt) @ pt)
     return mass, grad_v, grad_k, potential, kinetic, pt
 
 
-def matching_terms(
-    sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def matching_terms(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
+                   p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(potential, kinetic, ptilde) at (q, p): the two parts of the shaping vector.
 
     potential = grad_q V - M_d M^-1 grad_q V_d and
@@ -170,50 +167,54 @@ def matching_terms(
     return _shaping(sys, tgt, q, p)[3:]
 
 
-def _feedback(tgt, g, potential, kinetic, pt, damping_mode):
-    """tau = pinv(G) (potential + kinetic) minus the damping on G^T ptilde."""
-    tau = pseudo_inverse_apply(g, potential + kinetic)
-    y = g.T @ pt
-    if damping_mode == "saturated":
-        # math.tanh per entry: np.tanh may differ in the last bit
-        return tau - tgt.damping_gain @ np.array([math.tanh(yi) for yi in y])
-    return tau - tgt.damping_gain @ y
-
-
 def _check_mode(damping_mode: str) -> None:
     if damping_mode not in ("linear", "saturated"):
         raise ValueError(f"unknown damping_mode {damping_mode!r}")
 
 
-def ida_pbc_control_raw(
-    sys: MechanicalSystem,
-    tgt: TargetDynamics,
-    q: np.ndarray,
-    p: np.ndarray,
-    damping_mode: str = "linear",
-) -> np.ndarray:
+def _law(sys, tgt, q, p, damping_mode, with_field):
+    """tau = pinv(G) (potential + kinetic) minus the damping on G^T ptilde, or
+    with `with_field` (tau, (qdot, pdot) of the plant under tau, ptilde)."""
+    mass, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p)
+    g = sys.input_coupling(q)
+    y = g.T @ pt
+    if damping_mode == "saturated":
+        # math.tanh per entry: np.tanh may differ in the last bit
+        y = np.array([math.tanh(yi) for yi in y])
+    tau = pseudo_inverse_apply(g, potential + kinetic) - tgt.damping_gain @ y
+    if not with_field:
+        return tau
+    qdot = solve_checked(mass, p, SingularMass)
+    return tau, hamiltonian_field(qdot, grad_v + grad_k, sys.damping(q), g @ tau), pt
+
+
+def ida_pbc_control_raw(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
+                        p: np.ndarray, damping_mode: str = "linear", *, with_field: bool = False):
     """IDA-PBC feedback at (q, p), the law that calling an `IdaPbcLaw` evaluates.
 
     Args:
         damping_mode: "linear" for -K_v G^T ptilde, "saturated" for
             -K_v tanh(G^T ptilde) applied elementwise.
+        with_field: return (tau, field, ptilde) from the same evaluation, field
+            being open_loop_field_raw(sys, q, p, tau) bit for bit.
 
     Raises:
         RankDeficientG: G(q) lost column rank.
         SingularMass / SingularMassD: mass matrices numerically singular.
     """
     _check_mode(damping_mode)
-    potential, kinetic, pt = matching_terms(sys, tgt, q, p)
-    return _feedback(tgt, sys.input_coupling(q), potential, kinetic, pt, damping_mode)
+    return _law(sys, tgt, q, p, damping_mode, with_field)
 
 
 @dataclass(frozen=True)
 class IdaPbcLaw:
     """The IDA-PBC law of (sys, tgt) as a controller (t, q, p) -> tau.
 
-    Calling it is `ida_pbc_control_raw`. `field(q, p)` equals
-    open_loop_field_raw(sys, q, p, law(t, q, p)) bit for bit, from one
-    evaluation of M, M_d, grad_q V, grad_q K and G at (q, p).
+    Calling it is `ida_pbc_control_raw`. `evaluate(q, p)` (tau, field, ptilde),
+    a law call, and `field(q, p)` each take one evaluation of M, M_d, grad_q V,
+    grad_q K and G at (q, p); the field equals open_loop_field_raw(sys, q, p,
+    law(t, q, p)) bit for bit. `simulate` takes them at accepted states and
+    interior RK4 stages.
     """
 
     sys: MechanicalSystem
@@ -226,14 +227,13 @@ class IdaPbcLaw:
     def __call__(self, t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         return ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode)
 
+    def evaluate(self, q: np.ndarray, p: np.ndarray):
+        """(tau, field, ptilde) at (q, p), with ptilde = M_d^-1 p."""
+        return ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode, with_field=True)
+
     def field(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """(qdot, pdot) of the plant under the law at (q, p)."""
-        sys = self.sys
-        mass, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, self.tgt, q, p)
-        g = sys.input_coupling(q)
-        tau = _feedback(self.tgt, g, potential, kinetic, pt, self.damping_mode)
-        return hamiltonian_field(
-            solve_checked(mass, p, SingularMass), grad_v + grad_k, sys.damping(q), g @ tau)
+        return _law(self.sys, self.tgt, q, p, self.damping_mode, True)[1]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ The integrated state is (q, p), i.e. momentum rather than velocity, which
 keeps the Hamiltonian structure of the model exact in code. The integrator
 is the classical 4th-order Runge-Kutta scheme with a fixed step; the
 control is evaluated at every stage, the first stage reusing the value
-recorded at the accepted state (interior stages of an `IdaPbcLaw` take its
-`field`). Identical inputs produce bit-identical trajectories.
+recorded at the accepted state. An `IdaPbcLaw` on the simulated plant gives
+tau, that first stage and ptilde from one plant evaluation. Identical
+inputs produce bit-identical trajectories.
 
 A run is checked against its certificate after it ends, on the recorded
 samples, by two array functions: `check_hd_decrease` (H_d does not rise)
@@ -22,6 +23,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -51,6 +53,8 @@ class SimConfig:
     monitors: Tuple[str, ...] = ()
 
     def __post_init__(self):
+        if any(isinstance(v, bool) for v in (self.dt, self.t_end, self.record_stride)):
+            raise ValueError("dt, t_end and record_stride must be numbers, not booleans")
         if not 0.0 < self.dt <= self.t_end < float("inf"):
             raise ValueError("need 0 < dt <= t_end, both finite")
         if not isinstance(self.record_stride, numbers.Integral) or self.record_stride < 1:
@@ -117,32 +121,34 @@ class Trajectory:
                 writer.writerow(row)
 
 
-def _law_of(controller: Controller, m: int):
-    """The control law as a function of (t, q, p, phase)."""
-    if isinstance(controller, TwoPhaseController):
-        return controller.control
-    if controller is None:
-        zero = np.zeros(m)
-        return lambda t, q, p, phase: zero
-    return lambda t, q, p, phase: controller(t, q, p)
+def _evaluator(sys: MechanicalSystem, law, target, tau_of):
+    """(t, x, accepted) -> (tau, k1, ptilde) at an accepted state, else the field.
+
+    An IdaPbcLaw on `sys` gives all three from one plant evaluation, ptilde
+    None unless `target` is its own. Any other law is `tau_of` (t, q, p) ->
+    tau then the open-loop field; its k1 (None here) is taken in the step.
+    """
+    n = sys.n
+    if isinstance(law, IdaPbcLaw) and law.sys is sys:
+        own = law.tgt is target
+
+        def fused(t, x, accepted):
+            if not accepted:
+                return law.field(x[:n], x[n:])
+            tau, k1, pt = law.evaluate(x[:n], x[n:])
+            return tau, k1, pt if own else None
+
+        return fused
+
+    def plain(t, x, accepted):
+        tau = np.atleast_1d(np.asarray(tau_of(t, x[:n], x[n:]), dtype=float))
+        return (tau, None, None) if accepted else open_loop_field_raw(sys, x[:n], x[n:], tau)
+
+    return plain
 
 
-def _fused_fields(sys: MechanicalSystem, controller: Controller) -> dict:
-    """phase -> `IdaPbcLaw.field` for each phase ruled by an IdaPbcLaw on `sys`."""
-    laws = ({1: controller.primary_law, 2: controller.secondary_law}
-            if isinstance(controller, TwoPhaseController) else {0: controller})
-    return {phase: law.field for phase, law in laws.items()
-            if isinstance(law, IdaPbcLaw) and law.sys is sys}
-
-
-def simulate(
-    sys: MechanicalSystem,
-    controller: Controller,
-    s0: ConfigState,
-    cfg: SimConfig,
-    target: Optional[TargetDynamics] = None,
-    bound_report=None,
-) -> Trajectory:
+def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg: SimConfig,
+             target: Optional[TargetDynamics] = None, bound_report=None) -> Trajectory:
     """Integrate the plant under a feedback law.
 
     Args:
@@ -165,18 +171,27 @@ def simulate(
     is tested at each accepted state, and the first state where it holds
     and every later one are in phase 2, so each step integrates under one
     law. That state and its time are `Trajectory.switch_state` and
-    `switch_time`. The interior stages (k2 to k4) of a phase ruled by an
-    `IdaPbcLaw` on `sys` take `IdaPbcLaw.field`, the same values from one
-    plant evaluation; other laws' tau goes to the open-loop field.
+    `switch_time`. A phase ruled by an `IdaPbcLaw` on `sys` takes
+    `IdaPbcLaw.evaluate` at accepted states: tau, the next step's k1 and,
+    when `target` is the law's own, the recorded ptilde come from one plant
+    evaluation. Its interior stages (k2 to k4) take `IdaPbcLaw.field`. Any
+    other law's tau goes to the open-loop field, k1 at the start of the step.
 
     The run ends at the last accepted state with a "blowup" event if any
     state component leaves [-BLOWUP_LIMIT, BLOWUP_LIMIT] or becomes
     non-finite, and with a "domain_exit" event if evaluating the plant,
     target or controller after the start raises ValueError or ToolkitError.
-    Such errors at the start state propagate.
+    Such errors at the start state propagate. A damping error ends an
+    `IdaPbcLaw` run at the accepted state, unrecorded; other laws record it
+    and end one step later, at its k1.
     """
-    law = _law_of(controller, sys.m)
-    fused = _fused_fields(sys, controller)
+    if isinstance(controller, TwoPhaseController):
+        evaluators = {ph: _evaluator(sys, law, target, partial(controller.control, phase=ph))
+                      for ph, law in ((1, controller.primary_law), (2, controller.secondary_law))}
+    else:
+        zero = np.zeros(sys.m)
+        tau_of = (lambda t, q, p: zero) if controller is None else controller
+        evaluators = {0: _evaluator(sys, controller, target, tau_of)}
     n = sys.n
     x = np.concatenate([s0.q, s0.p]).astype(float)
     steps = int(round(cfg.t_end / cfg.dt))
@@ -192,21 +207,13 @@ def simulate(
     phases = np.empty(n_records, dtype=int)
     events: List[tuple] = []
 
-    def tau_at(t: float, xv: np.ndarray, phase: int) -> np.ndarray:
-        return np.atleast_1d(np.asarray(law(t, xv[:n], xv[n:], phase), dtype=float))
-
-    def field_at(t: float, xv: np.ndarray, phase: int) -> np.ndarray:
-        if phase in fused:
-            return fused[phase](xv[:n], xv[n:])
-        return open_loop_field_raw(sys, xv[:n], xv[n:], tau_at(t, xv, phase))
-
     def accept(t: float, xv: np.ndarray, phase: int):
-        """(phase, tau) at an accepted state, switching to phase 2 if due."""
+        """(phase, tau, k1, ptilde) at an accepted state, switching to phase 2 if due."""
         if phase == 1 and controller.switch_predicate(xv[:n], xv[n:]):
             phase = 2
-        return phase, tau_at(t, xv, phase)
+        return (phase, *evaluators[phase](t, xv, True))
 
-    def record(idx: int, t: float, xv: np.ndarray, tau: np.ndarray, phase: int) -> None:
+    def record(idx: int, t: float, xv: np.ndarray, tau: np.ndarray, phase: int, pt) -> None:
         q, p = xv[:n].copy(), xv[n:].copy()
         times[idx] = t
         qs[idx] = q
@@ -214,13 +221,13 @@ def simulate(
         taus[idx] = tau
         p_norms[idx] = math.sqrt(float(p @ p))
         if target is not None:
-            pt = mass_d_solve(target, q, p)
+            if pt is None:
+                pt = mass_d_solve(target, q, p)
             hds[idx] = 0.5 * float(p @ pt) + float(target.potential_d(q))
             pt_norms[idx] = math.sqrt(float(pt @ pt))
         else:
-            hds[idx] = 0.5 * float(p @ solve_checked(sys.mass_matrix(q), p, SingularMass)) + float(
-                sys.potential(q)
-            )
+            qdot = solve_checked(sys.mass_matrix(q), p, SingularMass)
+            hds[idx] = 0.5 * float(p @ qdot) + float(sys.potential(q))
             pt_norms[idx] = np.nan
         phases[idx] = phase
 
@@ -234,10 +241,10 @@ def simulate(
         if "phase_switch" in cfg.monitors:
             events.append((t, "phase_switch", {}))
 
-    phase, tau = accept(0.0, x, 1 if isinstance(controller, TwoPhaseController) else 0)
+    phase, tau, k1, pt = accept(0.0, x, 1 if isinstance(controller, TwoPhaseController) else 0)
     if phase == 2:
         switch(0.0, x)
-    record(0, 0.0, x, tau, phase)
+    record(0, 0.0, x, tau, phase, pt)
     rec = 1
     dt = cfg.dt
     for k in range(steps):
@@ -245,18 +252,20 @@ def simulate(
         t_next = (k + 1) * dt
         recorded = (k + 1) % cfg.record_stride == 0
         try:
-            k1 = open_loop_field_raw(sys, x[:n], x[n:], tau)
-            k2 = field_at(t + 0.5 * dt, x + 0.5 * dt * k1, phase)
-            k3 = field_at(t + 0.5 * dt, x + 0.5 * dt * k2, phase)
-            k4 = field_at(t + dt, x + dt * k3, phase)
+            if k1 is None:
+                k1 = open_loop_field_raw(sys, x[:n], x[n:], tau)
+            stage = evaluators[phase]
+            k2 = stage(t + 0.5 * dt, x + 0.5 * dt * k1, False)
+            k3 = stage(t + 0.5 * dt, x + 0.5 * dt * k2, False)
+            k4 = stage(t + dt, x + dt * k3, False)
             x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # NaN fails the comparison and +-inf exceeds the limit
             if not np.max(np.abs(x_next)) <= BLOWUP_LIMIT:
                 events.append((t + dt, "blowup", {"state": x_next.copy()}))
                 break
-            phase_next, tau = accept(t_next, x_next, phase)
+            phase_next, tau, k1, pt = accept(t_next, x_next, phase)
             if recorded:
-                record(rec, t_next, x_next, tau, phase_next)
+                record(rec, t_next, x_next, tau, phase_next, pt)
         except (ValueError, ToolkitError) as exc:
             events.append((t + dt, "domain_exit", {"error": str(exc)}))
             break
@@ -267,19 +276,8 @@ def simulate(
         if recorded:
             rec += 1
 
-    traj = Trajectory(
-        times=times[:rec],
-        q=qs[:rec],
-        p=ps[:rec],
-        tau=taus[:rec],
-        hd=hds[:rec],
-        p_norm=p_norms[:rec],
-        ptilde_norm=pt_norms[:rec],
-        phase=phases[:rec],
-        events=events,
-        switch_time=switch_time,
-        switch_state=switch_state,
-    )
+    traj = Trajectory(times[:rec], qs[:rec], ps[:rec], taus[:rec], hds[:rec], p_norms[:rec],
+                      pt_norms[:rec], phases[:rec], events, switch_time, switch_state)
     _run_monitors(traj, cfg, bound_report)
     return traj
 

@@ -247,6 +247,14 @@ def test_mu_must_be_positive(bb_certificate):
     assert dataclasses.replace(constants, mu=1e-3).mu == 1e-3
 
 
+def test_mu_must_not_be_a_boolean():
+    # bool is an Integral and 0 < True, so mu=True used to construct
+    for mu in (True, False):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            make_constants(mu=mu)
+    assert make_constants(mu=1).mu == 1
+
+
 def test_levelset_zero_budget_degenerate(ball_beam):
     conf = levelset_confinement(ball_beam.target, 0.0, 0, ball_beam.system.workspace)
     assert conf.lower == conf.upper == 0.0

@@ -1,5 +1,6 @@
 """Integrator: order, determinism, monitors, CSV export."""
 
+import collections
 import csv
 import dataclasses
 import json
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bipbc.controller
+import bipbc.phcore
 from bipbc import (
     Box,
     ConfigState,
@@ -96,10 +99,90 @@ def test_fd_plant_run_equals_its_capture(ball_beam, fd_ball_beam):
         assert np.array_equal(getattr(traj, name), np.array(want[name])), name
 
 
+def test_one_plant_evaluation_per_accepted_state(ball_beam, fd_ball_beam, monkeypatch):
+    # an RK4 step evaluates the law's plant terms at three interior stages and
+    # one accepted state, each 5 M (1 + 4 in the finite-difference grad_q K),
+    # 5 M_d and 2 fd_gradient; k1 and the recorded ptilde reuse the accepted
+    # state's evaluation (a separate open-loop k1 and M_d solve made 25, 21, 9)
+    counts = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    sys, tgt = fd_ball_beam
+    sys = dataclasses.replace(sys, mass_matrix=counted("M", sys.mass_matrix))
+    tgt = dataclasses.replace(tgt, mass_d=counted("M_d", tgt.mass_d))
+    for module in (bipbc.controller, bipbc.phcore):
+        monkeypatch.setattr(module, "fd_gradient", counted("fd_gradient", module.fd_gradient))
+    monkeypatch.setattr(bipbc.controller, "ida_pbc_control_raw",
+                        counted("law", bipbc.controller.ida_pbc_control_raw))
+
+    def run(steps):
+        counts.clear()
+        simulate(sys, IdaPbcLaw(sys, tgt), ball_beam.initial_state,
+                 SimConfig(dt=2e-3, t_end=steps * 2e-3), target=tgt)
+        return dict(counts)
+
+    start, run_100 = run(1), run(101)
+    per_step = {key: (run_100[key] - start[key]) / 100 for key in run_100}
+    assert per_step == {"M": 20, "M_d": 20, "fd_gradient": 8, "law": 1}
+
+
+def test_ptilde_of_another_target_is_not_the_laws(ball_beam):
+    # the law's ptilde = M_d^-1 p is recorded only when `target` is its own
+    law = ball_beam.make_controller()
+    md = ball_beam.target.mass_d
+    other = dataclasses.replace(ball_beam.target, mass_d=lambda q: 2.0 * md(q))
+    cfg = SimConfig(dt=2e-3, t_end=0.2)
+    a = simulate(ball_beam.system, law, ball_beam.initial_state, cfg, target=other)
+    b = simulate(ball_beam.system, lambda t, q, p: law(t, q, p), ball_beam.initial_state, cfg,
+                 target=other)
+    own = simulate(ball_beam.system, law, ball_beam.initial_state, cfg, target=ball_beam.target)
+    assert_same_run(a, b)
+    assert np.array_equal(a.q, own.q)
+    assert not np.array_equal(a.ptilde_norm, own.ptilde_norm)
+    assert not np.array_equal(a.hd, own.hd)
+
+
+def test_damping_error_ends_a_law_run_at_the_accepted_state():
+    # an IdaPbcLaw evaluates R(q) with its field at each accepted state, so a
+    # damping error ends its run there; a plain callable records that state
+    # and meets the error one step later, in k1
+    threshold = [math.inf]
+
+    def damping(q):
+        if q[0] > threshold[0]:
+            raise ValueError("damping past its threshold")
+        return np.zeros((1, 1))
+
+    sys = dataclasses.replace(particle(), damping=damping)
+    tgt = TargetDynamics(mass_d=lambda q: np.eye(1), potential_d=lambda q: 0.5 * float(q @ q),
+                         potential_d_grad=lambda q: q, j2=lambda q, pt: np.zeros((1, 1)),
+                         damping_gain=np.zeros((1, 1)), equilibrium=np.zeros(1))
+    law = IdaPbcLaw(sys, tgt)
+    s0 = ConfigState(q=np.zeros(1), p=np.ones(1))
+    cfg = SimConfig(dt=0.1, t_end=1.0)
+    # q = sin t rises to t = pi/2; each stage state trails the step's end by
+    # about dt^3 q'/12 = 7e-5, so only the accepted state at t = 0.5 crosses
+    threshold[0] = simulate(sys, law, s0, cfg, target=tgt).q[5, 0] - 1e-5
+    fused = simulate(sys, law, s0, cfg, target=tgt)
+    plain = simulate(sys, lambda t, q, p: law(t, q, p), s0, cfg, target=tgt)
+    assert [kind for _, kind, _ in fused.events + plain.events] == ["domain_exit"] * 2
+    assert len(fused) == 5 and len(plain) == 6
+    assert fused.events[0][0] == pytest.approx(0.5) and plain.events[0][0] == pytest.approx(0.6)
+    assert plain.q[5, 0] > threshold[0]
+    for name in RUN_ARRAYS:
+        assert np.array_equal(getattr(fused, name), getattr(plain, name)[:5]), name
+
+
 @pytest.mark.parametrize("name", ["ball-beam", "vtol-two-phase"])
 def test_law_run_equals_the_law_as_a_plain_callable(name, ball_beam, vtol_two_phase):
     # a plain callable is evaluated before the open-loop field at every
-    # stage; an IdaPbcLaw shares one evaluation with it at stages k2 to k4
+    # stage; an IdaPbcLaw shares one evaluation with it at every stage and
+    # gives k1 and ptilde with the recorded tau
     bench = ball_beam if name == "ball-beam" else vtol_two_phase
     ctrl = bench.make_controller()
     if name == "ball-beam":
@@ -458,3 +541,8 @@ def test_simconfig_validation():
         SimConfig(record_stride=2.5)
     with pytest.raises(ValueError):
         SimConfig(monitors=("bogus",))
+    # bool is an Integral and 0 < True, so these used to construct
+    for kwargs in ({"dt": True, "t_end": True, "record_stride": True}, {"dt": True},
+                   {"t_end": True, "dt": 1e-3}, {"record_stride": True}):
+        with pytest.raises(ValueError, match="not booleans"):
+            SimConfig(**kwargs)
