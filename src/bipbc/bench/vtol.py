@@ -57,7 +57,7 @@ from ..controller import (  # noqa: F401
 from ..phcore import MechanicalSystem
 from ..sampling import Box
 from ..simulate import SimConfig
-from ..stacking import _matvec, _spectral_norms, _stack
+from ..stacking import _constant_rows, _each, _matvec, _rows, _spectral_norms, _stack, batched
 
 #: roll angle at which the barrier terms become singular (cos t = 0.1)
 THETA_SINGULAR = math.acos(0.1)
@@ -255,38 +255,58 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
     for const in (eye, zeros, zeros33, grad_v, md_const):
         const.setflags(write=False)
 
+    # Row-batched twins (`batched`), equal to the per-point closures bit for
+    # bit: sin and cos per item, and grad V_d from the same per-point formula.
+    def input_coupling_rows(q):
+        s, c = _each(math.sin, q[:, 2]), _each(math.cos, q[:, 2])
+        return _rows(q, -s, eps * c, c, eps * s, 0.0, 1.0, shape=(3, 2))
+
+    def annihilator_rows(q):
+        s, c = _each(math.sin, q[:, 2]), _each(math.cos, q[:, 2])
+        scale = 1.0 / math.sqrt(1.0 + eps * eps)
+        return _rows(q, c * scale, s * scale, -eps * scale, shape=(1, 3))
+
+    @batched(_constant_rows(eye))
     def mass_matrix(q):
         return eye
 
     def potential(q):
         return g * q[1]
 
+    @batched(_constant_rows(grad_v))
     def potential_grad(q):
         return grad_v
 
+    @batched(_constant_rows(zeros))
     def kinetic_grad(q, p):
         return zeros
 
+    @batched(input_coupling_rows)
     def input_coupling(q):
         th = q[2]
         s, c = math.sin(th), math.cos(th)
         return np.array([[-s, eps * c], [c, eps * s], [0.0, 1.0]])
 
+    @batched(annihilator_rows)
     def annihilator(q):
         th = q[2]
         s, c = math.sin(th), math.cos(th)
         scale = 1.0 / math.sqrt(1.0 + eps * eps)
         return np.array([[c * scale, s * scale, -eps * scale]])
 
+    @batched(_constant_rows(zeros33))
     def damping(q):
         return zeros33
 
+    @batched(_constant_rows(md_const))
     def mass_d(q):
         return md_const
 
+    @batched(_constant_rows(zeros))
     def kinetic_d_grad(q, p):
         return zeros
 
+    @batched(_constant_rows(zeros33))
     def j2(q, pt):
         return zeros33
 
@@ -323,18 +343,16 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
         btheta = -1.0 - 0.5 * beta * c_arg * (1.0 + t * t) / (1.0 - c_arg**2 * t * t)
         return -math.sin(th) / (math.cos(th) - 0.1), btheta
 
-    def potential_d_grad(q):
+    def grad_vd_entries(q) -> Tuple[float, float, float]:
         th = q[2]
         t_a = math.tanh(eps * (q[1] - y_star) + barrier(th))
         t_b = math.tanh(b_term(q))
         d, btheta = roll_factors(th)
-        return np.array(
-            [
-                k2 * gamma * t_b,
-                k1 * eps * (t_a - t0),
-                (k1 * t_a - cc) * d + k2 * t_b * btheta,
-            ]
-        )
+        return k2 * gamma * t_b, k1 * eps * (t_a - t0), (k1 * t_a - cc) * d + k2 * t_b * btheta
+
+    @batched(lambda q: np.array(list(map(grad_vd_entries, q.tolist()))))
+    def potential_d_grad(q):
+        return np.array(grad_vd_entries(q))
 
     def vd_grad_sup(theta_max: float) -> float:
         """Worst-case ||grad V_d|| over |roll| <= theta_max, any (x, y).

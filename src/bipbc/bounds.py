@@ -27,10 +27,11 @@ fixed safety inflation (INFLATION) on the suprema. Eigenvalue extremes are raw
 per-sample extremes; this is a practical certificate, not interval
 arithmetic, so the workspace declaration is part of the contract.
 
-The sampled sweeps stack the plant's per-point outputs over blocks of points
-and run the linear algebra once per block (see `bipbc.stacking`); extremes
-are folded across blocks and violations are summed. All reports are
-immutable values.
+The sampled sweeps evaluate the plant over blocks of points, through its
+row-batched twins where it has them and point by point otherwise, and run
+the linear algebra once per block (see `bipbc.stacking`); extremes are
+folded across blocks and violations are summed. All reports are immutable
+values.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, target_energy
-from .errors import EmptyWorkspace, NonpositiveEigenvalue, ToolkitError
-from .matching import _r2, damping_transfer
-from .phcore import ConfigState, MechanicalSystem, kinetic_energy_grad
+from .controller import TargetDynamics, mass_d_solve, target_energy
+from .errors import EmptyWorkspace, NonpositiveEigenvalue, SingularMassD, ToolkitError
+from .matching import _momentum_grads, _r2, _transfers
+from .phcore import ConfigState, MechanicalSystem
 from .sampling import Box
+from .smalllinalg import solve_stacked
 from .stacking import (_blocks, _dots, _fold, _matvec, _momentum_form, _norms, _spectral_norms,
                        _stack, _stack_pairs, _swap)
 
@@ -82,6 +84,7 @@ class _PlantStack(NamedTuple):
 
     grad_v: np.ndarray  # (B, n) grad_q V
     grad_vd: np.ndarray  # (B, n) grad_q V_d
+    mass: np.ndarray  # (B, n, n) M
     md: np.ndarray  # (B, n, n) M_d
     lam: np.ndarray  # (B, n, n) Lambda = M_d M^-1
     g: np.ndarray  # (B, n, m) G
@@ -90,13 +93,15 @@ class _PlantStack(NamedTuple):
 
 def _plant_stack(sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray) -> _PlantStack:
     """Plant and target outputs at `qs`."""
+    mass = _stack(sys.mass_matrix, qs)
     md = _stack(tgt.mass_d, qs)
     g = _stack(sys.input_coupling, qs)
     return _PlantStack(
         grad_v=_stack(sys.potential_grad, qs),
         grad_vd=_stack(tgt.potential_d_grad, qs),
+        mass=mass,
         md=md,
-        lam=md @ np.linalg.inv(_stack(sys.mass_matrix, qs)),
+        lam=md @ np.linalg.inv(mass),
         g=g,
         pinv_g=np.linalg.pinv(g),
     )
@@ -187,12 +192,12 @@ def estimate_constants(
     n, m = sys.n, sys.m
 
     directions = _unit_directions(n, max(64, 8 * n))
-    terms = {"kinetic_grad": (partial(kinetic_energy_grad, sys), 2),
-             "kinetic_d_grad": (partial(kinetic_d_grad, tgt), 2), "j2": (tgt.j2, 1)}
+    grad_k, grad_kd = _momentum_grads(sys, tgt)
+    terms = {"kinetic_grad": (grad_k, 2), "kinetic_d_grad": (grad_kd, 2), "j2": (tgt.j2, 1)}
     forms = {name: _momentum_form(fn, directions, degree) for name, (fn, degree) in terms.items()}
     witness = dict.fromkeys(terms, (0.0, 0))  # per term: (largest value on the directions, point)
 
-    rows = unit_input_rows(np.asarray(sys.input_coupling(center[0]), dtype=float))
+    rows = unit_input_rows(_stack(sys.input_coupling, center)[0])
     unit = None if rows is None else np.eye(n)[:, rows]  # G's exact 0/1 matrix at the center
 
     c_v, c_lam, c_m = np.zeros(m), np.zeros(m), np.zeros(m)
@@ -209,7 +214,7 @@ def estimate_constants(
         eigs = np.linalg.eigvalsh(0.5 * (stack.md + _swap(stack.md)))
         lam_min_md = _fold(min, lam_min_md, float(np.min(eigs[:, 0])))
         lam_max_md = _fold(max, lam_max_md, float(np.max(eigs[:, -1])))
-        r2 = _r2(_stack(partial(damping_transfer, sys, tgt), qb), stack.g, tgt.damping_gain)
+        r2 = _r2(_transfers(sys, qb, stack.mass, stack.md), stack.g, tgt.damping_gain)
         lam_min_r2 = _fold(min, lam_min_r2, float(np.min(np.linalg.eigvalsh(r2))))
         g_cap = _fold(max, g_cap, float(np.max(_spectral_norms(stack.g))))
         g_pinv_cap = _fold(max, g_pinv_cap, float(np.max(_spectral_norms(stack.pinv_g))))
@@ -284,15 +289,16 @@ def _sup_vd_grad(tgt: TargetDynamics, box: Box, samples: int) -> float:
 def _sample_terms(sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray, ps: np.ndarray):
     """Magnitudes of the bounded terms at each state (q, p) of a block.
 
-    Calls the plant and target directly at each state and returns
+    Evaluates the plant and target at each state and returns
     |pinv(G) grad_q V| (B, m), the row norms of pinv(G) M_d M^-1 (B, m),
     |pinv(G) grad_q K| (B, m), ||grad_q K_d||, ||J_2(q, ptilde)||,
     ||grad_q V_d||, ||p||^2 and ||ptilde|| (each (B,)).
     """
     stack = _plant_stack(sys, tgt, qs)
-    pt = _stack(partial(mass_d_solve, tgt), qs, ps)
-    v, lam, k = actuated_terms(_stack(partial(kinetic_energy_grad, sys), qs, ps)[:, None], stack)
-    return (v, lam, k[:, 0], _norms(_stack(partial(kinetic_d_grad, tgt), qs, ps)),
+    pt = solve_stacked(stack.md, ps, SingularMassD)
+    grad_k, grad_kd = _momentum_grads(sys, tgt)
+    v, lam, k = actuated_terms(_stack(grad_k, qs, ps)[:, None], stack)
+    return (v, lam, k[:, 0], _norms(_stack(grad_kd, qs, ps)),
             _spectral_norms(_stack(tgt.j2, qs, pt)), _norms(stack.grad_vd), _dots(ps), _norms(pt))
 
 
@@ -329,13 +335,13 @@ def validate_constants(
     rng = np.random.default_rng(seed)
     qs = box.lower + rng.random((samples, sys.n)) * (box.upper - box.lower)
     ps = rng.standard_normal((samples, sys.n))
-    ps *= (VALIDATION_MOMENTUM_CAP * rng.random((samples, 1)) ** (1.0 / sys.n)) / np.linalg.norm(
-        ps, axis=1, keepdims=True
-    )
+    radii = VALIDATION_MOMENTUM_CAP * rng.random((samples, 1)) ** (1.0 / sys.n)
     tol = 1e-9
     bad = 0
     for block in _blocks(samples):
-        v, lam, k, kd, j2, vd, pn2, ptn = _sample_terms(sys, tgt, qs[block], ps[block])
+        # each direction scaled to its radius block by block: no sweep-sized temporaries
+        pb = ps[block] * (radii[block] / np.linalg.norm(ps[block], axis=1, keepdims=True))
+        v, lam, k, kd, j2, vd, pn2, ptn = _sample_terms(sys, tgt, qs[block], pb)
         ok = (
             np.all(k <= constants.c_M * pn2[:, None] + tol, axis=1)
             & (kd <= constants.c_Md * pn2 + tol)
@@ -671,7 +677,7 @@ def kv_advisory(
     qs = np.vstack([box.sample(samples), box.corners(), box.center()[None, :]])
 
     # R M^-1 M_d and G at every point, stacked once for all the kappas below
-    s = _stack(partial(damping_transfer, sys, tgt), qs)
+    s = _transfers(sys, qs, _stack(sys.mass_matrix, qs), _stack(tgt.mass_d, qs))
     g = _stack(sys.input_coupling, qs)
 
     def r2_min_with(kappa: float) -> float:

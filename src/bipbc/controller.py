@@ -143,15 +143,21 @@ def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.solve(rmat, qmat.T @ v)
 
 
-def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.ndarray):
-    """(M, grad_q V, grad_q K) for the open-loop field, then `matching_terms`."""
+def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.ndarray,
+             solve: Callable):
+    """(M, grad_q V, grad_q K) for the open-loop field, then `matching_terms`.
+
+    At one point `solve` is `solve_checked`. `matching.verify_matching` applies
+    the same rule to a block: plant views whose callables stack, vectors as
+    (B, n, 1) columns, and `solve_stacked`.
+    """
     mass = sys.mass_matrix(q)
     md = tgt.mass_d(q)
-    pt = solve_checked(md, p, SingularMassD)
+    pt = solve(md, p, SingularMassD)
     grad_v = sys.potential_grad(q)
-    potential = grad_v - md @ solve_checked(mass, tgt.potential_d_grad(q), SingularMass)
+    potential = grad_v - md @ solve(mass, tgt.potential_d_grad(q), SingularMass)
     grad_k = kinetic_energy_grad(sys, q, p)
-    kinetic = (grad_k - md @ solve_checked(mass, kinetic_d_grad(tgt, q, p), SingularMass)
+    kinetic = (grad_k - md @ solve(mass, kinetic_d_grad(tgt, q, p), SingularMass)
                + tgt.j2(q, pt) @ pt)
     return mass, grad_v, grad_k, potential, kinetic, pt
 
@@ -164,7 +170,7 @@ def matching_terms(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
     kinetic = grad_q K - M_d M^-1 grad_q K_d + J_2 ptilde, with ptilde = M_d^-1 p.
     The kinetic part is quadratic in p, so it vanishes at p = 0.
     """
-    return _shaping(sys, tgt, q, p)[3:]
+    return _shaping(sys, tgt, q, p, solve_checked)[3:]
 
 
 def _check_mode(damping_mode: str) -> None:
@@ -175,7 +181,7 @@ def _check_mode(damping_mode: str) -> None:
 def _law(sys, tgt, q, p, damping_mode, with_field):
     """tau = pinv(G) (potential + kinetic) minus the damping on G^T ptilde, or
     with `with_field` (tau, (qdot, pdot) of the plant under tau, ptilde)."""
-    mass, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p)
+    mass, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p, solve_checked)
     g = sys.input_coupling(q)
     y = g.T @ pt
     if damping_mode == "saturated":

@@ -30,13 +30,18 @@ Hd_dot = -ptilde^T R_2 ptilde holds either way because skew terms drop out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
-from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, matching_terms
-from .phcore import ConfigState, MechanicalSystem, fd_hessian, mass_solve
+from .controller import TargetDynamics, _shaping, kinetic_d_grad, mass_d_solve, matching_terms
+from .errors import SingularMass
+from .phcore import ConfigState, MechanicalSystem, fd_hessian, kinetic_energy_grad, mass_solve
 from .sampling import Box, ball_sample
-from .stacking import _fold, _swap
+from .smalllinalg import solve_stacked
+from .stacking import _blocks, _fold, _norms, _stack, _swap
 
 EQUILIBRIUM_GRAD_TOL = 1e-8
 MATCHING_MOMENTUM_CAP = 2.0  # radius of the momentum ball of `verify_matching`
@@ -77,6 +82,30 @@ def potential_pde_residual(
 def damping_transfer(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) -> np.ndarray:
     """R M^-1 M_d at q, the damping transfer of the matching conditions."""
     return np.asarray(sys.damping(q), dtype=float) @ mass_solve(sys, q, tgt.mass_d(q))
+
+
+def _transfers(sys: MechanicalSystem, qs: np.ndarray, mass: np.ndarray,
+               md: np.ndarray) -> np.ndarray:
+    """R M^-1 M_d at the points `qs` from their stacked M and M_d, each item
+    `damping_transfer` bit for bit."""
+    return _stack(sys.damping, qs) @ solve_stacked(mass, md, SingularMass)
+
+
+def _momentum_grads(sys: MechanicalSystem, tgt: TargetDynamics) -> tuple[Callable, Callable]:
+    """grad_q K and grad_q K_d as (q, p) callables for `_stack`: the plant's
+    own, so that a row-batched twin is used, or else finite differences."""
+    return (sys.kinetic_grad if sys.kinetic_grad is not None else partial(kinetic_energy_grad, sys),
+            tgt.kinetic_d_grad if tgt.kinetic_d_grad is not None else partial(kinetic_d_grad, tgt))
+
+
+def _columns(fn: Callable) -> Callable:
+    """`fn` over a block of points: `_stack` with vectors as (B, n, 1) columns."""
+
+    def stacked(q, *columns):
+        out = _stack(fn, q, *(c[..., 0] for c in columns))
+        return out[..., None] if out.ndim == 2 else out
+
+    return stacked
 
 
 def _r2(transfer: np.ndarray, g: np.ndarray, damping_gain: np.ndarray) -> np.ndarray:
@@ -143,7 +172,7 @@ class MatchingReport:
 
 def equilibrium_check(tgt: TargetDynamics) -> bool:
     """grad V_d(q*) vanishes and the finite-difference Hessian is PD."""
-    grad = np.asarray(tgt.potential_d_grad(tgt.equilibrium), dtype=float)
+    grad = _stack(tgt.potential_d_grad, tgt.equilibrium[None])[0]
     if np.linalg.norm(grad) >= EQUILIBRIUM_GRAD_TOL:
         return False
     hess = fd_hessian(tgt.potential_d, tgt.equilibrium)
@@ -160,24 +189,38 @@ def verify_matching(
     """Sweep residuals, R_2 spectra, and the equilibrium over a sample set.
 
     Sampling is a deterministic low-discrepancy sequence over
-    region x {momentum ball of radius MATCHING_MOMENTUM_CAP}.
+    region x {momentum ball of radius MATCHING_MOMENTUM_CAP}. The samples are
+    taken in blocks (see `bipbc.stacking`): the residuals are Gperp applied
+    to the two parts of `controller._shaping` evaluated on the block, with
+    one eigvalsh per block for R_2 and for condition 5; every value equals
+    that of the sample on its own.
     """
     box = region if region is not None else sys.workspace
     qs = box.sample(samples)
     ps = ball_sample(samples, sys.n, MATCHING_MOMENTUM_CAP, skip=samples)
+    grad_k, grad_kd = _momentum_grads(sys, tgt)
+    plant = SimpleNamespace(mass_matrix=_columns(sys.mass_matrix),
+                            potential_grad=_columns(sys.potential_grad),
+                            kinetic_grad=_columns(grad_k))
+    target = SimpleNamespace(mass_d=_columns(tgt.mass_d),
+                             potential_d_grad=_columns(tgt.potential_d_grad),
+                             kinetic_d_grad=_columns(grad_kd), j2=_columns(tgt.j2))
+    gperp_at = sys.annihilator if sys.annihilator is not None else partial(annihilator, sys)
     kin_max = pot_max = 0.0
     r2_min = cond5_min = np.inf
-    for q, p in zip(qs, ps):
-        transfer = damping_transfer(sys, tgt, q)
-        r2 = _r2(transfer, np.asarray(sys.input_coupling(q), dtype=float), tgt.damping_gain)
+    for block in _blocks(samples):
+        qb = qs[block]
+        transfer = _transfers(sys, qb, _stack(sys.mass_matrix, qb), _stack(tgt.mass_d, qb))
+        r2 = _r2(transfer, _stack(sys.input_coupling, qb), tgt.damping_gain)
         r2_min = _fold(min, r2_min, float(np.min(np.linalg.eigvalsh(r2))))
-        gperp = annihilator(sys, q)
-        if gperp.shape[0]:
-            potential, kinetic, _ = matching_terms(sys, tgt, q, p)
-            kin_max = _fold(max, kin_max, float(np.linalg.norm(gperp @ (2.0 * kinetic))))
-            pot_max = _fold(max, pot_max, float(np.linalg.norm(gperp @ potential)))
-            cond5 = gperp @ (transfer + transfer.T) @ gperp.T
-            cond5_min = _fold(min, cond5_min, float(np.min(np.linalg.eigvalsh(cond5))))
+        if sys.m == sys.n:
+            continue
+        gperp = _stack(gperp_at, qb).reshape(len(qb), sys.n - sys.m, sys.n)
+        potential, kinetic = _shaping(plant, target, qb, ps[block, :, None], solve_stacked)[3:5]
+        kin_max = _fold(max, kin_max, float(np.max(_norms((gperp @ (2.0 * kinetic))[..., 0]))))
+        pot_max = _fold(max, pot_max, float(np.max(_norms((gperp @ potential)[..., 0]))))
+        cond5 = gperp @ (transfer + _swap(transfer)) @ _swap(gperp)
+        cond5_min = _fold(min, cond5_min, float(np.min(np.linalg.eigvalsh(cond5))))
     return MatchingReport(
         kinetic_residual_max=kin_max,
         potential_residual_max=pot_max,

@@ -5,74 +5,113 @@ integrator stage; generic LAPACK calls plus an SVD-based condition number
 dominate the runtime there. For n <= 3 the solves use closed-form adjugate
 formulas with a Frobenius condition estimate (cond_F = ||A||_F ||A^-1||_F,
 which brackets the spectral condition number within a factor n). Larger
-systems fall back to numpy.
+systems fall back to numpy. `solve_stacked` applies the same formulas and
+guard to a stack of systems at once, for the sampled sweeps.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 COND_LIMIT = 1e12
 
 
-def solve_checked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
-    """a^-1 rhs with a singularity guard; raises `exc` when cond > 1e12."""
-    n = a.shape[0]
+def _guard(det: float, cond: float, n: int, exc: type) -> None:
+    """Raise `exc` unless det A is finite and nonzero and cond_F <= 1e12.
+
+    cond_F = ||A||_F ||adj A||_F / |det A|, with `cond` its numerator: |A| for
+    n = 1 (cond_F = 1), ||A||_F^2 for n = 2 (where ||adj A||_F = ||A||_F),
+    and for n = 3 its square, ||A||_F^2 ||adj A||_F^2.
+    """
+    if det == 0.0 or not math.isfinite(det):
+        raise exc(f"singular {n}x{n} matrix")
+    if (math.sqrt(cond) if n == 3 else cond) / abs(det) > COND_LIMIT:
+        raise exc(f"{n}x{n} matrix condition estimate exceeds 1e12")
+
+
+def _guard_each(det: np.ndarray, cond: np.ndarray, n: int, exc: type) -> None:
+    """`_guard` on every item of a stack."""
+    for d, c in zip(det.ravel().tolist(), cond.ravel().tolist()):
+        _guard(d, c, n, exc)
+
+
+def _adjugate(a, b, guard: Callable, exc: type) -> list:
+    """Rows of A^-1 b = adj(A) b / det A for n <= 3, `guard`ed before any division.
+
+    `a` holds A's entries row by row, `b` the right-hand side's rows: floats, or
+    arrays that broadcast item by item over a stack, with the same arithmetic.
+    """
+    n = len(a)
     if n == 1:
-        a00 = a[0, 0]
-        if a00 == 0.0 or not math.isfinite(a00):
-            raise exc("singular 1x1 matrix")
-        return rhs / a00
+        ((a00,),), (b0,) = a, b
+        guard(a00, abs(a00), 1, exc)
+        return [b0 / a00]
     if n == 2:
-        a00, a01 = a[0, 0], a[0, 1]
-        a10, a11 = a[1, 0], a[1, 1]
+        ((a00, a01), (a10, a11)), (b0, b1) = a, b
         det = a00 * a11 - a01 * a10
-        fro2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
-        if det == 0.0 or not math.isfinite(det) or fro2 / abs(det) > COND_LIMIT:
-            raise exc("2x2 matrix condition estimate exceeds 1e12")
-        b0, b1 = rhs[0], rhs[1]
-        return np.array([(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det])
-    if n == 3:
-        a00, a01, a02 = a[0]
-        a10, a11, a12 = a[1]
-        a20, a21, a22 = a[2]
-        c00 = a11 * a22 - a12 * a21
-        c01 = a12 * a20 - a10 * a22
-        c02 = a10 * a21 - a11 * a20
-        det = a00 * c00 + a01 * c01 + a02 * c02
-        if det == 0.0 or not math.isfinite(det):
-            raise exc("singular 3x3 matrix")
-        c10 = a02 * a21 - a01 * a22
-        c11 = a00 * a22 - a02 * a20
-        c12 = a01 * a20 - a00 * a21
-        c20 = a01 * a12 - a02 * a11
-        c21 = a02 * a10 - a00 * a12
-        c22 = a00 * a11 - a01 * a10
-        fro = (
-            a00 * a00 + a01 * a01 + a02 * a02
-            + a10 * a10 + a11 * a11 + a12 * a12
-            + a20 * a20 + a21 * a21 + a22 * a22
-        )
-        adj_fro = (
-            c00 * c00 + c01 * c01 + c02 * c02
-            + c10 * c10 + c11 * c11 + c12 * c12
-            + c20 * c20 + c21 * c21 + c22 * c22
-        )
-        if math.sqrt(fro * adj_fro) / abs(det) > COND_LIMIT:
-            raise exc("3x3 matrix condition estimate exceeds 1e12")
-        b0, b1, b2 = rhs[0], rhs[1], rhs[2]
-        return np.array(
-            [
-                (c00 * b0 + c10 * b1 + c20 * b2) / det,
-                (c01 * b0 + c11 * b1 + c21 * b2) / det,
-                (c02 * b0 + c12 * b1 + c22 * b2) / det,
-            ]
-        )
+        guard(det, a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11, 2, exc)
+        return [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det]
+    ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), (b0, b1, b2) = a, b
+    c00 = a11 * a22 - a12 * a21
+    c01 = a12 * a20 - a10 * a22
+    c02 = a10 * a21 - a11 * a20
+    c10 = a02 * a21 - a01 * a22
+    c11 = a00 * a22 - a02 * a20
+    c12 = a01 * a20 - a00 * a21
+    c20 = a01 * a12 - a02 * a11
+    c21 = a02 * a10 - a00 * a12
+    c22 = a00 * a11 - a01 * a10
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    fro = (
+        a00 * a00 + a01 * a01 + a02 * a02
+        + a10 * a10 + a11 * a11 + a12 * a12
+        + a20 * a20 + a21 * a21 + a22 * a22
+    )
+    adj_fro = (
+        c00 * c00 + c01 * c01 + c02 * c02
+        + c10 * c10 + c11 * c11 + c12 * c12
+        + c20 * c20 + c21 * c21 + c22 * c22
+    )
+    guard(det, fro * adj_fro, 3, exc)
+    return [
+        (c00 * b0 + c10 * b1 + c20 * b2) / det,
+        (c01 * b0 + c11 * b1 + c21 * b2) / det,
+        (c02 * b0 + c12 * b1 + c22 * b2) / det,
+    ]
+
+
+def solve_checked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
+    """a^-1 rhs with a singularity guard; raises `exc` when cond > 1e12.
+
+    For n <= 3 the entries of `a` and of a 1-D `rhs` are read as Python floats
+    (the IEEE operations of numpy scalars, at a fraction of the cost); a 2-D
+    `rhs` stays an array.
+    """
+    n = a.shape[0]
+    if n <= 3:
+        rhs = np.asarray(rhs)
+        return np.array(_adjugate(a.tolist(), rhs.tolist() if rhs.ndim == 1 else rhs, _guard, exc))
     if not np.all(np.isfinite(a)) or np.linalg.cond(a) > COND_LIMIT:
         raise exc("matrix condition estimate exceeds 1e12")
     return np.linalg.solve(a, rhs)
+
+
+def solve_stacked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
+    """`solve_checked` over a stack: a (B, n, n), rhs (B, n) or (B, n, k).
+
+    Item i equals solve_checked(a[i], rhs[i], exc) bit for bit; `exc` is
+    raised if any item fails the guard.
+    """
+    n = a.shape[-1]
+    if n > 3:
+        return np.stack([solve_checked(ai, bi, exc) for ai, bi in zip(a, rhs)])
+    entries = a[..., None] if rhs.ndim == 3 else a  # (B, 1) entries broadcast over (B, k) rows
+    rows = _adjugate([[entries[:, i, j] for j in range(n)] for i in range(n)],
+                     [rhs[:, i] for i in range(n)], _guard_each, exc)
+    return np.stack(rows, axis=1)
 
 
 def smallest_singular_value(g: np.ndarray) -> float:

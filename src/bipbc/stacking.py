@@ -1,11 +1,13 @@
-"""Per-point callables stacked over blocks of points, and stacked linear algebra.
+"""Plant callables over blocks of points, and stacked linear algebra.
 
-The sampled sweeps call the plant and target point by point, stack the
-outputs over a block of at most `_BLOCK` points (whole-sweep stacks of the
-per-direction values would cost tens of MB for no speed) and run the linear
-algebra (inv, pinv, eigvalsh, 2-norms, matmul) once per block. Each batched
-operation is applied item by item in the same order as on one point, so the
-results are those of a point-by-point loop.
+The sampled sweeps evaluate the plant and target over blocks of at most
+`_BLOCK` points (whole-sweep stacks of the per-direction values would cost
+tens of MB for no speed) and run the linear algebra (solves, inv, pinv,
+eigvalsh, 2-norms, matmul) once per block. `_stack` is the one adaptor: a
+callable that carries a row-batched twin (attached with `batched`) is called
+once per block, any other callable once per point. Each batched operation is
+applied item by item in the same order as on one point, so the results are
+those of a point-by-point loop.
 """
 
 from __future__ import annotations
@@ -24,12 +26,52 @@ def _blocks(count: int):
     return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
 
 
+def batched(twin: Callable) -> Callable:
+    """Decorator attaching `twin`, the row-batched form of a per-point plant callable.
+
+    `twin` takes the arguments stacked as (B, n) rows and returns the B outputs
+    stacked on axis 0, each equal to the per-point call bit for bit (see the
+    README, "Adding a benchmark"). A wrapper or a replaced callable has no twin.
+    """
+
+    def attach(fn: Callable) -> Callable:
+        fn.batched = twin
+        return fn
+
+    return attach
+
+
+def _constant_rows(value: np.ndarray) -> Callable:
+    """Twin of a callable that returns `value` at every point."""
+    return lambda q, *rest: np.broadcast_to(value, (len(q),) + value.shape)
+
+
+def _each(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """fn applied to every entry of a 1-D `x` as a Python float."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
+def _rows(q: np.ndarray, *entries, shape: tuple) -> np.ndarray:
+    """len(q) outputs of `shape`, whose entries in C order are `entries`,
+    each a number or a (B,) column."""
+    out = np.zeros((len(q), len(entries)))
+    for i, entry in enumerate(entries):
+        out[:, i] = entry
+    return out.reshape((len(q),) + shape)
+
+
 def _stack(fn: Callable, *args: np.ndarray) -> np.ndarray:
     """`fn` called on the zipped rows of `args`, its outputs stacked on axis 0.
 
-    Each output is copied into the stack as it comes, so no list of
-    per-point arrays is held.
+    A row-batched twin of `fn` (see `batched`) is called once, and its result
+    made a C-contiguous float array, copied only when it is not one (a
+    stride-0 view would reach numpy's non-BLAS matmul loop). Otherwise `fn` is
+    called per point, each output copied into the stack as it comes, so no
+    list of per-point arrays is held.
     """
+    twin = getattr(fn, "batched", None)
+    if twin is not None:
+        return np.ascontiguousarray(twin(*args), dtype=float)
     rows = zip(*args)
     first = np.asarray(fn(*next(rows)), dtype=float)
     out = np.empty((len(args[0]),) + first.shape)

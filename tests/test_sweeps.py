@@ -1,7 +1,8 @@
 """Block-stacked certificate sweeps against point-by-point reference loops.
 
-The sweeps in `bipbc.bounds` call the plant per point and run the linear
-algebra once per block of stacked points. The loops below are the
+The sweeps in `bipbc.bounds` and `bipbc.matching` evaluate the plant over
+blocks of points (per point for these plants, which carry no row-batched
+twins) and run the linear algebra once per block. The loops below are the
 point-at-a-time form of the same arithmetic; every result must agree
 exactly, not within a tolerance.
 
@@ -11,6 +12,7 @@ a second loop calls the terms directly on every direction, and the two
 agree within stated rounding tolerances.
 """
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -32,10 +34,13 @@ from bipbc import (
     kv_advisory,
     simulate,
     validate_constants,
+    verify_matching,
 )
 from bipbc.bounds import INFLATION, KvAdvisory, _sup_vd_grad, _unit_directions, unit_input_rows
-from bipbc.controller import kinetic_d_grad, mass_d_solve
-from bipbc.matching import build_r2
+from bipbc.controller import kinetic_d_grad, mass_d_solve, matching_terms
+from bipbc.matching import (MATCHING_MOMENTUM_CAP, MatchingReport, annihilator, build_r2,
+                            damping_transfer, equilibrium_check)
+from bipbc.sampling import ball_sample
 from bipbc.phcore import kinetic_energy_grad, mass_solve
 from bipbc.stacking import _BLOCK
 
@@ -255,6 +260,26 @@ def ref_kv_advisory(sys, tgt, constants, kappas=(0.1, 1.0, 5.0, 50.0), samples=2
                       fraction_at(1e9), below)
 
 
+def ref_verify_matching(sys, tgt, samples=1000, region=None):
+    box = region if region is not None else sys.workspace
+    qs = box.sample(samples)
+    ps = ball_sample(samples, sys.n, MATCHING_MOMENTUM_CAP, skip=samples)
+    kin_max = pot_max = 0.0
+    r2_min = cond5_min = np.inf
+    for q, p in zip(qs, ps):
+        transfer = damping_transfer(sys, tgt, q)
+        r2_min = min(r2_min, float(np.min(np.linalg.eigvalsh(build_r2(sys, tgt, q)))))
+        gperp = annihilator(sys, q)
+        if gperp.shape[0]:
+            potential, kinetic, _ = matching_terms(sys, tgt, q, p)
+            kin_max = max(kin_max, float(np.linalg.norm(gperp @ (2.0 * kinetic))))
+            pot_max = max(pot_max, float(np.linalg.norm(gperp @ potential)))
+            cond5 = gperp @ (transfer + transfer.T) @ gperp.T
+            cond5_min = min(cond5_min, float(np.min(np.linalg.eigvalsh(cond5))))
+    return MatchingReport(kin_max, pot_max, r2_min, 0.0 if cond5_min == np.inf else cond5_min,
+                          equilibrium_check(tgt), samples)
+
+
 # -- plants ---------------------------------------------------------------------
 
 
@@ -446,6 +471,41 @@ def test_kv_advisory_matches_point_loop(name, bb_certificate, vtol_certificate):
     constants = (bb_certificate if name == "ball-beam" else vtol_certificate)[0]
     got = kv_advisory(benchmark.system, benchmark.target, constants)
     assert got == ref_kv_advisory(benchmark.system, benchmark.target, constants)
+
+
+@pytest.mark.parametrize("plant", ["ball-beam", "vtol", "finite-difference",
+                                   "configuration-dependent", "three-dof"])
+def test_verify_matching_matches_point_loop(ball_beam, vtol, plant):
+    # the block form applies controller._shaping to stacks; the reference calls it per point
+    sys, tgt = {
+        "ball-beam": lambda: (ball_beam.system, ball_beam.target),
+        "vtol": lambda: (vtol.system, vtol.target),
+        "finite-difference": lambda: finite_difference_plant(ball_beam),
+        "configuration-dependent": configuration_dependent_plant,
+        "three-dof": three_dof_plant,
+    }[plant]()
+    for samples in (1, _BLOCK + 3):
+        assert verify_matching(sys, tgt, samples) == ref_verify_matching(sys, tgt, samples)
+
+
+def test_estimate_constants_evaluates_m_and_md_once_per_sample(ball_beam):
+    # R M^-1 M_d comes from the stacked M and M_d of the sample, not from new calls
+    counts = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    sys = dataclasses.replace(ball_beam.system,
+                              mass_matrix=counted("M", ball_beam.system.mass_matrix))
+    tgt = dataclasses.replace(ball_beam.target, mass_d=counted("M_d", ball_beam.target.mass_d))
+    constants = estimate_constants(sys, tgt, samples=1000)
+    assert constants.samples == 1005
+    assert counts == {"M": 1005, "M_d": 1005}
+    assert_constants_equal(constants, estimate_constants(ball_beam.system, ball_beam.target,
+                                                         samples=1000))
 
 
 # -- unit structure -------------------------------------------------------------

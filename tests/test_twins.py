@@ -1,0 +1,174 @@
+"""Row-batched twins of the shipped plants, and the sweeps that use them.
+
+A twin must equal its per-point closure bit for bit, so a sweep gives the
+same numbers with the twins as with plain per-point callables.
+"""
+
+import dataclasses
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+from bipbc import (empirical_constants, estimate_constants, kv_advisory, simulate,
+                   validate_constants, verify_matching, SimConfig)
+from bipbc.bench import get_benchmark
+from bipbc.bench.vtol import THETA_SINGULAR
+from bipbc.errors import SingularMass
+from bipbc.smalllinalg import _adjugate, _guard, solve_checked, solve_stacked
+from bipbc.stacking import _BLOCK, _stack
+
+PLANT = ("mass_matrix", "potential_grad", "kinetic_grad", "input_coupling", "damping",
+         "annihilator")
+TARGET = ("mass_d", "potential_d_grad", "kinetic_d_grad", "j2")
+POINTS = 10_000
+
+
+def twinned(benchmark):
+    """(owner, field name, callable) of every callable with a twin."""
+    return ([(benchmark.system, name, getattr(benchmark.system, name)) for name in PLANT]
+            + [(benchmark.target, name, getattr(benchmark.target, name)) for name in TARGET])
+
+
+def per_point(fn, *args):
+    return np.array([np.asarray(fn(*row), dtype=float) for row in zip(*args)])
+
+
+def pin_points(name):
+    """Seeded (q, p) rows: the ball-beam in its workspace and in a box three times
+    as large; the VTOL up to its roll barrier."""
+    benchmark = get_benchmark(name)
+    box = benchmark.system.workspace
+    rng = np.random.default_rng(14)
+    if name == "ball-beam":
+        inside = box.lower + rng.random((POINTS, 2)) * (box.upper - box.lower)
+        outside = 3.0 * box.lower + rng.random((POINTS, 2)) * 3.0 * (box.upper - box.lower)
+        qs = np.vstack([inside, outside])
+    else:
+        qs = box.lower + rng.random((POINTS, 3)) * (box.upper - box.lower)
+        qs[:, 2] = rng.uniform(-1.0, 1.0, POINTS) * np.nextafter(THETA_SINGULAR, 0.0)
+    return benchmark, qs, 4.0 * rng.standard_normal(qs.shape)
+
+
+@pytest.mark.parametrize("name", ["ball-beam", "vtol-nonsmooth"])
+def test_twins_equal_their_closures(name):
+    benchmark, qs, ps = pin_points(name)
+    for _, field, fn in twinned(benchmark):
+        args = (qs, ps) if len(inspect.signature(fn).parameters) == 2 else (qs,)
+        want = per_point(fn, *args)
+        got = np.asarray(fn.batched(*args), dtype=float)
+        assert got.shape == want.shape, field
+        assert np.array_equal(got, want), f"{field}: {np.count_nonzero(got != want)} entries differ"
+
+
+def test_vtol_grad_vd_twin_raises_where_the_closure_raises(vtol):
+    grad_vd = vtol.target.potential_d_grad
+    rng = np.random.default_rng(15)
+    qs = np.zeros((400, 3))
+    qs[:, :2] = rng.uniform(-10.0, 10.0, (400, 2))
+    qs[:, 2] = np.linspace(-1.6, 1.6, 400)
+    for q in qs:
+        try:
+            want = grad_vd(q)
+        except ValueError:
+            with pytest.raises(ValueError):
+                grad_vd.batched(q[None])
+            with pytest.raises(ValueError):
+                grad_vd.batched(np.vstack([np.zeros(3), q]))
+        else:
+            assert np.array_equal(grad_vd.batched(q[None])[0], want)
+    assert abs(qs[0, 2]) > THETA_SINGULAR  # the sweep reaches past the barrier
+
+
+def test_stack_copies_a_twin_to_a_c_contiguous_array(vtol):
+    # VTOL's constant twins return np.broadcast_to views, whose stride-0 stacks
+    # would reach numpy's non-BLAS matmul loop
+    qs = np.zeros((5, 3))
+    view = vtol.target.mass_d.batched(qs)
+    assert view.strides[0] == 0
+    stack = _stack(vtol.target.mass_d, qs)
+    assert stack.flags.c_contiguous and stack.strides[0] > 0
+    assert np.array_equal(stack, view)
+
+
+def without_twins(benchmark):
+    """The benchmark with each twinned callable behind a plain wrapper."""
+    def plain(fn):
+        return lambda *args: fn(*args)
+
+    system = dataclasses.replace(
+        benchmark.system, **{name: plain(getattr(benchmark.system, name)) for name in PLANT})
+    target = dataclasses.replace(
+        benchmark.target, **{name: plain(getattr(benchmark.target, name)) for name in TARGET})
+    return dataclasses.replace(benchmark, system=system, target=target)
+
+
+def sweep_results(benchmark, traj):
+    sys, tgt = benchmark.system, benchmark.target
+    region = None if benchmark.name == "ball-beam" else benchmark.certification_region()
+    constants = estimate_constants(sys, tgt, samples=300, region=region)
+    out = {
+        "constants": dataclasses.asdict(constants),
+        "violations": validate_constants(sys, tgt, constants, samples=2000),
+        "matching": verify_matching(sys, tgt, samples=500, region=benchmark.residual_box),
+        "advisory": kv_advisory(sys, tgt, constants),
+        "empirical": empirical_constants(sys, tgt, traj),
+    }
+    if benchmark.name != "ball-beam":
+        out["effort"] = benchmark.effort_certificate(benchmark.roll_limit())
+    return out
+
+
+def assert_same(got, want, path=""):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_same(got[key], want[key], f"{path}/{key}")
+    elif dataclasses.is_dataclass(want):
+        assert_same(dataclasses.asdict(got), dataclasses.asdict(want), path)
+    else:
+        assert np.array_equal(got, want), f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("name", ["ball-beam", "vtol-nonsmooth", "vtol-two-phase"])
+def test_sweeps_are_the_same_with_and_without_twins(name):
+    benchmark = get_benchmark(name)
+    traj = simulate(benchmark.system, benchmark.make_controller(), benchmark.initial_state,
+                    SimConfig(dt=benchmark.default_sim().dt, t_end=0.5), target=benchmark.target)
+    assert_same(sweep_results(benchmark, traj), sweep_results(without_twins(benchmark), traj))
+
+
+def test_stacked_solve_is_the_point_solve_item_by_item():
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 4):
+        a = rng.standard_normal((3 * _BLOCK, n, n)) + 2.0 * np.eye(n)
+        for rhs in (rng.standard_normal((3 * _BLOCK, n)), rng.standard_normal((3 * _BLOCK, n, n))):
+            want = np.array([solve_checked(ai, bi, SingularMass) for ai, bi in zip(a, rhs)])
+            assert np.array_equal(solve_stacked(a, rhs, SingularMass), want), n
+        a[7] = 0.0
+        with pytest.raises(SingularMass):
+            solve_stacked(a, rhs, SingularMass)
+
+
+def test_point_solve_on_floats_is_the_numpy_scalar_solve():
+    # solve_checked reads the entries as Python floats; the same adjugate on
+    # numpy scalars must give the same bits
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3):
+        for _ in range(2000):
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            b = rng.standard_normal(n)
+            scalars = [[a[i, j] for j in range(n)] for i in range(n)]
+            want = np.array(_adjugate(scalars, list(b), _guard, SingularMass))
+            assert np.array_equal(solve_checked(a, b, SingularMass), want)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+def test_point_solve_rejects_singular_and_non_finite_matrices(bad):
+    for n in (1, 2, 3):
+        a = np.full((n, n), bad)
+        with pytest.raises(SingularMass):
+            solve_checked(a, np.ones(n), SingularMass)
+        with pytest.raises(SingularMass), np.errstate(invalid="ignore"):
+            solve_stacked(a[None], np.ones((1, n)), SingularMass)
