@@ -57,7 +57,8 @@ from ..controller import (  # noqa: F401
 from ..phcore import MechanicalSystem
 from ..sampling import Box
 from ..simulate import SimConfig
-from ..stacking import _constant_rows, _each, _matvec, _rows, _spectral_norms, _stack, batched
+from ..stacking import (_constant_rows, _each, _matvec, _pull_back, _rows, _spectral_norms, _stack,
+                        batched)
 
 #: roll angle at which the barrier terms become singular (cos t = 0.1)
 THETA_SINGULAR = math.acos(0.1)
@@ -181,7 +182,7 @@ class VtolBenchmark:
         pr = self.params
         qs = np.zeros((1201, 3))
         qs[:, 2] = np.linspace(-theta_max, theta_max, 1201)
-        pinv = np.linalg.pinv(_stack(self.system.input_coupling, qs))
+        pinv = _pull_back(_stack(self.system.input_coupling, qs))
         gv = _matvec(pinv, _stack(self.system.potential_grad, qs))
         max1 = float(np.max(np.abs(pr.g - gv[:, 0])))
         max2 = float(np.max(np.abs(gv[:, 1])))

@@ -49,8 +49,8 @@ from .matching import _momentum_grads, _r2, _transfers
 from .phcore import ConfigState, MechanicalSystem
 from .sampling import Box
 from .smalllinalg import solve_stacked
-from .stacking import (_blocks, _dots, _fold, _matvec, _momentum_form, _norms, _spectral_norms,
-                       _stack, _stack_pairs, _swap)
+from .stacking import (_blocks, _dots, _fold, _matvec, _momentum_form, _norms, _pull_back,
+                       _spectral_norms, _stack, _stack_pairs, _swap)
 
 UNIT_TOL = 1e-12  # entrywise tolerance of a 0/1 unit-structure G
 INFLATION = 1.05  # safety factor on the sampled suprema of `estimate_constants`
@@ -88,7 +88,7 @@ class _PlantStack(NamedTuple):
     md: np.ndarray  # (B, n, n) M_d
     lam: np.ndarray  # (B, n, n) Lambda = M_d M^-1
     g: np.ndarray  # (B, n, m) G
-    pinv_g: np.ndarray  # (B, m, n) pinv(G) = (G^T G)^-1 G^T, the pull-back
+    pinv_g: np.ndarray  # (B, m, n) pinv(G) = (G^T G)^-1 G^T, the pull-back (`_pull_back`)
 
 
 def _plant_stack(sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray) -> _PlantStack:
@@ -103,7 +103,7 @@ def _plant_stack(sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray) -> 
         md=md,
         lam=md @ np.linalg.inv(mass),
         g=g,
-        pinv_g=np.linalg.pinv(g),
+        pinv_g=_pull_back(g),
     )
 
 
@@ -115,9 +115,9 @@ def actuated_terms(
     At each of the B points of `stack` (a `_plant_stack`) returns
     |pinv(G) grad_q V| (B, m), the row norms of pinv(G) Lambda with
     Lambda = M_d M^-1 (B, m), and |pinv(G) grad_q K| (B, K, m) for the K
-    kinetic gradients of that point in `kinetic` (B, K, n). pinv(G) is the
-    only pull-back into actuator coordinates; for a 0/1 unit-structure G it
-    is exactly G^T, so the terms are G's actuated rows.
+    kinetic gradients of that point in `kinetic` (B, K, n). pinv(G) (closed form
+    for m <= 2) is the only pull-back into actuator coordinates; for a 0/1
+    unit-structure G it is exactly G^T, so the terms are G's actuated rows.
     """
     pinv_g = stack.pinv_g
     return (
@@ -299,7 +299,7 @@ def _sample_terms(sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray, ps
     grad_k, grad_kd = _momentum_grads(sys, tgt)
     v, lam, k = actuated_terms(_stack(grad_k, qs, ps)[:, None], stack)
     return (v, lam, k[:, 0], _norms(_stack(grad_kd, qs, ps)),
-            _spectral_norms(_stack(tgt.j2, qs, pt)), _norms(stack.grad_vd), _dots(ps), _norms(pt))
+            _spectral_norms(_stack(tgt.j2, qs, pt)), _norms(stack.grad_vd), _dots(ps, ps), _norms(pt))
 
 
 def validate_constants(

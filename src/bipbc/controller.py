@@ -145,7 +145,7 @@ def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.ndarray,
              solve: Callable):
-    """(M, grad_q V, grad_q K) for the open-loop field, then `matching_terms`.
+    """(M, M_d, grad_q V, grad_q K) for the open-loop field, then `matching_terms`.
 
     At one point `solve` is `solve_checked`. `matching.verify_matching` applies
     the same rule to a block: plant views whose callables stack, vectors as
@@ -159,7 +159,7 @@ def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.nd
     grad_k = kinetic_energy_grad(sys, q, p)
     kinetic = (grad_k - md @ solve(mass, kinetic_d_grad(tgt, q, p), SingularMass)
                + tgt.j2(q, pt) @ pt)
-    return mass, grad_v, grad_k, potential, kinetic, pt
+    return mass, md, grad_v, grad_k, potential, kinetic, pt
 
 
 def matching_terms(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
@@ -170,7 +170,7 @@ def matching_terms(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
     kinetic = grad_q K - M_d M^-1 grad_q K_d + J_2 ptilde, with ptilde = M_d^-1 p.
     The kinetic part is quadratic in p, so it vanishes at p = 0.
     """
-    return _shaping(sys, tgt, q, p, solve_checked)[3:]
+    return _shaping(sys, tgt, q, p, solve_checked)[4:]
 
 
 def _check_mode(damping_mode: str) -> None:
@@ -181,7 +181,7 @@ def _check_mode(damping_mode: str) -> None:
 def _law(sys, tgt, q, p, damping_mode, with_field):
     """tau = pinv(G) (potential + kinetic) minus the damping on G^T ptilde, or
     with `with_field` (tau, (qdot, pdot) of the plant under tau, ptilde)."""
-    mass, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p, solve_checked)
+    mass, _, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p, solve_checked)
     g = sys.input_coupling(q)
     y = g.T @ pt
     if damping_mode == "saturated":

@@ -191,9 +191,9 @@ def verify_matching(
     Sampling is a deterministic low-discrepancy sequence over
     region x {momentum ball of radius MATCHING_MOMENTUM_CAP}. The samples are
     taken in blocks (see `bipbc.stacking`): the residuals are Gperp applied
-    to the two parts of `controller._shaping` evaluated on the block, with
-    one eigvalsh per block for R_2 and for condition 5; every value equals
-    that of the sample on its own.
+    to the two parts of `controller._shaping` evaluated on the block, whose M
+    and M_d also give R M^-1 M_d, with one eigvalsh per block for R_2 and for
+    condition 5; every value equals that of the sample on its own.
     """
     box = region if region is not None else sys.workspace
     qs = box.sample(samples)
@@ -209,14 +209,14 @@ def verify_matching(
     kin_max = pot_max = 0.0
     r2_min = cond5_min = np.inf
     for block in _blocks(samples):
-        qb = qs[block]
-        transfer = _transfers(sys, qb, _stack(sys.mass_matrix, qb), _stack(tgt.mass_d, qb))
+        qb, pb = qs[block], ps[block, :, None]
+        mass, md, _, _, potential, kinetic, _ = _shaping(plant, target, qb, pb, solve_stacked)
+        transfer = _transfers(sys, qb, mass, md)
         r2 = _r2(transfer, _stack(sys.input_coupling, qb), tgt.damping_gain)
         r2_min = _fold(min, r2_min, float(np.min(np.linalg.eigvalsh(r2))))
         if sys.m == sys.n:
             continue
         gperp = _stack(gperp_at, qb).reshape(len(qb), sys.n - sys.m, sys.n)
-        potential, kinetic = _shaping(plant, target, qb, ps[block, :, None], solve_stacked)[3:5]
         kin_max = _fold(max, kin_max, float(np.max(_norms((gperp @ (2.0 * kinetic))[..., 0]))))
         pot_max = _fold(max, pot_max, float(np.max(_norms((gperp @ potential)[..., 0]))))
         cond5 = gperp @ (transfer + _swap(transfer)) @ _swap(gperp)

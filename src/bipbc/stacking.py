@@ -1,13 +1,12 @@
 """Plant callables over blocks of points, and stacked linear algebra.
 
 The sampled sweeps evaluate the plant and target over blocks of at most
-`_BLOCK` points (whole-sweep stacks of the per-direction values would cost
-tens of MB for no speed) and run the linear algebra (solves, inv, pinv,
-eigvalsh, 2-norms, matmul) once per block. `_stack` is the one adaptor: a
-callable that carries a row-batched twin (attached with `batched`) is called
-once per block, any other callable once per point. Each batched operation is
-applied item by item in the same order as on one point, so the results are
-those of a point-by-point loop.
+`_BLOCK` points (whole-sweep stacks of the per-direction values would cost tens
+of MB for no speed) and run the linear algebra (solves, inv, eigvalsh, matmul,
+pinv and 2-norms, no SVD up to 3 x 3) once per block. `_stack` is the one
+adaptor: a twinned callable (see `batched`) is called once per block, any other
+callable once per point. Batched operations go item by item in the order of one
+point, so the results are those of a point-by-point loop.
 """
 
 from __future__ import annotations
@@ -17,6 +16,8 @@ from itertools import combinations
 from typing import Callable
 
 import numpy as np
+
+from .controller import SIGMA_MIN_LIMIT, RankDeficientG
 
 _BLOCK = 64
 
@@ -126,9 +127,9 @@ def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
-def _dots(x: np.ndarray) -> np.ndarray:
-    """x @ x along the last axis, one vector dot product per item."""
-    return (x[..., None, :] @ x[..., None])[..., 0, 0]
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y along the last axis, one vector dot product per item."""
+    return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -137,9 +138,47 @@ def _norms(x: np.ndarray) -> np.ndarray:
     np.linalg.norm(x, axis=-1) sums the squares in another way and can
     differ from the per-vector norm in the last bit.
     """
-    return np.sqrt(_dots(x))
+    return np.sqrt(_dots(x, x))
+
+
+def _sigma_max(a, b, c, d) -> np.ndarray:
+    """Largest singular value of [[a, b], [c, d]], entry by entry."""
+    s, t, u, v = a + d, b - c, a - d, b + c
+    return 0.5 * (np.sqrt(s * s + t * t) + np.sqrt(u * u + v * v))
 
 
 def _spectral_norms(a: np.ndarray) -> np.ndarray:
-    """Largest singular value of every matrix of a stack."""
+    """Largest singular value of every matrix of a stack, without SVD up to 3 x 3."""
+    if a.ndim > 3 and len(a) > 8:  # in eighths, so that the temporaries stay small
+        return np.concatenate([_spectral_norms(c) for c in np.array_split(a, 8)])
+    shape, flat = a.shape[-2:], a.reshape(a.shape[:-2] + (-1,))
+    if 1 in shape:
+        return _norms(flat)
+    if shape == (2, 2):
+        return _sigma_max(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1])
+    if max(shape) == 3:  # the Frobenius cap passes on a NaN, which eigvalsh does not
+        return np.minimum(np.sqrt(np.linalg.eigvalsh(_swap(a) @ a)[..., -1]), _norms(flat))
     return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def _pull_back(g: np.ndarray) -> np.ndarray:
+    """pinv(G) of every G of a (B, n, m) stack, as (B, m, n): for m <= 2, R^-1 Q^T from the
+    QR of `pseudo_inverse_apply` on (B, n) columns, G^T on a 0/1 unit-structure G.
+    Raises RankDeficientG, before dividing, where sigma_min(G) is below 1e-9."""
+    if g.shape[-1] > 2:
+        return np.linalg.pinv(g)
+    a = g[..., 0]
+    r11 = _norms(a)
+    if np.any(r11 < SIGMA_MIN_LIMIT):  # NaN passes, and pulls back to NaN
+        raise RankDeficientG("smallest singular value of G below 1e-9")
+    if g.shape[-1] == 1:
+        return (a / _dots(a, a)[..., None])[..., None, :]
+    q1, w, r12 = a / r11[..., None], g[..., 1], 0.0
+    for _ in range(2):  # Gram-Schmidt with one reorthogonalization
+        c = _dots(q1, w)
+        r12, w = r12 + c, w - c[..., None] * q1
+    r22 = _norms(w)
+    if np.any(r11 * r22 < SIGMA_MIN_LIMIT * _sigma_max(r11, r12, 0.0, r22)):  # det R / sigma_max
+        raise RankDeficientG("smallest singular value of G below 1e-9")
+    row2 = w / r22[..., None] / r22[..., None]
+    return np.stack([(q1 - r12[..., None] * row2) / r11[..., None], row2], axis=-2)

@@ -1,5 +1,6 @@
 """Control-law layer: feedback evaluation and the two-phase scheme."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -17,6 +18,7 @@ from bipbc import (
 from bipbc.controller import IdaPbcLaw, ida_pbc_control_raw, log_cosh, pseudo_inverse_apply
 from bipbc.phcore import mass_solve, open_loop_field_raw
 from bipbc.smalllinalg import smallest_singular_value
+from bipbc.stacking import _matvec, _pull_back
 
 
 def test_equilibrium_zero_control(ball_beam):
@@ -134,13 +136,10 @@ def exact_least_squares(g, v):
     return x, [vf[k] - sum(gf[k][j] * x[j] for j in range(m)) for k in range(n)]
 
 
-def test_pull_back_is_backward_stable():
-    # G = U diag(s) V^T with cond(G) = 1..1e8 and v = G x0 plus a small
-    # residual; the pull-back must be as accurate as Householder QR,
-    # |x - x*| / |x*| <= 16 eps k (1 + k |r| / (|G| |x*|)) with k = cond(G).
-    # The adjugate of G^T G, whose error grows with k^2, fails it from k = 1e2.
-    rng = np.random.default_rng(17)
-    eps = np.finfo(float).eps
+def conditioned_cases(seed):
+    """(G, v) with G = U diag(s) V^T, cond(G) = 1..1e8, m = 1..3 and n = max(m, 2)..4,
+    and v = G x0 plus a small residual."""
+    rng = np.random.default_rng(seed)
     for m in (1, 2, 3):
         for log_kappa in range(9):
             for _ in range(12):
@@ -149,16 +148,38 @@ def test_pull_back_is_backward_stable():
                 w, _ = np.linalg.qr(rng.standard_normal((m, m)))
                 s = np.logspace(0.0, -log_kappa, m) * 10.0 ** rng.uniform(0.0, 2.0)
                 g = (u * s) @ w.T
-                v = g @ rng.standard_normal(m) + 1e-6 * rng.standard_normal(n)
-                x, r = exact_least_squares(g, v)
-                sv = np.linalg.svd(g, compute_uv=False)
-                kappa = sv[0] / sv[-1]
-                x_norm = math.sqrt(sum(e * e for e in x))
-                r_norm = math.sqrt(sum(e * e for e in r))
-                got = pseudo_inverse_apply(g, v).tolist()
-                err = math.sqrt(sum((Fraction(a) - b) ** 2 for a, b in zip(got, x))) / x_norm
-                bound = 16.0 * eps * kappa * (1.0 + kappa * r_norm / (sv[0] * x_norm))
-                assert err <= bound, (m, n, kappa, err / bound)
+                yield g, g @ rng.standard_normal(m) + 1e-6 * rng.standard_normal(n)
+
+
+def assert_backward_stable(g, v, got):
+    """|x - x*| / |x*| <= 16 eps k (1 + k |r| / (|G| |x*|)) with k = cond(G), the
+    accuracy of Householder QR, for the pull-back `got` of v."""
+    eps = np.finfo(float).eps
+    x, r = exact_least_squares(g, v)
+    sv = np.linalg.svd(g, compute_uv=False)
+    kappa = sv[0] / sv[-1]
+    x_norm = math.sqrt(sum(e * e for e in x))
+    r_norm = math.sqrt(sum(e * e for e in r))
+    err = math.sqrt(sum((Fraction(a) - b) ** 2 for a, b in zip(got.tolist(), x))) / x_norm
+    bound = 16.0 * eps * kappa * (1.0 + kappa * r_norm / (sv[0] * x_norm))
+    assert err <= bound, (g.shape, kappa, err / bound)
+
+
+def test_pull_back_is_backward_stable():
+    # the adjugate of G^T G, whose error grows with cond(G)^2, fails it from cond(G) = 1e2
+    for g, v in conditioned_cases(17):
+        assert_backward_stable(g, v, pseudo_inverse_apply(g, v))
+
+
+def test_stacked_pull_back_is_backward_stable():
+    # the sweeps' pull-back, one stack per shape of G, meets the same bound row by row
+    shapes = collections.defaultdict(list)
+    for g, v in conditioned_cases(18):
+        shapes[g.shape].append((g, v))
+    for cases in shapes.values():
+        gs, vs = map(np.stack, zip(*cases))
+        for g, v, x in zip(gs, vs, _matvec(_pull_back(gs), vs)):
+            assert_backward_stable(g, v, x)
 
 
 def test_pull_back_of_unit_structure_g_selects_its_rows():

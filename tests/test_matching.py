@@ -58,6 +58,14 @@ def test_fully_actuated_residual_is_empty():
     assert res.shape == (0,)
 
 
+def test_fully_actuated_sweep_has_no_residuals():
+    # with m = n, verify_matching reads only R_2 from the block's M and M_d
+    sys = fully_actuated_system()
+    report = verify_matching(sys, identity_target(sys), samples=70)
+    assert (report.kinetic_residual_max, report.potential_residual_max) == (0.0, 0.0)
+    assert report.r2_min_eig == 0.0 and report.condition5_min_eig == 0.0
+
+
 def test_identity_shaping_zero_potential_residual(ball_beam):
     sys = ball_beam.system
     tgt = identity_target(sys)

@@ -4,7 +4,9 @@ The sweeps in `bipbc.bounds` and `bipbc.matching` evaluate the plant over
 blocks of points (per point for these plants, which carry no row-batched
 twins) and run the linear algebra once per block. The loops below are the
 point-at-a-time form of the same arithmetic; every result must agree
-exactly, not within a tolerance.
+exactly, not within a tolerance. They take pinv(G) and spectral norms from the
+sweeps' own closed forms applied to one matrix at a time; the closed forms are
+held to numpy's SVD within stated tolerances below.
 
 `estimate_constants` takes the momentum terms on unit directions from
 polarized probes. Its exact reference is a point loop of that computation;
@@ -16,6 +18,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import warnings
 from functools import partial
 from types import SimpleNamespace
 
@@ -26,6 +29,7 @@ from bipbc import (
     BoundConstants,
     Box,
     MechanicalSystem,
+    RankDeficientG,
     SimConfig,
     TargetDynamics,
     ToolkitError,
@@ -42,10 +46,15 @@ from bipbc.matching import (MATCHING_MOMENTUM_CAP, MatchingReport, annihilator, 
                             damping_transfer, equilibrium_check)
 from bipbc.sampling import ball_sample
 from bipbc.phcore import kinetic_energy_grad, mass_solve
-from bipbc.stacking import _BLOCK
+from bipbc.stacking import _BLOCK, _pull_back, _spectral_norms
 
 
 # -- point-by-point references -------------------------------------------------
+
+
+def one(stacked, a):
+    """A stacked operation applied to the one matrix `a`, as a stack of one."""
+    return stacked(np.asarray(a, dtype=float)[None])[0]
 
 
 def ref_unit_rows(g_ref, gs):
@@ -66,7 +75,7 @@ def ref_actuated_terms(sys, tgt, q, kinetic, rows, pinv_g=None):
     if rows is not None:
         return np.abs(grad_v[rows]), np.linalg.norm(lam[rows], axis=1), np.abs(kinetic[:, rows])
     if pinv_g is None:
-        pinv_g = np.linalg.pinv(np.asarray(sys.input_coupling(q), dtype=float))
+        pinv_g = one(_pull_back, sys.input_coupling(q))
     kinetic = np.abs([pinv_g @ gk for gk in kinetic])
     return np.abs(pinv_g @ grad_v), np.linalg.norm(pinv_g @ lam, axis=1), kinetic
 
@@ -118,13 +127,13 @@ def ref_estimate_constants(sys, tgt, samples, inflation=1.05, mu=1e-6, momentum=
         lam = md @ np.linalg.inv(sys.mass_matrix(q))
         grad_v = np.asarray(sys.potential_grad(q), dtype=float)
         grad_vd = np.asarray(tgt.potential_d_grad(q), dtype=float)
-        pinv_g = np.linalg.pinv(g)
+        pinv_g = one(_pull_back, g)
         eigs = np.linalg.eigvalsh(0.5 * (md + md.T))
         lam_min_md = min(lam_min_md, float(eigs[0]))
         lam_max_md = max(lam_max_md, float(eigs[-1]))
         lam_min_r2 = min(lam_min_r2, float(np.min(np.linalg.eigvalsh(build_r2(sys, tgt, q)))))
-        g_cap = max(g_cap, float(np.linalg.norm(g, 2)))
-        g_pinv_cap = max(g_pinv_cap, float(np.linalg.norm(pinv_g, 2)))
+        g_cap = max(g_cap, float(one(_spectral_norms, g)))
+        g_pinv_cap = max(g_pinv_cap, float(one(_spectral_norms, pinv_g)))
         sigma = np.minimum(sigma, pinv_g @ (grad_v - lam @ grad_vd))
         kinetic = momentum(partial(kinetic_energy_grad, sys), q, directions, 2)
         v_q, lam_q, kinetic_q = ref_actuated_terms(sys, tgt, q, kinetic, rows, pinv_g)
@@ -134,7 +143,7 @@ def ref_estimate_constants(sys, tgt, samples, inflation=1.05, mu=1e-6, momentum=
         for gkd in momentum(partial(kinetic_d_grad, tgt), q, directions, 2):
             c_md = max(c_md, float(np.linalg.norm(gkd)))
         for j2 in momentum(tgt.j2, q, directions, 1):
-            c_j = max(c_j, float(np.linalg.norm(j2, 2)))
+            c_j = max(c_j, float(one(_spectral_norms, j2)))
     c_vd = 0.0
     for q in np.vstack([box.sample(samples, skip=7 * samples), box.corners()]):
         c_vd = max(c_vd, float(np.linalg.norm(tgt.potential_d_grad(q))))
@@ -185,7 +194,7 @@ def ref_validate_constants(sys, tgt, constants, momentum_cap=2.0, samples=10_000
         ok = (
             np.all(gk_rows <= constants.c_M * pn2 + tol)
             and float(np.linalg.norm(kinetic_d_grad(tgt, q, p))) <= constants.c_Md * pn2 + tol
-            and float(np.linalg.norm(tgt.j2(q, pt), 2))
+            and float(one(_spectral_norms, tgt.j2(q, pt)))
             <= constants.c_J * float(np.linalg.norm(pt)) + tol
             and np.all(lam_rows <= constants.c_Lambda + tol)
             and np.all(v_rows <= constants.c_V + tol)
@@ -217,7 +226,7 @@ def ref_empirical_constants(sys, tgt, traj):
             out["c_M"] = np.maximum(out["c_M"], kinetic_q / pn2)
             out["c_Md"] = max(out["c_Md"], float(np.linalg.norm(kinetic_d_grad(tgt, q, p))) / pn2)
             if ptn > 1e-9:
-                out["c_J"] = max(out["c_J"], float(np.linalg.norm(tgt.j2(q, pt), 2)) / ptn)
+                out["c_J"] = max(out["c_J"], float(one(_spectral_norms, tgt.j2(q, pt))) / ptn)
     return out
 
 
@@ -488,9 +497,9 @@ def test_verify_matching_matches_point_loop(ball_beam, vtol, plant):
         assert verify_matching(sys, tgt, samples) == ref_verify_matching(sys, tgt, samples)
 
 
-def test_estimate_constants_evaluates_m_and_md_once_per_sample(ball_beam):
-    # R M^-1 M_d comes from the stacked M and M_d of the sample, not from new calls
-    counts = collections.Counter()
+def counted_masses(bench, counts):
+    """(system, target) of `bench` whose M and M_d count their calls in `counts`
+    (the wrappers carry no row-batched twins, so the sweeps call them per point)."""
 
     def counted(key, fn):
         def wrapper(*args):
@@ -498,9 +507,14 @@ def test_estimate_constants_evaluates_m_and_md_once_per_sample(ball_beam):
             return fn(*args)
         return wrapper
 
-    sys = dataclasses.replace(ball_beam.system,
-                              mass_matrix=counted("M", ball_beam.system.mass_matrix))
-    tgt = dataclasses.replace(ball_beam.target, mass_d=counted("M_d", ball_beam.target.mass_d))
+    return (dataclasses.replace(bench.system, mass_matrix=counted("M", bench.system.mass_matrix)),
+            dataclasses.replace(bench.target, mass_d=counted("M_d", bench.target.mass_d)))
+
+
+def test_estimate_constants_evaluates_m_and_md_once_per_sample(ball_beam):
+    # R M^-1 M_d comes from the stacked M and M_d of the sample, not from new calls
+    counts = collections.Counter()
+    sys, tgt = counted_masses(ball_beam, counts)
     constants = estimate_constants(sys, tgt, samples=1000)
     assert constants.samples == 1005
     assert counts == {"M": 1005, "M_d": 1005}
@@ -508,11 +522,78 @@ def test_estimate_constants_evaluates_m_and_md_once_per_sample(ball_beam):
                                                          samples=1000))
 
 
+def test_verify_matching_evaluates_m_and_md_once_per_sample(ball_beam):
+    # R M^-1 M_d comes from the M and M_d that controller._shaping stacks for the residuals
+    counts = collections.Counter()
+    sys, tgt = counted_masses(ball_beam, counts)
+    report = verify_matching(sys, tgt, samples=1000)
+    assert counts == {"M": 1000, "M_d": 1000}
+    assert report == verify_matching(ball_beam.system, ball_beam.target, samples=1000)
+
+
+# -- closed forms -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_spectral_norms_match_lapack(shape):
+    # 10^4 matrices scaled over 10^+-100, a tenth of them rank 1 and ten zero
+    rng = np.random.default_rng(sum(shape))
+    count = 10_000
+    a = rng.standard_normal((count,) + shape)
+    a[:1000] = rng.standard_normal((1000, shape[0], 1)) @ rng.standard_normal((1000, 1, shape[1]))
+    a[1000:1010] = 0.0
+    a *= 10.0 ** rng.uniform(-100.0, 100.0, (count, 1, 1))
+    got, want = _spectral_norms(a), np.linalg.norm(a, 2, axis=(-2, -1))
+    assert np.array_equal(got[1000:1010], want[1000:1010])
+    assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * want)
+
+
+def test_pull_back_rank_guard():
+    # RankDeficientG where a finite G has sigma_min below 1e-9, raised before any
+    # division (no RuntimeWarning); a G with a NaN entry pulls back to NaN
+    full = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    deficient = [[[0.0, 1.0], [0.0, 2.0], [0.0, 1.0]],  # zero first column
+                 [[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]],  # zero second column
+                 [[1.0, 2.0], [2.0, 4.0], [1.0, 2.0 + 1e-12]],  # sigma_min 4e-13
+                 1e-10 * full]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in deficient + [np.zeros((3, 1)), 1e-10 * full[:, :1]]:
+            with pytest.raises(RankDeficientG):
+                _pull_back(np.stack([full[:, :len(g[0])], g]))
+        nan = full.copy()
+        nan[1, 1] = np.nan
+        for gs in (np.stack([full, nan]), np.stack([full, nan])[..., 1:]):
+            pinv_g = _pull_back(gs)
+            assert np.all(np.isnan(pinv_g[1])) and np.all(np.isfinite(pinv_g[0]))
+
+
+def test_nan_or_vanishing_g_in_the_sweeps(ball_beam):
+    # a NaN G at some samples makes every constant pulled back through it NaN
+    # (numpy's SVD raised LinAlgError); a G that vanishes at some samples, where
+    # the law raises RankDeficientG, gives no certificate (SVD's cut-off gave G_M = 1.05)
+    def input_coupling(value):
+        g = ball_beam.system.input_coupling
+        return lambda q: np.full((2, 1), value) if q[0] > 0.5 else g(q)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sys = dataclasses.replace(ball_beam.system, input_coupling=input_coupling(np.nan))
+        constants = estimate_constants(sys, ball_beam.target, samples=200)
+        for name in ("c_V", "c_M", "c_Lambda", "lam_min_R2", "G_M", "G_m", "sigma"):
+            assert np.all(np.isnan(getattr(constants, name))), name
+        assert not constants.unit_structure
+        for value in (0.0, 1e-10):
+            sys = dataclasses.replace(ball_beam.system, input_coupling=input_coupling(value))
+            with pytest.raises(RankDeficientG):
+                estimate_constants(sys, ball_beam.target, samples=200)
+
+
 # -- unit structure -------------------------------------------------------------
 
 
 def test_pinv_of_unit_structure_g_is_its_transpose():
-    # the sweeps pull every term back through a stacked pinv(G); on a 0/1
+    # the sweeps pull every term back through the stacked pull-back; on a 0/1
     # unit-structure G that must be G^T bit for bit, so that the pull-back
     # selects G's actuated rows exactly (`ref_actuated_terms` with rows)
     rng = np.random.default_rng(5)
@@ -522,7 +603,7 @@ def test_pinv_of_unit_structure_g_is_its_transpose():
             gs = np.zeros((len(choices), n, m))
             for g, rows in zip(gs, choices):
                 g[rows, range(m)] = 1.0
-            pinv_g = np.linalg.pinv(gs)
+            pinv_g = _pull_back(gs)
             assert np.array_equal(pinv_g, np.swapaxes(gs, 1, 2)), (n, m)
             x = rng.standard_normal((len(choices), n))
             picked = np.array([xi[list(rows)] for xi, rows in zip(x, choices)])
