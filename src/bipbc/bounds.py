@@ -49,8 +49,8 @@ from .matching import _momentum_grads, _r2, _transfers
 from .phcore import ConfigState, MechanicalSystem
 from .sampling import Box
 from .smalllinalg import solve_stacked
-from .stacking import (_blocks, _dots, _fold, _matvec, _momentum_form, _norms, _pull_back,
-                       _spectral_norms, _stack, _stack_pairs, _swap)
+from .stacking import (_blocks, _dots, _eigvalsh, _fold, _matvec, _momentum_form, _norms,
+                       _pull_back, _spectral_norms, _stack, _stack_pairs, _swap)
 
 UNIT_TOL = 1e-12  # entrywise tolerance of a 0/1 unit-structure G
 INFLATION = 1.05  # safety factor on the sampled suprema of `estimate_constants`
@@ -211,11 +211,11 @@ def estimate_constants(
         if unit is not None and not np.all(np.abs(stack.g - unit) <= UNIT_TOL):
             unit = None
 
-        eigs = np.linalg.eigvalsh(0.5 * (stack.md + _swap(stack.md)))
+        eigs = _eigvalsh(0.5 * (stack.md + _swap(stack.md)))
         lam_min_md = _fold(min, lam_min_md, float(np.min(eigs[:, 0])))
         lam_max_md = _fold(max, lam_max_md, float(np.max(eigs[:, -1])))
         r2 = _r2(_transfers(sys, qb, stack.mass, stack.md), stack.g, tgt.damping_gain)
-        lam_min_r2 = _fold(min, lam_min_r2, float(np.min(np.linalg.eigvalsh(r2))))
+        lam_min_r2 = _fold(min, lam_min_r2, float(np.min(_eigvalsh(r2))))
         g_cap = _fold(max, g_cap, float(np.max(_spectral_norms(stack.g))))
         g_pinv_cap = _fold(max, g_pinv_cap, float(np.max(_spectral_norms(stack.pinv_g))))
         sigma_q = _matvec(stack.pinv_g, stack.grad_v - _matvec(stack.lam, stack.grad_vd))
@@ -681,9 +681,9 @@ def kv_advisory(
     g = _stack(sys.input_coupling, qs)
 
     def r2_min_with(kappa: float) -> float:
-        return float(np.min(np.linalg.eigvalsh(_r2(s, g, kappa * np.eye(sys.m)))))
+        return float(np.min(_eigvalsh(_r2(s, g, kappa * np.eye(sys.m)))))
 
-    sym = float(np.min(np.linalg.eigvalsh(s + _swap(s))))
+    sym = float(np.min(_eigvalsh(s + _swap(s))))
     branch = "small_kv" if sym > 0 else "kv_for_r2"
 
     kappa_for_pd: Optional[float] = None

@@ -14,9 +14,15 @@ bracket, as a potential part grad_q V - M_d M^-1 grad_q V_d and a kinetic
 part grad_q K - M_d M^-1 grad_q K_d + J_2 ptilde: the law is pinv(G) applied
 to their sum, and the matching residuals of `matching` are Gperp applied to
 each part. The pseudo-inverse is evaluated through a QR factorization, in
-closed form for one and two inputs and by numpy for more; the damping term
-is applied after the projection, which is algebraically identical because
-(G^T G)^-1 G^T G = I.
+closed form for one and two inputs and by numpy for more, and its rank guard
+reads sigma_min(G) off that factorization; the damping term is applied after
+the projection, which is algebraically identical because (G^T G)^-1 G^T G = I.
+
+The field (qdot, pdot) is assembled in Python floats (`hamiltonian_field`),
+which round each elementwise operation as numpy does. numpy stays for the
+matrix-vector products, which BLAS rounds with fused multiply-adds, so that a
+Python sum of products would differ in the last bit, and for tau's sum and
+difference, whose result must be an array for G tau anyway.
 
 `IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `evaluate` and
 `field` return the plant's closed-loop field from the law's own plant
@@ -109,25 +115,29 @@ def target_energy(tgt: TargetDynamics, s: ConfigState) -> EnergyRecord:
     return EnergyRecord(kinetic=k, potential=v, total=k + v)
 
 
+def _rank_guard(sigma: float) -> None:
+    if not SIGMA_MIN_LIMIT <= sigma < math.inf:
+        raise RankDeficientG("smallest singular value of G below 1e-9 or not finite")
+
+
 def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(G^T G)^-1 G^T v = R^-1 Q^T v from a thin QR factorization G = Q R.
 
     Raises RankDeficientG when sigma_min(G) is below 1e-9 or not finite (a NaN
-    or infinite entry of G). m = 1 is g^T v / g^T g. For m = 2, Q = [q1, w / r22]
-    comes from Gram-Schmidt with one reorthogonalization, in Python floats with
-    fsum dot products: as accurate as Householder QR, where the adjugate of
-    G^T G loses accuracy with cond(G)^2. Larger m uses numpy's QR.
+    or infinite entry of G), before the division it guards. For m = 2 the guard
+    reads sigma_min off the factorization, r11 and then det R / sigma_max(R),
+    without a second pass over G; otherwise it is `smallest_singular_value`,
+    for m = 1 the root of the divisor g^T g. m = 1 is g^T v / g^T g. For m = 2,
+    Q = [q1, w / r22] comes from Gram-Schmidt with one reorthogonalization, in
+    Python floats with fsum dot products: as accurate as Householder QR, where
+    the adjugate of G^T G loses accuracy with cond(G)^2. Larger m uses numpy's
+    QR.
     """
-    sigma = smallest_singular_value(g)
-    if not SIGMA_MIN_LIMIT <= sigma < math.inf:
-        raise RankDeficientG("smallest singular value of G below 1e-9 or not finite")
     m = g.shape[1]
-    if m == 1:
-        col = g[:, 0]
-        return np.array([float(col @ v) / float(col @ col)])
     if m == 2:
         (a, b), v = g.T.tolist(), v.tolist()
         r11 = math.sqrt(math.fsum(map(mul, a, a)))
+        _rank_guard(r11)  # sigma_min <= r11
         q1 = [x / r11 for x in a]
         r12 = math.fsum(map(mul, q1, b))
         w = [y - r12 * x for x, y in zip(q1, b)]
@@ -135,10 +145,17 @@ def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
         r12 += c
         w = [y - c * x for x, y in zip(q1, w)]
         r22 = math.sqrt(math.fsum(map(mul, w, w)))
+        s, d = r11 + r22, r11 - r22
+        sigma_max = 0.5 * (math.sqrt(s * s + r12 * r12) + math.sqrt(d * d + r12 * r12))
+        _rank_guard(r11 * r22 / sigma_max)
         y1 = math.fsum(map(mul, q1, v))
         y2 = math.fsum(x / r22 * (y - y1 * z) for x, y, z in zip(w, v, q1))
         x2 = y2 / r22
         return np.array([(y1 - r12 * x2) / r11, x2])
+    _rank_guard(smallest_singular_value(g))
+    if m == 1:
+        col = g[:, 0]
+        return np.array([float(col @ v) / float(col @ col)])
     qmat, rmat = np.linalg.qr(g)
     return np.linalg.solve(rmat, qmat.T @ v)
 
@@ -186,12 +203,12 @@ def _law(sys, tgt, q, p, damping_mode, with_field):
     y = g.T @ pt
     if damping_mode == "saturated":
         # math.tanh per entry: np.tanh may differ in the last bit
-        y = np.array([math.tanh(yi) for yi in y])
+        y = np.array([math.tanh(yi) for yi in y.tolist()])
     tau = pseudo_inverse_apply(g, potential + kinetic) - tgt.damping_gain @ y
     if not with_field:
         return tau
     qdot = solve_checked(mass, p, SingularMass)
-    return tau, hamiltonian_field(qdot, grad_v + grad_k, sys.damping(q), g @ tau), pt
+    return tau, hamiltonian_field(qdot, grad_v, grad_k, sys.damping(q), g @ tau), pt
 
 
 def ida_pbc_control_raw(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,

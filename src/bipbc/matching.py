@@ -41,7 +41,7 @@ from .errors import SingularMass
 from .phcore import ConfigState, MechanicalSystem, fd_hessian, kinetic_energy_grad, mass_solve
 from .sampling import Box, ball_sample
 from .smalllinalg import solve_stacked
-from .stacking import _blocks, _fold, _norms, _stack, _swap
+from .stacking import _blocks, _eigvalsh, _fold, _norms, _stack, _swap
 
 EQUILIBRIUM_GRAD_TOL = 1e-8
 MATCHING_MOMENTUM_CAP = 2.0  # radius of the momentum ball of `verify_matching`
@@ -213,14 +213,14 @@ def verify_matching(
         mass, md, _, _, potential, kinetic, _ = _shaping(plant, target, qb, pb, solve_stacked)
         transfer = _transfers(sys, qb, mass, md)
         r2 = _r2(transfer, _stack(sys.input_coupling, qb), tgt.damping_gain)
-        r2_min = _fold(min, r2_min, float(np.min(np.linalg.eigvalsh(r2))))
+        r2_min = _fold(min, r2_min, float(np.min(_eigvalsh(r2))))
         if sys.m == sys.n:
             continue
         gperp = _stack(gperp_at, qb).reshape(len(qb), sys.n - sys.m, sys.n)
         kin_max = _fold(max, kin_max, float(np.max(_norms((gperp @ (2.0 * kinetic))[..., 0]))))
         pot_max = _fold(max, pot_max, float(np.max(_norms((gperp @ potential)[..., 0]))))
         cond5 = gperp @ (transfer + _swap(transfer)) @ _swap(gperp)
-        cond5_min = _fold(min, cond5_min, float(np.min(np.linalg.eigvalsh(cond5))))
+        cond5_min = _fold(min, cond5_min, float(np.min(_eigvalsh(cond5))))
     return MatchingReport(
         kinetic_residual_max=kin_max,
         potential_residual_max=pot_max,

@@ -180,12 +180,19 @@ def open_loop_field_raw(
     loop lives here.
     """
     qdot = solve_checked(sys.mass_matrix(q), p, SingularMass)
-    grad_h = sys.potential_grad(q) + kinetic_energy_grad(sys, q, p)
-    return hamiltonian_field(qdot, grad_h, sys.damping(q), sys.input_coupling(q) @ tau)
+    return hamiltonian_field(qdot, sys.potential_grad(q), kinetic_energy_grad(sys, q, p),
+                             sys.damping(q), sys.input_coupling(q) @ tau)
 
 
-def hamiltonian_field(
-    qdot: np.ndarray, grad_h: np.ndarray, damping: np.ndarray, force: np.ndarray
-) -> np.ndarray:
-    """(qdot, pdot) with pdot = -grad_q H - R qdot + G tau, given qdot = M^-1 p and G tau."""
-    return np.concatenate([qdot, -grad_h - damping @ qdot + force])
+def hamiltonian_field(qdot: np.ndarray, grad_v: np.ndarray, grad_k: np.ndarray,
+                      damping: np.ndarray, force: np.ndarray) -> np.ndarray:
+    """(qdot, pdot) with pdot = -(grad_q V + grad_q K) - R qdot + G tau, given
+    qdot = M^-1 p and G tau.
+
+    The one assembly of the field, for `open_loop_field_raw` and the IDA-PBC
+    law. R qdot is a numpy matrix-vector product; the rest is elementwise, in
+    Python floats.
+    """
+    pdot = [-(v + k) - r + f for v, k, r, f in zip(grad_v.tolist(), grad_k.tolist(),
+                                                   (damping @ qdot).tolist(), force.tolist())]
+    return np.array(qdot.tolist() + pdot)

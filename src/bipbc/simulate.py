@@ -5,8 +5,10 @@ keeps the Hamiltonian structure of the model exact in code. The integrator
 is the classical 4th-order Runge-Kutta scheme with a fixed step; the
 control is evaluated at every stage, the first stage reusing the value
 recorded at the accepted state. An `IdaPbcLaw` on the simulated plant gives
-tau, that first stage and ptilde from one plant evaluation. Identical
-inputs produce bit-identical trajectories.
+tau, that first stage and ptilde from one plant evaluation. The step's
+combination x + dt/6 (k1 + 2 k2 + 2 k3 + k4) and the blowup test run on
+Python floats, with the association of the numpy expression and so its
+rounding. Identical inputs produce bit-identical trajectories.
 
 A run is checked against its certificate after it ends, on the recorded
 samples, by two array functions: `check_hd_decrease` (H_d does not rise)
@@ -176,6 +178,9 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
     when `target` is the law's own, the recorded ptilde come from one plant
     evaluation. Its interior stages (k2 to k4) take `IdaPbcLaw.field`. Any
     other law's tau goes to the open-loop field, k1 at the start of the step.
+    Without a `target`, the recorded open-loop energy takes M^-1 p from the
+    first n entries of such a law's k1; other laws solve for it at the
+    record.
 
     The run ends at the last accepted state with a "blowup" event if any
     state component leaves [-BLOWUP_LIMIT, BLOWUP_LIMIT] or becomes
@@ -213,7 +218,7 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
             phase = 2
         return (phase, *evaluators[phase](t, xv, True))
 
-    def record(idx: int, t: float, xv: np.ndarray, tau: np.ndarray, phase: int, pt) -> None:
+    def record(idx: int, t: float, xv: np.ndarray, tau: np.ndarray, phase: int, pt, k1) -> None:
         q, p = xv[:n].copy(), xv[n:].copy()
         times[idx] = t
         qs[idx] = q
@@ -226,7 +231,7 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
             hds[idx] = 0.5 * float(p @ pt) + float(target.potential_d(q))
             pt_norms[idx] = math.sqrt(float(pt @ pt))
         else:
-            qdot = solve_checked(sys.mass_matrix(q), p, SingularMass)
+            qdot = solve_checked(sys.mass_matrix(q), p, SingularMass) if k1 is None else k1[:n]
             hds[idx] = 0.5 * float(p @ qdot) + float(sys.potential(q))
             pt_norms[idx] = np.nan
         phases[idx] = phase
@@ -244,9 +249,10 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
     phase, tau, k1, pt = accept(0.0, x, 1 if isinstance(controller, TwoPhaseController) else 0)
     if phase == 2:
         switch(0.0, x)
-    record(0, 0.0, x, tau, phase, pt)
+    record(0, 0.0, x, tau, phase, pt, k1)
     rec = 1
     dt = cfg.dt
+    dt6 = dt / 6.0
     for k in range(steps):
         t = k * dt
         t_next = (k + 1) * dt
@@ -258,14 +264,17 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
             k2 = stage(t + 0.5 * dt, x + 0.5 * dt * k1, False)
             k3 = stage(t + 0.5 * dt, x + 0.5 * dt * k2, False)
             k4 = stage(t + dt, x + dt * k3, False)
-            x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # x + dt/6 (k1 + 2 k2 + 2 k3 + k4) in floats, associated as the numpy expression
+            xs = [xi + dt6 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in
+                  zip(x.tolist(), k1.tolist(), k2.tolist(), k3.tolist(), k4.tolist())]
+            x_next = np.array(xs)
             # NaN fails the comparison and +-inf exceeds the limit
-            if not np.max(np.abs(x_next)) <= BLOWUP_LIMIT:
-                events.append((t + dt, "blowup", {"state": x_next.copy()}))
+            if not all(abs(v) <= BLOWUP_LIMIT for v in xs):
+                events.append((t + dt, "blowup", {"state": x_next}))
                 break
             phase_next, tau, k1, pt = accept(t_next, x_next, phase)
             if recorded:
-                record(rec, t_next, x_next, tau, phase_next, pt)
+                record(rec, t_next, x_next, tau, phase_next, pt, k1)
         except (ValueError, ToolkitError) as exc:
             events.append((t + dt, "domain_exit", {"error": str(exc)}))
             break

@@ -117,14 +117,17 @@ def solve_stacked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
 def smallest_singular_value(g: np.ndarray) -> float:
     """sigma_min of a tall (n x m) matrix, closed form for m <= 2.
 
-    For m = 2, the Gram eigenvalues are det / largest and largest, with det G^T G
-    summed from the 2 x 2 minors (Lagrange identity): half_trace - disc would cancel.
+    For m = 1 it is sqrt(g^T g), the root of the dot that the one-input
+    pull-back divides by. For m = 2, the Gram eigenvalues are det / largest and
+    largest, with det G^T G summed from the 2 x 2 minors (Lagrange identity):
+    half_trace - disc would cancel.
     For m >= 3 a non-finite entry gives NaN without calling LAPACK, whose SVD
     would fail on it.
     """
     m = g.shape[1]
     if m == 1:
-        return float(np.linalg.norm(g[:, 0]))
+        col = g[:, 0]
+        return math.sqrt(float(col @ col))
     if m == 2:
         a, b = g[:, 0].tolist(), g[:, 1].tolist()
         trace = math.fsum(x * x for x in a + b)

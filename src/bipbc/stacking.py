@@ -141,6 +141,22 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(x, x))
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of every symmetric matrix of a stack, all NaN for an item with
+    a NaN or infinite entry.
+
+    eigvalsh gives such an item finite numbers (a 2 x 2 identity with a NaN at
+    (0, 0) has eigenvalues 0 and -0) or fails to converge on it (3 x 3), so a
+    non-finite sample would slip past the sweeps' NaN folds or abort them.
+    """
+    if math.isfinite(float(a.sum())):  # every entry finite: the common case, one reduction
+        return np.linalg.eigvalsh(a)
+    finite = np.isfinite(a)
+    eigs = np.linalg.eigvalsh(np.where(finite, a, 0.0))
+    eigs[~finite.all(axis=(-2, -1))] = np.nan
+    return eigs
+
+
 def _sigma_max(a, b, c, d) -> np.ndarray:
     """Largest singular value of [[a, b], [c, d]], entry by entry."""
     s, t, u, v = a + d, b - c, a - d, b + c

@@ -15,7 +15,13 @@ from bipbc import (
     simulate,
     target_energy,
 )
-from bipbc.controller import IdaPbcLaw, ida_pbc_control_raw, log_cosh, pseudo_inverse_apply
+from bipbc.controller import (
+    SIGMA_MIN_LIMIT,
+    IdaPbcLaw,
+    ida_pbc_control_raw,
+    log_cosh,
+    pseudo_inverse_apply,
+)
 from bipbc.phcore import mass_solve, open_loop_field_raw
 from bipbc.smalllinalg import smallest_singular_value
 from bipbc.stacking import _matvec, _pull_back
@@ -71,6 +77,126 @@ def test_law_field_is_the_open_loop_field_under_the_law(plant, ball_beam, vtol, 
         assert np.array_equal(law.field(q, p), open_loop_field_raw(sys, q, p, law(0.0, q, p)))
 
 
+#: (q, p, tau, field, ptilde) of `IdaPbcLaw.evaluate` at seeded states
+#: (default_rng(16), q uniform in 0.9 x the workspace, p = 2 N(0, I)), captured
+#: before the law's elementwise terms moved from numpy to Python floats
+LAW_CAPTURE = {
+    "ball-beam": [
+        (
+            [0.11563229758354288, -0.02368550224235652],
+            [2.078708246447515, 2.0618434890770967],
+            [3.01619245429212],
+            [2.078708246447515, 0.5137435779835475, -0.15288947976118217, 1.830783430006428],
+            [0.9536745907918595, -0.15527979029908165],
+        ),
+        (
+            [0.20996761832181388, -0.16359398891151303],
+            [1.0883543775053606, -0.7324433637144733],
+            [10.129500960214887],
+            [1.0883543775053606, -0.1811146674758907, 1.3869247333249295, 8.11533164407035],
+            [0.9464911495752042, -0.39648987098645544],
+        ),
+        (
+            [-0.5446739609507256, 0.0669033788953192],
+            [0.2723246769065234, -1.8303494582798405],
+            [-7.436351166447308],
+            [0.2723246769065234, -0.42599258867111284, -0.8091393812461952, -2.0624542537004817],
+            [0.6117884386053228, -0.3540175099052949],
+        ),
+    ],
+    "ball-beam-fd": [
+        (
+            [0.11563229758354288, -0.02368550224235652],
+            [2.078708246447515, 2.0618434890770967],
+            [3.01619245219135],
+            [2.078708246447515, 0.5137435779835475, -0.15288948065162083, 1.8307834279056578],
+            [0.9536745907918595, -0.15527979029908165],
+        ),
+        (
+            [0.20996761832181388, -0.16359398891151303],
+            [1.0883543775053606, -0.7324433637144733],
+            [10.129500962667262],
+            [1.0883543775053606, -0.1811146674758907, 1.3869247332469004, 8.115331646522725],
+            [0.9464911495752042, -0.39648987098645544],
+        ),
+        (
+            [-0.5446739609507256, 0.0669033788953192],
+            [0.2723246769065234, -1.8303494582798405],
+            [-7.436351165806126],
+            [0.2723246769065234, -0.42599258867111284, -0.8091393811806856, -2.0624542530593004],
+            [0.6117884386053228, -0.3540175099052949],
+        ),
+    ],
+    "vtol-nonsmooth": [
+        (
+            [7.227018598971426, -3.11651345294165, -1.0229339598369582],
+            [2.0618434890770967, 3.6356921974578866, -0.770378761700477],
+            [21.426910911252836, 9.339071070497711],
+            [2.0618434890770967, 3.6356921974578866, -0.770378761700477, 19.50696147193802,
+             -0.6425518348981392, 9.339071070497711],
+            [6.380464629325263, 3.6356921974578866, -23.65494919031793],
+        ),
+        (
+            [40.46029681811807, 15.932228918712397, -1.1483533762135223],
+            [-0.7324433637144733, -2.8496970260126706, -1.4077182410777433],
+            [23.987496058504686, 10.764463515033937],
+            [-0.7324433637144733, -2.8496970260126706, -1.4077182410777433, 22.982087387691177,
+             -2.429909815306459, 10.764463515033937],
+            [4.458963582367816, -2.8496970260126706, -25.224591366696973],
+        ),
+        (
+            [-37.259972474508, 8.622889019246994, 1.1557572542823393],
+            [2.2405001514958207, 1.140903381517121, 1.1446873103611819],
+            [28.76423722077171, -12.566877830713072],
+            [2.2405001514958207, 1.140903381517121, 1.1446873103611819, -27.588991749125665,
+             -1.086509969613136, -12.566877830713072],
+            [-0.9939489990514141, 1.140903381517121, 13.931745601240353],
+        ),
+    ],
+    "vtol-two-phase": [
+        (
+            [7.227018598971426, -3.11651345294165, -1.0229339598369582],
+            [2.0618434890770967, 3.6356921974578866, -0.770378761700477],
+            [21.53059615597073, 9.539221120125529],
+            [2.0618434890770967, 3.6356921974578866, -0.770378761700477, 19.621534053938486,
+             -0.6312599761568833, 9.539221120125529],
+            [0.4253643086216842, 3.6356921974578866, -8.76719838855898],
+        ),
+        (
+            [40.46029681811807, 15.932228918712397, -1.1483533762135223],
+            [-0.7324433637144733, -2.8496970260126706, -1.4077182410777433],
+            [25.85081060131811, 11.042130010625312],
+            [-0.7324433637144733, -2.8496970260126706, -1.4077182410777433, 24.710058206676226,
+             -1.7292839509041311, 11.042130010625312],
+            [0.2972642388245211, -2.8496970260126706, -14.820343007838737],
+        ),
+        (
+            [-37.259972474508, 8.622889019246994, 1.1557572542823393],
+            [2.2405001514958207, 1.140903381517121, 1.1446873103611819],
+            [29.322017007186677, -12.844304784162953],
+            [2.2405001514958207, 1.140903381517121, 1.1446873103611819, -28.12738276586538,
+             -0.9250672231567592, -12.844304784162953],
+            [-0.0662632666034276, 1.140903381517121, 11.612531270120387],
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("design", sorted(LAW_CAPTURE))
+def test_law_values_equal_their_capture(design, ball_beam, fd_ball_beam, vtol, vtol_two_phase):
+    bench = {"ball-beam": ball_beam, "ball-beam-fd": ball_beam, "vtol-nonsmooth": vtol,
+             "vtol-two-phase": vtol_two_phase}[design]
+    sys, tgt = fd_ball_beam if design == "ball-beam-fd" else (bench.system, bench.target)
+    law = IdaPbcLaw(sys, tgt, bench.damping_mode)
+    for q, p, tau, field, pt in LAW_CAPTURE[design]:
+        q, p = np.array(q), np.array(p)
+        got = law.evaluate(q, p)
+        for name, value, want in zip(("tau", "field", "ptilde"), got, (tau, field, pt)):
+            assert np.array_equal(value, want), name
+        assert np.array_equal(law.field(q, p), field)
+        assert np.array_equal(law(0.0, q, p), tau)
+
+
 def test_nominal_start_control_moderate(ball_beam):
     s = ball_beam.initial_state
     tau = IdaPbcLaw(ball_beam.system, ball_beam.target)(0.0, s.q, s.p)
@@ -117,6 +243,37 @@ def test_non_finite_g_raises(m, bad, capfd):
             with pytest.raises(RankDeficientG):
                 pseudo_inverse_apply(g, np.ones(n))
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_rank_guard_agrees_with_smallest_singular_value(m):
+    # the guard reads sigma_min off the pull-back's own factorization: sqrt(g^T g)
+    # for m = 1, r11 r22 / sigma_max(R) for m = 2. On G = U diag(s) V^T with
+    # sigma_min swept across 1e-9 and cond(G) up to 1e10, it raises exactly where
+    # smallest_singular_value is below 1e-9, except within a relative band of
+    # 1e-4 around it (both estimates are accurate to about eps cond(G) = 2e-6)
+    rng = np.random.default_rng(21)
+    scales = SIGMA_MIN_LIMIT * np.concatenate([np.logspace(-1.0, 1.0, 21),
+                                               1.0 + np.linspace(-1e-2, 1e-2, 41)])
+    checked = collections.Counter()
+    for n in range(m, 5):
+        for scale in scales:
+            for _ in range(5):
+                u, _ = np.linalg.qr(rng.standard_normal((n, m)))
+                w, _ = np.linalg.qr(rng.standard_normal((m, m)))
+                g = (u * np.array([10.0 ** rng.uniform(-1.0, 1.0), scale])[-m:]) @ w.T
+                sigma = smallest_singular_value(g)
+                if abs(sigma / SIGMA_MIN_LIMIT - 1.0) < 1e-4:
+                    continue
+                below = sigma < SIGMA_MIN_LIMIT
+                checked[below] += 1
+                try:
+                    pseudo_inverse_apply(g, rng.standard_normal(n))
+                except RankDeficientG:
+                    assert below, (n, sigma)
+                else:
+                    assert not below, (n, sigma)
+    assert min(checked.values()) > 100
 
 
 def exact_least_squares(g, v):

@@ -24,6 +24,7 @@ from bipbc import (
 )
 from bipbc.bounds import BoundReport
 from bipbc.controller import IdaPbcLaw, ida_pbc_control_raw
+from bipbc.phcore import open_loop_field_raw
 from bipbc.simulate import HD_TOL, _run_monitors, bound_exceedances
 
 
@@ -103,7 +104,9 @@ def test_one_plant_evaluation_per_accepted_state(ball_beam, fd_ball_beam, monkey
     # an RK4 step evaluates the law's plant terms at three interior stages and
     # one accepted state, each 5 M (1 + 4 in the finite-difference grad_q K),
     # 5 M_d and 2 fd_gradient; k1 and the recorded ptilde reuse the accepted
-    # state's evaluation (a separate open-loop k1 and M_d solve made 25, 21, 9)
+    # state's evaluation (a separate open-loop k1 and M_d solve made 25, 21, 9),
+    # and without a target the recorded energy takes M^-1 p from k1 (an M
+    # evaluation and solve per record made 21 M)
     counts = collections.Counter()
 
     def counted(key, fn):
@@ -120,15 +123,16 @@ def test_one_plant_evaluation_per_accepted_state(ball_beam, fd_ball_beam, monkey
     monkeypatch.setattr(bipbc.controller, "ida_pbc_control_raw",
                         counted("law", bipbc.controller.ida_pbc_control_raw))
 
-    def run(steps):
+    def run(steps, target):
         counts.clear()
         simulate(sys, IdaPbcLaw(sys, tgt), ball_beam.initial_state,
-                 SimConfig(dt=2e-3, t_end=steps * 2e-3), target=tgt)
+                 SimConfig(dt=2e-3, t_end=steps * 2e-3), target=target)
         return dict(counts)
 
-    start, run_100 = run(1), run(101)
-    per_step = {key: (run_100[key] - start[key]) / 100 for key in run_100}
-    assert per_step == {"M": 20, "M_d": 20, "fd_gradient": 8, "law": 1}
+    for target in (tgt, None):
+        start, run_100 = run(1, target), run(101, target)
+        per_step = {key: (run_100[key] - start[key]) / 100 for key in run_100}
+        assert per_step == {"M": 20, "M_d": 20, "fd_gradient": 8, "law": 1}, target
 
 
 def test_ptilde_of_another_target_is_not_the_laws(ball_beam):
@@ -211,6 +215,53 @@ def test_law_of_another_plant_drives_the_simulated_plant(ball_beam):
                        target=ball_beam.target)
     assert_same_run(a, b)
     assert not np.array_equal(a.p, nominal.p)
+
+
+def unit_masses(n=4, m=3):
+    """n decoupled unit masses on unit springs, the first m actuated, and a target
+    that doubles the masses: n > 3 and m >= 3 take the numpy fallbacks of
+    `solve_checked` and `pseudo_inverse_apply`."""
+    sys = dataclasses.replace(particle(n, spring=1.0), m=m, input_coupling=lambda q: np.eye(n, m))
+    tgt = TargetDynamics(mass_d=lambda q: 2.0 * np.eye(n),
+                         potential_d=lambda q: 0.5 * float(q @ q), potential_d_grad=lambda q: q,
+                         j2=lambda q, pt: np.zeros((n, n)), damping_gain=np.eye(m),
+                         equilibrium=np.zeros(n))
+    return sys, tgt
+
+
+def test_law_on_more_than_three_coordinates():
+    # the law's field is the open-loop field under its tau bit for bit, and a
+    # run under the law equals one under the law as a plain callable, also
+    # where the solves and the pull-back go through numpy
+    sys, tgt = unit_masses()
+    law = IdaPbcLaw(sys, tgt)
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        q, p = rng.standard_normal(4), rng.standard_normal(4)
+        assert np.array_equal(law.field(q, p), open_loop_field_raw(sys, q, p, law(0.0, q, p)))
+    s0 = ConfigState(q=rng.standard_normal(4), p=rng.standard_normal(4))
+    cfg = SimConfig(dt=1e-2, t_end=0.5)
+    for target in (tgt, None):  # without a target, ptilde_norm is NaN on both
+        a = simulate(sys, law, s0, cfg, target=target)
+        b = simulate(sys, lambda t, q, p: law(t, q, p), s0, cfg, target=target)
+        assert a.events == b.events == [] and len(a) == 51
+        for name in RUN_ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+def test_nan_stage_field_is_a_blowup():
+    # a NaN in an interior stage's field makes the next state NaN, which fails
+    # the blowup test: the run ends at the last accepted state
+    def potential_grad(q):
+        return np.full(1, np.nan) if q[0] > 0.5 else q
+
+    sys = dataclasses.replace(particle(spring=1.0), potential_grad=potential_grad)
+    for ctrl in (None, lambda t, q, p: np.zeros(1)):
+        traj = simulate(sys, ctrl, ConfigState(q=np.zeros(1), p=np.ones(1)),
+                        SimConfig(dt=1e-2, t_end=2.0))
+        assert [kind for _, kind, _ in traj.events] == ["blowup"]
+        assert np.all(np.isnan(traj.events[0][2]["state"]))
+        assert np.all(np.isfinite(traj.q)) and traj.q[-1, 0] <= 0.5 < traj.q[-1, 0] + 1e-2
 
 
 def test_open_loop_conservation_per_step():

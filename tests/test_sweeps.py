@@ -46,7 +46,7 @@ from bipbc.matching import (MATCHING_MOMENTUM_CAP, MatchingReport, annihilator, 
                             damping_transfer, equilibrium_check)
 from bipbc.sampling import ball_sample
 from bipbc.phcore import kinetic_energy_grad, mass_solve
-from bipbc.stacking import _BLOCK, _pull_back, _spectral_norms
+from bipbc.stacking import _BLOCK, _eigvalsh, _pull_back, _spectral_norms
 
 
 # -- point-by-point references -------------------------------------------------
@@ -587,6 +587,50 @@ def test_nan_or_vanishing_g_in_the_sweeps(ball_beam):
             sys = dataclasses.replace(ball_beam.system, input_coupling=input_coupling(value))
             with pytest.raises(RankDeficientG):
                 estimate_constants(sys, ball_beam.target, samples=200)
+
+
+def nan_beyond(fn, entry, beyond):
+    """`fn` with a NaN at `entry` of its value where q[0] > `beyond`."""
+    def with_nan(q):
+        out = np.array(fn(q), dtype=float)
+        if q[0] > beyond:
+            out[entry] = np.nan
+        return out
+    return with_nan
+
+
+def test_eigvalsh_of_a_nan_item_is_nan():
+    # eigvalsh gives a 2 x 2 identity with a NaN at (0, 0) eigenvalues 0 and -0
+    # and fails to converge on a 3 x 3 one; the sweeps' helper makes the
+    # eigenvalues of an item with a NaN or infinite entry NaN, without a
+    # warning, and leaves the others' bits
+    for n in (2, 3):
+        a = np.stack([np.eye(n), np.diag([-0.0] + [1.0] * (n - 1)), np.eye(n), np.eye(n)])
+        a[2, 0, 0], a[3, n - 1, 0] = np.nan, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eigs = _eigvalsh(a)
+        assert np.all(np.isnan(eigs[2:]))
+        assert np.array_equal(eigs[:2], np.linalg.eigvalsh(a[:2]))
+        assert np.signbit(eigs[:2]).tolist() == np.signbit(np.linalg.eigvalsh(a[:2])).tolist()
+
+
+def test_nan_matrices_make_the_eigenvalue_extremes_nan(ball_beam, vtol, vtol_certificate):
+    # "a NaN sample makes its constants NaN": a ball-beam M_d with a NaN (0, 0)
+    # entry at some samples raised NonpositiveEigenvalue, and a VTOL R with a
+    # NaN entry at some samples made eigvalsh fail to converge (LinAlgError) in
+    # estimate_constants, verify_matching and kv_advisory
+    tgt = dataclasses.replace(ball_beam.target,
+                              mass_d=nan_beyond(ball_beam.target.mass_d, (0, 0), 0.9))
+    constants = estimate_constants(ball_beam.system, tgt, samples=200)
+    for name in ("lam_min_Md", "lam_max_Md", "lam_min_MdInv", "lam_max_MdInv", "lam_min_R2"):
+        assert math.isnan(getattr(constants, name)), name
+    for entry in ((0, 0), (0, 1)):
+        sys = dataclasses.replace(vtol.system, damping=nan_beyond(vtol.system.damping, entry, 40.0))
+        assert math.isnan(estimate_constants(sys, vtol.target, samples=200).lam_min_R2)
+        report = verify_matching(sys, vtol.target, samples=200)
+        assert math.isnan(report.r2_min_eig) and math.isnan(report.condition5_min_eig)
+        assert math.isnan(kv_advisory(sys, vtol.target, vtol_certificate[0]).sym_min_eig)
 
 
 # -- unit structure -------------------------------------------------------------
