@@ -38,7 +38,7 @@ from ..controller import (  # noqa: F401
 from ..phcore import ConfigState, MechanicalSystem
 from ..sampling import Box
 from ..simulate import SimConfig
-from ..stacking import _constant_rows, _each, _rows, batched
+from ..stacking import constant, plant_function
 
 # Per-constant reference values quoted for this design in the literature,
 # kept as data so reports can surface the gap between the quoted numbers and
@@ -153,114 +153,53 @@ class BallBeamBenchmark:
 
 def make_ball_beam(params: BallBeamParams = BallBeamParams()) -> BallBeamBenchmark:
     L, g, k_p, k_v = params.L, params.g, params.k_p, params.k_v
-    # constant outputs, built once and returned read-only on every call
-    r_mat = np.diag([params.r1, params.r2])
-    g_col, annihilator_row = np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]])
-    for const in (r_mat, g_col, annihilator_row):
-        const.setflags(write=False)
-    l2 = L * L
+    l2, root2 = L * L, math.sqrt(2.0)
 
-    def b_of(q1: float) -> float:
+    # Each formula gives its output's entries through the math backend m, on
+    # floats for the point callable and on (B,) columns for its row form.
+    def b_of(q1):
         return l2 + q1 * q1
 
-    def shaping_offset(q1: float) -> float:
-        return math.asinh(q1 / L) / math.sqrt(2.0)
+    def z_of(m, q):
+        return q[1] - m.asinh(q[0] / L) / root2
 
-    # Row-batched twins (`batched`) of the closures below: their operations in the
-    # same order on (B,) columns, with asinh, sin, cos and integer powers per item,
-    # so that each row equals the per-point call bit for bit.
-    def power(x, k: int):
-        return _each(lambda v: v**k, x)
-
-    def mass_rows(q):
-        return _rows(q, 1.0, 0.0, 0.0, b_of(q[:, 0]), shape=(2, 2))
-
-    def potential_grad_rows(q):
-        return _rows(q, g * _each(math.sin, q[:, 1]), g * q[:, 0] * _each(math.cos, q[:, 1]),
-                     shape=(2,))
-
-    def kinetic_grad_rows(q, p):
-        return _rows(q, -q[:, 0] * power(p[:, 1], 2) / power(b_of(q[:, 0]), 2), 0.0, shape=(2,))
-
-    def mass_d_rows(q):
-        b = b_of(q[:, 0])
-        a = np.sqrt(2.0 * b)
-        return _rows(q, a, b, b, a * b, shape=(2, 2))
-
-    def potential_d_grad_rows(q):
-        z = q[:, 1] - _each(shaping_offset, q[:, 0])
-        return _rows(q, -k_p * z / np.sqrt(2.0 * b_of(q[:, 0])),
-                     g * _each(math.sin, q[:, 1]) + k_p * z, shape=(2,))
-
-    def kinetic_d_grad_rows(q, p):
-        b = b_of(q[:, 0])
-        a = np.sqrt(2.0 * b)
-        quad = ((a / power(b, 2)) * power(p[:, 0], 2) - (4.0 / power(b, 2)) * p[:, 0] * p[:, 1]
-                + (3.0 * a / power(b, 3)) * power(p[:, 1], 2))
-        return _rows(q, -0.5 * q[:, 0] * quad, 0.0, shape=(2,))
-
-    def j2_rows(q, pt):
-        j = -q[:, 0] * b_of(q[:, 0]) * pt[:, 1]
-        return _rows(q, 0.0, j, -j, 0.0, shape=(2, 2))
-
-    @batched(mass_rows)
-    def mass_matrix(q):
-        return np.array([[1.0, 0.0], [0.0, b_of(q[0])]])
+    def mass_matrix(m, q):
+        return 1.0, 0.0, 0.0, b_of(q[0])
 
     def potential(q):
         return g * q[0] * math.sin(q[1])
 
-    @batched(potential_grad_rows)
-    def potential_grad(q):
-        return np.array([g * math.sin(q[1]), g * q[0] * math.cos(q[1])])
+    def potential_grad(m, q):
+        return g * m.sin(q[1]), g * q[0] * m.cos(q[1])
 
-    @batched(kinetic_grad_rows)
-    def kinetic_grad(q, p):
+    def kinetic_grad(m, q, p):
         # K = (p1^2 + p2^2 / b) / 2, so only dK/dq1 is nonzero
+        return -q[0] * m.pow(p[1], 2) / m.pow(b_of(q[0]), 2), 0.0
+
+    def mass_d(m, q):
         b = b_of(q[0])
-        return np.array([-q[0] * p[1] ** 2 / b**2, 0.0])
-
-    @batched(_constant_rows(g_col))
-    def input_coupling(q):
-        return g_col
-
-    @batched(_constant_rows(r_mat))
-    def damping(q):
-        return r_mat
-
-    @batched(_constant_rows(annihilator_row))
-    def annihilator(q):
-        return annihilator_row
-
-    @batched(mass_d_rows)
-    def mass_d(q):
-        b = b_of(q[0])
-        a = math.sqrt(2.0 * b)
-        return np.array([[a, b], [b, a * b]])
+        a = m.sqrt(2.0 * b)
+        return a, b, b, a * b
 
     def potential_d(q):
-        z = q[1] - shaping_offset(q[0])
+        z = z_of(math, q)
         return g * (1.0 - math.cos(q[1])) + 0.5 * k_p * z * z
 
-    @batched(potential_d_grad_rows)
-    def potential_d_grad(q):
-        b = b_of(q[0])
-        a = math.sqrt(2.0 * b)
-        z = q[1] - shaping_offset(q[0])
-        return np.array([-k_p * z / a, g * math.sin(q[1]) + k_p * z])
+    def potential_d_grad(m, q):
+        z = z_of(m, q)
+        return -k_p * z / m.sqrt(2.0 * b_of(q[0])), g * m.sin(q[1]) + k_p * z
 
-    @batched(kinetic_d_grad_rows)
-    def kinetic_d_grad(q, p):
+    def kinetic_d_grad(m, q, p):
         # d/dq1 of p^T M_d^-1 p / 2; the q2 derivative vanishes
         b = b_of(q[0])
-        a = math.sqrt(2.0 * b)
-        quad = (a / b**2) * p[0] ** 2 - (4.0 / b**2) * p[0] * p[1] + (3.0 * a / b**3) * p[1] ** 2
-        return np.array([-0.5 * q[0] * quad, 0.0])
+        a = m.sqrt(2.0 * b)
+        quad = ((a / m.pow(b, 2)) * m.pow(p[0], 2) - (4.0 / m.pow(b, 2)) * p[0] * p[1]
+                + (3.0 * a / m.pow(b, 3)) * m.pow(p[1], 2))
+        return -0.5 * q[0] * quad, 0.0
 
-    @batched(j2_rows)
-    def j2(q, pt):
+    def j2(m, q, pt):
         j = -q[0] * b_of(q[0]) * pt[1]
-        return np.array([[0.0, j], [-j, 0.0]])
+        return 0.0, j, -j, 0.0
 
     workspace = Box(
         lower=np.array([-params.q1_max, -params.q2_max]),
@@ -268,23 +207,23 @@ def make_ball_beam(params: BallBeamParams = BallBeamParams()) -> BallBeamBenchma
     )
     system = MechanicalSystem(
         m=1,
-        mass_matrix=mass_matrix,
+        mass_matrix=plant_function((2, 2), mass_matrix),
         potential=potential,
-        potential_grad=potential_grad,
-        input_coupling=input_coupling,
-        damping=damping,
+        potential_grad=plant_function((2,), potential_grad),
+        input_coupling=constant([[0.0], [1.0]]),
+        damping=constant(np.diag([params.r1, params.r2])),
         workspace=workspace,
-        kinetic_grad=kinetic_grad,
-        annihilator=annihilator,
+        kinetic_grad=plant_function((2,), kinetic_grad),
+        annihilator=constant([[1.0, 0.0]]),
     )
     target = TargetDynamics(
-        mass_d=mass_d,
+        mass_d=plant_function((2, 2), mass_d),
         potential_d=potential_d,
-        potential_d_grad=potential_d_grad,
-        j2=j2,
+        potential_d_grad=plant_function((2,), potential_d_grad),
+        j2=plant_function((2, 2), j2),
         damping_gain=np.array([[k_v]]),
         equilibrium=np.zeros(2),
-        kinetic_d_grad=kinetic_d_grad,
+        kinetic_d_grad=plant_function((2,), kinetic_d_grad),
     )
     return BallBeamBenchmark(
         name="ball-beam",

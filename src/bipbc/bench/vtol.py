@@ -57,8 +57,7 @@ from ..controller import (  # noqa: F401
 from ..phcore import MechanicalSystem
 from ..sampling import Box
 from ..simulate import SimConfig
-from ..stacking import (_constant_rows, _each, _matvec, _pull_back, _rows, _spectral_norms, _stack,
-                        batched)
+from ..stacking import _matvec, _pull_back, _spectral_norms, _stack, constant, plant_function
 
 #: roll angle at which the barrier terms become singular (cos t = 0.1)
 THETA_SINGULAR = math.acos(0.1)
@@ -250,66 +249,19 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
     t0 = math.tanh(math.log(0.9 * eps))
     cc = (g + k1 * eps * t0) / eps
     x_star, y_star = params.x_star, params.y_star
-    # constant outputs, built once and returned read-only on every call
-    eye, zeros, zeros33, grad_v = np.eye(3), np.zeros(3), np.zeros((3, 3)), np.array([0.0, g, 0.0])
-    md_const = np.array([[m11, 0.0, eps], [0.0, 1.0, 0.0], [eps, 0.0, 0.1]])
-    for const in (eye, zeros, zeros33, grad_v, md_const):
-        const.setflags(write=False)
+    scale = 1.0 / math.sqrt(1.0 + eps * eps)
 
-    # Row-batched twins (`batched`), equal to the per-point closures bit for
-    # bit: sin and cos per item, and grad V_d from the same per-point formula.
-    def input_coupling_rows(q):
-        s, c = _each(math.sin, q[:, 2]), _each(math.cos, q[:, 2])
-        return _rows(q, -s, eps * c, c, eps * s, 0.0, 1.0, shape=(3, 2))
+    # Each formula gives its output's entries through the math backend m, on
+    # floats for the point callable and on (B,) columns for its row form.
+    def input_coupling(m, q):
+        s, c = m.sin(q[2]), m.cos(q[2])
+        return -s, eps * c, c, eps * s, 0.0, 1.0
 
-    def annihilator_rows(q):
-        s, c = _each(math.sin, q[:, 2]), _each(math.cos, q[:, 2])
-        scale = 1.0 / math.sqrt(1.0 + eps * eps)
-        return _rows(q, c * scale, s * scale, -eps * scale, shape=(1, 3))
-
-    @batched(_constant_rows(eye))
-    def mass_matrix(q):
-        return eye
+    def annihilator(m, q):
+        return m.cos(q[2]) * scale, m.sin(q[2]) * scale, -eps * scale
 
     def potential(q):
         return g * q[1]
-
-    @batched(_constant_rows(grad_v))
-    def potential_grad(q):
-        return grad_v
-
-    @batched(_constant_rows(zeros))
-    def kinetic_grad(q, p):
-        return zeros
-
-    @batched(input_coupling_rows)
-    def input_coupling(q):
-        th = q[2]
-        s, c = math.sin(th), math.cos(th)
-        return np.array([[-s, eps * c], [c, eps * s], [0.0, 1.0]])
-
-    @batched(annihilator_rows)
-    def annihilator(q):
-        th = q[2]
-        s, c = math.sin(th), math.cos(th)
-        scale = 1.0 / math.sqrt(1.0 + eps * eps)
-        return np.array([[c * scale, s * scale, -eps * scale]])
-
-    @batched(_constant_rows(zeros33))
-    def damping(q):
-        return zeros33
-
-    @batched(_constant_rows(md_const))
-    def mass_d(q):
-        return md_const
-
-    @batched(_constant_rows(zeros))
-    def kinetic_d_grad(q, p):
-        return zeros
-
-    @batched(_constant_rows(zeros33))
-    def j2(q, pt):
-        return zeros33
 
     def barrier(th: float) -> float:
         arg = eps * (math.cos(th) - 0.1)
@@ -351,9 +303,11 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
         d, btheta = roll_factors(th)
         return k2 * gamma * t_b, k1 * eps * (t_a - t0), (k1 * t_a - cc) * d + k2 * t_b * btheta
 
-    @batched(lambda q: np.array(list(map(grad_vd_entries, q.tolist()))))
     def potential_d_grad(q):
         return np.array(grad_vd_entries(q))
+
+    # its row form maps the point formula, whose barrier checks raise per point
+    potential_d_grad.batched = lambda q: np.array(list(map(grad_vd_entries, q.tolist())))
 
     def vd_grad_sup(theta_max: float) -> float:
         """Worst-case ||grad V_d|| over |roll| <= theta_max, any (x, y).
@@ -376,23 +330,23 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
     )
     system = MechanicalSystem(
         m=2,
-        mass_matrix=mass_matrix,
+        mass_matrix=constant(np.eye(3)),
         potential=potential,
-        potential_grad=potential_grad,
-        input_coupling=input_coupling,
-        damping=damping,
+        potential_grad=constant([0.0, g, 0.0]),
+        input_coupling=plant_function((3, 2), input_coupling),
+        damping=constant(np.zeros((3, 3))),
         workspace=workspace,
-        kinetic_grad=kinetic_grad,
-        annihilator=annihilator,
+        kinetic_grad=constant(np.zeros(3)),
+        annihilator=plant_function((1, 3), annihilator),
     )
     target = TargetDynamics(
-        mass_d=mass_d,
+        mass_d=constant([[m11, 0.0, eps], [0.0, 1.0, 0.0], [eps, 0.0, 0.1]]),
         potential_d=potential_d,
         potential_d_grad=potential_d_grad,
-        j2=j2,
+        j2=constant(np.zeros((3, 3))),
         damping_gain=params.kv * np.eye(2),
         equilibrium=np.array([x_star, y_star, 0.0]),
-        kinetic_d_grad=kinetic_d_grad,
+        kinetic_d_grad=constant(np.zeros(3)),
     )
     return VtolBenchmark(
         name="vtol-two-phase" if two_phase else "vtol-nonsmooth",

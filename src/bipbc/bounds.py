@@ -27,11 +27,11 @@ fixed safety inflation (INFLATION) on the suprema. Eigenvalue extremes are raw
 per-sample extremes; this is a practical certificate, not interval
 arithmetic, so the workspace declaration is part of the contract.
 
-The sampled sweeps evaluate the plant over blocks of points, through its
-row-batched twins where it has them and point by point otherwise, and run
-the linear algebra once per block (see `bipbc.stacking`); extremes are
-folded across blocks and violations are summed. All reports are immutable
-values.
+The sampled sweeps evaluate the plant over blocks of points, through the row
+forms of its callables where they have them and point by point otherwise,
+and run the linear algebra once per block (see `bipbc.stacking`); extremes
+are folded across blocks and violations are summed. All reports are
+immutable values.
 """
 
 from __future__ import annotations

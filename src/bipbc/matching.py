@@ -93,7 +93,7 @@ def _transfers(sys: MechanicalSystem, qs: np.ndarray, mass: np.ndarray,
 
 def _momentum_grads(sys: MechanicalSystem, tgt: TargetDynamics) -> tuple[Callable, Callable]:
     """grad_q K and grad_q K_d as (q, p) callables for `_stack`: the plant's
-    own, so that a row-batched twin is used, or else finite differences."""
+    own, so that its row form is used, or else finite differences."""
     return (sys.kinetic_grad if sys.kinetic_grad is not None else partial(kinetic_energy_grad, sys),
             tgt.kinetic_d_grad if tgt.kinetic_d_grad is not None else partial(kinetic_d_grad, tgt))
 

@@ -4,15 +4,18 @@ The sampled sweeps evaluate the plant and target over blocks of at most
 `_BLOCK` points (whole-sweep stacks of the per-direction values would cost tens
 of MB for no speed) and run the linear algebra (solves, inv, eigvalsh, matmul,
 pinv and 2-norms, no SVD up to 3 x 3) once per block. `_stack` is the one
-adaptor: a twinned callable (see `batched`) is called once per block, any other
-callable once per point. Batched operations go item by item in the order of one
-point, so the results are those of a point-by-point loop.
+adaptor: a callable with a row form (`.batched`, see `plant_function`) is
+called once per block, any other callable once per point. Batched operations
+go item by item in the order of one point, so the results are those of a
+point-by-point loop.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from itertools import combinations
+from itertools import combinations, repeat
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -27,48 +30,80 @@ def _blocks(count: int):
     return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
 
 
-def batched(twin: Callable) -> Callable:
-    """Decorator attaching `twin`, the row-batched form of a per-point plant callable.
+def _per_item(fn: Callable) -> Callable:
+    """`fn` over a (B,) column, item by item on Python floats; any further
+    arguments go to every call."""
 
-    `twin` takes the arguments stacked as (B, n) rows and returns the B outputs
-    stacked on axis 0, each equal to the per-point call bit for bit (see the
-    README, "Adding a benchmark"). A wrapper or a replaced callable has no twin.
+    def column(x: np.ndarray, *args) -> np.ndarray:
+        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, len(x))
+
+    return column
+
+
+#: The math backend of a row form, on (B,) columns: numpy's `sqrt` and
+#: arithmetic, and `math` item by item for the rest, since numpy's `arcsinh` and
+#: `**` can differ from `math` in the last bit (its sin and cos agree on the
+#: tested hosts, but are kernels the point path never loads).
+_ROWS = SimpleNamespace(sqrt=np.sqrt, sin=_per_item(math.sin), cos=_per_item(math.cos),
+                        asinh=_per_item(math.asinh), pow=_per_item(math.pow))
+
+
+def plant_function(shape: tuple, formula: Callable) -> Callable:
+    """The plant or target callable of `formula`, with its row form as `.batched`.
+
+    `formula(m, q)` or `formula(m, q, p)` returns the entries of one output of
+    `shape` in C order, computed through the math backend `m` (`sqrt`, `sin`,
+    `cos`, `asinh`, and `pow` for integer powers) and arithmetic. The callable
+    takes (q) or (q, p) arrays and runs the formula on their Python floats with
+    `math`; `.batched` takes them stacked as (B, n) rows, runs it once on their
+    (B,) columns (see `_ROWS`) and returns the B outputs stacked on axis 0, each
+    equal to the point call bit for bit.
     """
 
-    def attach(fn: Callable) -> Callable:
-        fn.batched = twin
-        return fn
+    def rows(entries, count: int) -> np.ndarray:
+        out = np.zeros((count, len(entries)))
+        for i, entry in enumerate(entries):
+            out[:, i] = entry
+        return out.reshape((count,) + shape)
 
-    return attach
+    if len(inspect.signature(formula).parameters) == 2:
+        def fn(q):
+            out = np.array(formula(math, q.tolist()))
+            out.shape = shape
+            return out
+
+        fn.batched = lambda q: rows(formula(_ROWS, q.T), len(q))
+    else:
+        def fn(q, p):
+            out = np.array(formula(math, q.tolist(), p.tolist()))
+            out.shape = shape
+            return out
+
+        fn.batched = lambda q, p: rows(formula(_ROWS, q.T, p.T), len(q))
+    return fn
 
 
-def _constant_rows(value: np.ndarray) -> Callable:
-    """Twin of a callable that returns `value` at every point."""
-    return lambda q, *rest: np.broadcast_to(value, (len(q),) + value.shape)
+def constant(value) -> Callable:
+    """The plant or target callable, of (q) or (q, p), that returns `value` as a
+    read-only float array at every point, with a stride-0 view as its row form."""
+    value = np.array(value, dtype=float)
+    value.setflags(write=False)
 
+    def fn(q, p=None):
+        return value
 
-def _each(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """fn applied to every entry of a 1-D `x` as a Python float."""
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
-
-
-def _rows(q: np.ndarray, *entries, shape: tuple) -> np.ndarray:
-    """len(q) outputs of `shape`, whose entries in C order are `entries`,
-    each a number or a (B,) column."""
-    out = np.zeros((len(q), len(entries)))
-    for i, entry in enumerate(entries):
-        out[:, i] = entry
-    return out.reshape((len(q),) + shape)
+    fn.batched = lambda q, p=None: np.broadcast_to(value, (len(q),) + value.shape)
+    return fn
 
 
 def _stack(fn: Callable, *args: np.ndarray) -> np.ndarray:
     """`fn` called on the zipped rows of `args`, its outputs stacked on axis 0.
 
-    A row-batched twin of `fn` (see `batched`) is called once, and its result
-    made a C-contiguous float array, copied only when it is not one (a
-    stride-0 view would reach numpy's non-BLAS matmul loop). Otherwise `fn` is
-    called per point, each output copied into the stack as it comes, so no
-    list of per-point arrays is held.
+    The row form of `fn` (`fn.batched`, see `plant_function`) is called once,
+    and its result made a C-contiguous float array, copied only when it is not
+    one (a stride-0 view would reach numpy's non-BLAS matmul loop). Otherwise
+    `fn` is called per point, each output copied into the stack as it comes,
+    so no list of per-point arrays is held.
     """
     twin = getattr(fn, "batched", None)
     if twin is not None:

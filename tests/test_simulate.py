@@ -82,8 +82,9 @@ RUN_ARRAYS = ("times", "q", "p", "tau", "hd", "p_norm", "ptilde_norm", "phase")
 
 
 def assert_same_run(a, b):
+    # a run without a target records ptilde_norm as NaN
     for name in RUN_ARRAYS:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
     assert [e[:2] for e in a.events] == [e[:2] for e in b.events]
     assert a.switch_time == b.switch_time
 
@@ -241,12 +242,11 @@ def test_law_on_more_than_three_coordinates():
         assert np.array_equal(law.field(q, p), open_loop_field_raw(sys, q, p, law(0.0, q, p)))
     s0 = ConfigState(q=rng.standard_normal(4), p=rng.standard_normal(4))
     cfg = SimConfig(dt=1e-2, t_end=0.5)
-    for target in (tgt, None):  # without a target, ptilde_norm is NaN on both
+    for target in (tgt, None):
         a = simulate(sys, law, s0, cfg, target=target)
         b = simulate(sys, lambda t, q, p: law(t, q, p), s0, cfg, target=target)
         assert a.events == b.events == [] and len(a) == 51
-        for name in RUN_ARRAYS:
-            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+        assert_same_run(a, b)
 
 
 def test_nan_stage_field_is_a_blowup():

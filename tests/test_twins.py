@@ -1,12 +1,14 @@
-"""Row-batched twins of the shipped plants, and the sweeps that use them.
+"""Row forms (twins) of the shipped plants, and the sweeps that use them.
 
-A twin must equal its per-point closure bit for bit, so a sweep gives the
-same numbers with the twins as with plain per-point callables.
+`plant_function` and `constant` derive a callable and its row form from one
+formula. A row form must equal its per-point callable bit for bit, so a sweep
+gives the same numbers with the row forms as with plain per-point callables.
 """
 
 import dataclasses
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from bipbc.bench import get_benchmark
 from bipbc.bench.vtol import THETA_SINGULAR
 from bipbc.errors import SingularMass
 from bipbc.smalllinalg import _adjugate, _guard, solve_checked, solve_stacked
-from bipbc.stacking import _BLOCK, _stack
+from bipbc.stacking import _BLOCK, _stack, constant, plant_function
 
 PLANT = ("mass_matrix", "potential_grad", "kinetic_grad", "input_coupling", "damping",
          "annihilator")
@@ -60,6 +62,77 @@ def test_twins_equal_their_closures(name):
         got = np.asarray(fn.batched(*args), dtype=float)
         assert got.shape == want.shape, field
         assert np.array_equal(got, want), f"{field}: {np.count_nonzero(got != want)} entries differ"
+
+
+@pytest.mark.parametrize("name", ["ball-beam", "vtol-nonsmooth"])
+def test_shipped_callables_come_from_one_formula(name):
+    # each callable is derived by plant_function or constant; the VTOL grad V_d,
+    # whose barrier checks raise per point, maps its point formula per row
+    for _, field, fn in twinned(get_benchmark(name)):
+        derived = fn.__qualname__.split(".<locals>")[0] in ("plant_function", "constant")
+        assert derived != (name != "ball-beam" and field == "potential_d_grad"), field
+
+
+def toy_formulas():
+    """A (q) and a (q, p) formula that call every function of the math backend."""
+
+    def one(m, q):
+        s = m.sin(q[0])
+        return m.sqrt(1.0 + q[1] * q[1]), s * m.cos(q[1]), m.asinh(q[0] / 3.0), m.pow(s, 3) - 2.0
+
+    def two(m, q, p):
+        c = m.cos(q[1]) / m.pow(1.5 + m.sin(q[0]), 2)
+        return c * m.pow(p[0], 2) + m.asinh(p[1]), m.sqrt(2.0 + p[0] * p[0]) * q[0]
+
+    return plant_function((2, 2), one), plant_function((2, 1), two)
+
+
+def assert_rows_equal_points(fn, rng):
+    qs = 3.0 * rng.standard_normal((300, 2))
+    args = (qs, 3.0 * rng.standard_normal(qs.shape))[:len(inspect.signature(fn).parameters)]
+    got = np.asarray(fn.batched(*args), dtype=float)
+    assert np.array_equal(got, per_point(fn, *args))
+    assert np.array_equal(_stack(fn, *args), got)
+
+
+def test_plant_function_and_constant_contract(ball_beam):
+    rng = np.random.default_rng(17)
+    one, two = toy_formulas()
+    assert str(inspect.signature(one)) == "(q)" and str(inspect.signature(two)) == "(q, p)"
+    assert one(np.zeros(2)).shape == (2, 2) and two(np.zeros(2), np.zeros(2)).shape == (2, 1)
+    for fn in (one, two):
+        assert_rows_equal_points(fn, rng)
+
+    value = [[1.0, 2.0], [3.0, 4.0]]
+    fixed = constant(value)
+    assert not fixed(np.zeros(2)).flags.writeable
+    assert np.array_equal(fixed(np.zeros(2), np.zeros(2)), value)
+    view = fixed.batched(np.zeros((5, 2)))
+    assert view.strides[0] == 0 and np.array_equal(view, np.broadcast_to(value, (5, 2, 2)))
+
+    # a wrapper set by dataclasses.replace has no row form: the sweeps call it per point
+    calls = []
+
+    def plain(q):
+        calls.append(q)
+        return one(q)
+
+    sys = dataclasses.replace(ball_beam.system, mass_matrix=plain)
+    assert not hasattr(sys.mass_matrix, "batched")
+    qs = rng.standard_normal((7, 2))
+    assert np.array_equal(_stack(sys.mass_matrix, qs), one.batched(qs)) and len(calls) == 7
+
+
+def test_readme_example_derives_equal_forms():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Adding a benchmark", 1)[1]
+    namespace = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    rng = np.random.default_rng(18)
+    derived = [fn for fn in namespace.values() if hasattr(fn, "batched")]
+    assert len(derived) == 3
+    for fn in derived:
+        assert_rows_equal_points(fn, rng)
 
 
 def test_vtol_grad_vd_twin_raises_where_the_closure_raises(vtol):
