@@ -198,17 +198,41 @@ def _sigma_max(a, b, c, d) -> np.ndarray:
     return 0.5 * (np.sqrt(s * s + t * t) + np.sqrt(u * u + v * v))
 
 
+def _skew3(a: np.ndarray) -> bool:
+    """Whether every matrix of a (..., 3, 3) stack is exactly skew (a NaN entry is not),
+    compared on entry views without a negated copy of the stack."""
+    return (all(np.all(a[..., i, i] == 0.0) for i in range(3))
+            and all(np.all(a[..., i, j] == -a[..., j, i]) for i, j in ((0, 1), (0, 2), (1, 2))))
+
+
 def _spectral_norms(a: np.ndarray) -> np.ndarray:
-    """Largest singular value of every matrix of a stack, without SVD up to 3 x 3."""
+    """Largest singular value of every matrix of a stack, without SVD up to 3 x 3.
+
+    A stack of exactly skew 3 x 3 matrices (J_2's contract) takes the closed form
+    sqrt(a01^2 + a02^2 + a12^2): the singular values of such a matrix are |w|,
+    |w| and 0. Any other 3-row or 3-column stack takes the root of the largest
+    eigenvalue of a^T a, through `_eigvalsh`, so an item with a NaN or infinite
+    entry gives NaN; the Frobenius norm, which bounds it, caps its rounding.
+    """
+    if a.shape[-2:] == (3, 3) and _skew3(a):
+        out = a[..., 0, 1] * a[..., 0, 1]  # summed in place: the (64, 70) stacks are large
+        out += a[..., 0, 2] * a[..., 0, 2]
+        out += a[..., 1, 2] * a[..., 1, 2]
+        return np.sqrt(out)
     if a.ndim > 3 and len(a) > 8:  # in eighths, so that the temporaries stay small
-        return np.concatenate([_spectral_norms(c) for c in np.array_split(a, 8)])
+        return np.concatenate([_general_norms(c) for c in np.array_split(a, 8)])
+    return _general_norms(a)
+
+
+def _general_norms(a: np.ndarray) -> np.ndarray:
+    """`_spectral_norms` of a stack taken without the skew closed form."""
     shape, flat = a.shape[-2:], a.reshape(a.shape[:-2] + (-1,))
     if 1 in shape:
         return _norms(flat)
     if shape == (2, 2):
         return _sigma_max(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1])
-    if max(shape) == 3:  # the Frobenius cap passes on a NaN, which eigvalsh does not
-        return np.minimum(np.sqrt(np.linalg.eigvalsh(_swap(a) @ a)[..., -1]), _norms(flat))
+    if max(shape) == 3:
+        return np.minimum(np.sqrt(_eigvalsh(_swap(a) @ a)[..., -1]), _norms(flat))
     return np.linalg.norm(a, 2, axis=(-2, -1))
 
 

@@ -46,7 +46,7 @@ from bipbc.matching import (MATCHING_MOMENTUM_CAP, MatchingReport, annihilator, 
                             damping_transfer, equilibrium_check)
 from bipbc.sampling import ball_sample
 from bipbc.phcore import kinetic_energy_grad, mass_solve
-from bipbc.stacking import _BLOCK, _eigvalsh, _pull_back, _spectral_norms
+from bipbc.stacking import _BLOCK, _eigvalsh, _pull_back, _spectral_norms, _swap
 
 
 # -- point-by-point references -------------------------------------------------
@@ -534,18 +534,72 @@ def test_verify_matching_evaluates_m_and_md_once_per_sample(ball_beam):
 # -- closed forms -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shape", [(2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)])
-def test_spectral_norms_match_lapack(shape):
-    # 10^4 matrices scaled over 10^+-100, a tenth of them rank 1 and ten zero
-    rng = np.random.default_rng(sum(shape))
+SHAPES = [(2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("shape, skew", [(shape, False) for shape in SHAPES] + [((3, 3), True)],
+                         ids=[f"shape{i}" for i in range(len(SHAPES))] + ["skew"])
+def test_spectral_norms_match_lapack(shape, skew):
+    # 10^4 matrices scaled over 10^+-100, ten of them zero; a tenth of them rank 1,
+    # or all skew (J_2's contract, which takes the closed form)
+    rng = np.random.default_rng(sum(shape) + skew)
     count = 10_000
     a = rng.standard_normal((count,) + shape)
-    a[:1000] = rng.standard_normal((1000, shape[0], 1)) @ rng.standard_normal((1000, 1, shape[1]))
+    if skew:
+        a -= _swap(a)
+    else:
+        a[:1000] = rng.standard_normal((1000, shape[0], 1)) @ rng.standard_normal((1000, 1, shape[1]))
     a[1000:1010] = 0.0
     a *= 10.0 ** rng.uniform(-100.0, 100.0, (count, 1, 1))
     got, want = _spectral_norms(a), np.linalg.norm(a, 2, axis=(-2, -1))
     assert np.array_equal(got[1000:1010], want[1000:1010])
     assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * want)
+
+
+def gram_norms(a):
+    """Spectral norms of a stack by the eigvalsh-and-Frobenius formula of the general path."""
+    return np.minimum(np.sqrt(np.linalg.eigvalsh(_swap(a) @ a)[..., -1]),
+                      np.sqrt(np.sum(a * a, axis=(-2, -1))))
+
+
+def test_spectral_norms_take_the_closed_form_on_exactly_skew_stacks(monkeypatch):
+    # the closed form is chosen per stack: an exactly skew stack makes no eigvalsh
+    # call; one entry of one item moved by one ulp sends the whole stack to the
+    # general path, item by item; a NaN item is NaN there, and the others keep their values
+    calls = collections.Counter()
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls["eigvalsh"] += 1
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rng = np.random.default_rng(18)
+    for shape in ((200,), (64, 70)):  # _sample_terms' and estimate_constants' J_2 stacks
+        a = rng.standard_normal(shape + (3, 3))
+        a -= _swap(a)
+        calls.clear()
+        got = _spectral_norms(a)
+        a01, a02, a12 = a[..., 0, 1], a[..., 0, 2], a[..., 1, 2]
+        assert calls["eigvalsh"] == 0
+        assert np.array_equal(got, np.sqrt(a01 * a01 + a02 * a02 + a12 * a12))
+        item = (3,) * len(shape)
+        for entry in ((0, 1), (2, 0), (1, 2), (2, 2)):  # each pair and a diagonal entry
+            nudged = a.copy()
+            nudged[item + entry] = np.nextafter(nudged[item + entry], np.inf)
+            calls.clear()
+            got = _spectral_norms(nudged)
+            assert calls["eigvalsh"] > 0
+            assert np.array_equal(got, gram_norms(nudged)), entry
+        nan = a.copy()
+        nan[item + (0, 1)] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _spectral_norms(nan)
+        nan[item] = 0.0
+        want = gram_norms(nan)
+        want[item] = np.nan
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_pull_back_rank_guard():
@@ -589,10 +643,28 @@ def test_nan_or_vanishing_g_in_the_sweeps(ball_beam):
                 estimate_constants(sys, ball_beam.target, samples=200)
 
 
+def test_nan_g_or_j2_in_the_vtol_sweeps(vtol):
+    # a NaN in the VTOL's 3 x 2 G or 3 x 3 J_2 at some samples makes the constants
+    # taken through it NaN; the 3-row spectral norms raised LinAlgError (eigvalsh
+    # did not converge) on the NaN Gram matrices of pinv(G) and J_2
+    plain = estimate_constants(vtol.system, vtol.target, samples=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sys = dataclasses.replace(vtol.system,
+                                  input_coupling=nan_beyond(vtol.system.input_coupling, (2, 1), 40.0))
+        constants = estimate_constants(sys, vtol.target, samples=200)
+        for name in ("c_V", "c_M", "c_Lambda", "lam_min_R2", "G_M", "G_m", "sigma"):
+            assert np.all(np.isnan(getattr(constants, name))), name
+        tgt = dataclasses.replace(vtol.target, j2=nan_beyond(vtol.target.j2, (0, 1), 40.0))
+        constants = estimate_constants(vtol.system, tgt, samples=200)
+    assert math.isnan(constants.c_J)
+    assert_constants_equal(dataclasses.replace(constants, c_J=plain.c_J), plain)
+
+
 def nan_beyond(fn, entry, beyond):
     """`fn` with a NaN at `entry` of its value where q[0] > `beyond`."""
-    def with_nan(q):
-        out = np.array(fn(q), dtype=float)
+    def with_nan(q, *p):
+        out = np.array(fn(q, *p), dtype=float)
         if q[0] > beyond:
             out[entry] = np.nan
         return out
