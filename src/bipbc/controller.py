@@ -9,20 +9,26 @@ J_2, and injected damping K_v:
           - K_v G^T ptilde                 (linear damping)
     or    - K_v tanh(G^T ptilde)           (saturated damping, elementwise)
 
-with ptilde = M_d^-1 p. `matching_terms` is the one place that forms the
-bracket, as a potential part grad_q V - M_d M^-1 grad_q V_d and a kinetic
+with ptilde = M_d^-1 p. `_shaping` is the one place that forms the bracket at
+a point, as a potential part grad_q V - M_d M^-1 grad_q V_d and a kinetic
 part grad_q K - M_d M^-1 grad_q K_d + J_2 ptilde: the law is pinv(G) applied
 to their sum, and the matching residuals of `matching` are Gperp applied to
-each part. The pseudo-inverse is evaluated through a QR factorization, in
-closed form for one and two inputs and by numpy for more, and its rank guard
-reads sigma_min(G) off that factorization; the damping term is applied after
-the projection, which is algebraically identical because (G^T G)^-1 G^T G = I.
+each part (`matching_terms`). The pseudo-inverse is evaluated through a QR
+factorization, in closed form for one and two inputs and by numpy for more,
+and its rank guard reads sigma_min(G) off that factorization; the damping term
+is applied after the projection, which is algebraically identical because
+(G^T G)^-1 G^T G = I.
 
-The field (qdot, pdot) is assembled in Python floats (`hamiltonian_field`),
-which round each elementwise operation as numpy does. numpy stays for the
-matrix-vector products, which BLAS rounds with fused multiply-adds, so that a
-Python sum of products would differ in the last bit, and for tau's sum and
-difference, whose result must be an array for G tau anyway.
+Each evaluation factorizes M once: the adjugate, its determinant and the
+singularity guard of `smalllinalg`, applied to grad_q V_d, grad_q K_d and, for
+the field, p (`_shaping`); M_d keeps its own solve for ptilde, which comes
+first. The matrix-vector products are numpy `.dot`, the same BLAS gemv as `@`
+at half its call cost: BLAS rounds them with fused multiply-adds, so a Python
+sum of products would differ in the last bit. Everything elementwise (the two
+parts of the shaping vector and their sum, tau = pinv(G) v - K_v y, and the
+field (qdot, pdot) of `hamiltonian_field`) is in Python floats, associated as
+the numpy expressions of the formulas above, each operation rounded as numpy
+rounds it, so every value is that of the numpy expression bit for bit.
 
 `IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `evaluate` and
 `field` return the plant's closed-loop field from the law's own plant
@@ -50,7 +56,7 @@ from .phcore import (
     hamiltonian_field,
     kinetic_energy_grad,
 )
-from .smalllinalg import smallest_singular_value, solve_checked
+from .smalllinalg import _inverse_checked, smallest_singular_value, solve_checked
 
 SIGMA_MIN_LIMIT = 1e-9
 
@@ -155,28 +161,34 @@ def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     _rank_guard(smallest_singular_value(g))
     if m == 1:
         col = g[:, 0]
-        return np.array([float(col @ v) / float(col @ col)])
+        return np.array([float(col.dot(v)) / float(col.dot(col))])
     qmat, rmat = np.linalg.qr(g)
     return np.linalg.solve(rmat, qmat.T @ v)
 
 
-def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.ndarray,
-             solve: Callable):
-    """(M, M_d, grad_q V, grad_q K) for the open-loop field, then `matching_terms`.
+def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.ndarray):
+    """(M^-1, grad_q V, grad_q K, potential, kinetic, ptilde) at (q, p): the two
+    parts of the shaping vector from one factorization of M, as float lists.
 
-    At one point `solve` is `solve_checked`. `matching.verify_matching` applies
-    the same rule to a block: plant views whose callables stack, vectors as
-    (B, n, 1) columns, and `solve_stacked`.
+    ptilde = M_d^-1 p is solved first, so a singular M_d raises SingularMassD
+    before M is looked at; M is factorized and guarded after grad_q V_d is
+    evaluated and before grad_q K. M^-1 maps a right-hand side's floats to
+    those of M^-1 b. `matching._block_terms` is the same rule on blocks of
+    points, with arrays and `@`.
     """
     mass = sys.mass_matrix(q)
     md = tgt.mass_d(q)
-    pt = solve(md, p, SingularMassD)
-    grad_v = sys.potential_grad(q)
-    potential = grad_v - md @ solve(mass, tgt.potential_d_grad(q), SingularMass)
-    grad_k = kinetic_energy_grad(sys, q, p)
-    kinetic = (grad_k - md @ solve(mass, kinetic_d_grad(tgt, q, p), SingularMass)
-               + tgt.j2(q, pt) @ pt)
-    return mass, md, grad_v, grad_k, potential, kinetic, pt
+    pt = solve_checked(md, p, SingularMassD)
+    grad_v = sys.potential_grad(q).tolist()
+    grad_vd = tgt.potential_d_grad(q)
+    inverse = _inverse_checked(mass, SingularMass)
+    x = md.dot(inverse(grad_vd.tolist())).tolist()
+    potential = [v - w for v, w in zip(grad_v, x)]
+    grad_k = kinetic_energy_grad(sys, q, p).tolist()
+    y = md.dot(inverse(kinetic_d_grad(tgt, q, p).tolist())).tolist()
+    z = tgt.j2(q, pt).dot(pt).tolist()
+    kinetic = [(k - w) + j for k, w, j in zip(grad_k, y, z)]
+    return inverse, grad_v, grad_k, potential, kinetic, pt
 
 
 def matching_terms(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
@@ -187,7 +199,8 @@ def matching_terms(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
     kinetic = grad_q K - M_d M^-1 grad_q K_d + J_2 ptilde, with ptilde = M_d^-1 p.
     The kinetic part is quadratic in p, so it vanishes at p = 0.
     """
-    return _shaping(sys, tgt, q, p, solve_checked)[4:]
+    _, _, _, potential, kinetic, pt = _shaping(sys, tgt, q, p)
+    return np.array(potential), np.array(kinetic), pt
 
 
 def _check_mode(damping_mode: str) -> None:
@@ -198,17 +211,18 @@ def _check_mode(damping_mode: str) -> None:
 def _law(sys, tgt, q, p, damping_mode, with_field):
     """tau = pinv(G) (potential + kinetic) minus the damping on G^T ptilde, or
     with `with_field` (tau, (qdot, pdot) of the plant under tau, ptilde)."""
-    mass, _, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p, solve_checked)
+    inverse, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p)
     g = sys.input_coupling(q)
-    y = g.T @ pt
+    y = g.T.dot(pt)
     if damping_mode == "saturated":
         # math.tanh per entry: np.tanh may differ in the last bit
-        y = np.array([math.tanh(yi) for yi in y.tolist()])
-    tau = pseudo_inverse_apply(g, potential + kinetic) - tgt.damping_gain @ y
+        y = [math.tanh(yi) for yi in y.tolist()]
+    u = pseudo_inverse_apply(g, np.array([a + b for a, b in zip(potential, kinetic)]))
+    tau = np.array([a - b for a, b in zip(u.tolist(), tgt.damping_gain.dot(y).tolist())])
     if not with_field:
         return tau
-    qdot = solve_checked(mass, p, SingularMass)
-    return tau, hamiltonian_field(qdot, grad_v, grad_k, sys.damping(q), g @ tau), pt
+    return tau, hamiltonian_field(inverse(p.tolist()), grad_v, grad_k, sys.damping(q),
+                                  g.dot(tau)), pt
 
 
 def ida_pbc_control_raw(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,

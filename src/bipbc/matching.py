@@ -31,13 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .controller import TargetDynamics, _shaping, kinetic_d_grad, mass_d_solve, matching_terms
-from .errors import SingularMass
+from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, matching_terms
+from .errors import SingularMass, SingularMassD
 from .phcore import ConfigState, MechanicalSystem, fd_hessian, kinetic_energy_grad, mass_solve
 from .sampling import Box, ball_sample
 from .smalllinalg import solve_stacked
@@ -96,16 +95,6 @@ def _momentum_grads(sys: MechanicalSystem, tgt: TargetDynamics) -> tuple[Callabl
     own, so that its row form is used, or else finite differences."""
     return (sys.kinetic_grad if sys.kinetic_grad is not None else partial(kinetic_energy_grad, sys),
             tgt.kinetic_d_grad if tgt.kinetic_d_grad is not None else partial(kinetic_d_grad, tgt))
-
-
-def _columns(fn: Callable) -> Callable:
-    """`fn` over a block of points: `_stack` with vectors as (B, n, 1) columns."""
-
-    def stacked(q, *columns):
-        out = _stack(fn, q, *(c[..., 0] for c in columns))
-        return out[..., None] if out.ndim == 2 else out
-
-    return stacked
 
 
 def _r2(transfer: np.ndarray, g: np.ndarray, damping_gain: np.ndarray) -> np.ndarray:
@@ -179,6 +168,30 @@ def equilibrium_check(tgt: TargetDynamics) -> bool:
     return bool(np.min(np.linalg.eigvalsh(0.5 * (hess + hess.T))) > 0.0)
 
 
+def _block_terms(sys: MechanicalSystem, tgt: TargetDynamics, qb: np.ndarray,
+                 pb: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(M, M_d, potential, kinetic) on a block of points, pb and the two parts
+    as (B, n, 1) columns.
+
+    The rule of `controller.matching_terms` on stacks, with `@` and
+    `solve_stacked`, in its order of evaluation: item by item each part
+    equals the point value bit for bit.
+    """
+    def column(fn, *args):
+        return _stack(fn, *args)[..., None]
+
+    k_grad, kd_grad = _momentum_grads(sys, tgt)
+    mass = _stack(sys.mass_matrix, qb)
+    md = _stack(tgt.mass_d, qb)
+    pt = solve_stacked(md, pb, SingularMassD)
+    grad_v = column(sys.potential_grad, qb)
+    potential = grad_v - md @ solve_stacked(mass, column(tgt.potential_d_grad, qb), SingularMass)
+    grad_k = column(k_grad, qb, pb[..., 0])
+    kinetic = (grad_k - md @ solve_stacked(mass, column(kd_grad, qb, pb[..., 0]), SingularMass)
+               + _stack(tgt.j2, qb, pt[..., 0]) @ pt)
+    return mass, md, potential, kinetic
+
+
 def verify_matching(
     sys: MechanicalSystem,
     tgt: TargetDynamics,
@@ -191,26 +204,20 @@ def verify_matching(
     Sampling is a deterministic low-discrepancy sequence over
     region x {momentum ball of radius MATCHING_MOMENTUM_CAP}. The samples are
     taken in blocks (see `bipbc.stacking`): the residuals are Gperp applied
-    to the two parts of `controller._shaping` evaluated on the block, whose M
-    and M_d also give R M^-1 M_d, with one eigvalsh per block for R_2 and for
-    condition 5; every value equals that of the sample on its own.
+    to the two parts of the shaping vector evaluated on the block
+    (`_block_terms`), whose M and M_d also give R M^-1 M_d, with one eigvalsh
+    per block for R_2 and for condition 5; every value equals that of the
+    sample on its own.
     """
     box = region if region is not None else sys.workspace
     qs = box.sample(samples)
     ps = ball_sample(samples, sys.n, MATCHING_MOMENTUM_CAP, skip=samples)
-    grad_k, grad_kd = _momentum_grads(sys, tgt)
-    plant = SimpleNamespace(mass_matrix=_columns(sys.mass_matrix),
-                            potential_grad=_columns(sys.potential_grad),
-                            kinetic_grad=_columns(grad_k))
-    target = SimpleNamespace(mass_d=_columns(tgt.mass_d),
-                             potential_d_grad=_columns(tgt.potential_d_grad),
-                             kinetic_d_grad=_columns(grad_kd), j2=_columns(tgt.j2))
     gperp_at = sys.annihilator if sys.annihilator is not None else partial(annihilator, sys)
     kin_max = pot_max = 0.0
     r2_min = cond5_min = np.inf
     for block in _blocks(samples):
         qb, pb = qs[block], ps[block, :, None]
-        mass, md, _, _, potential, kinetic, _ = _shaping(plant, target, qb, pb, solve_stacked)
+        mass, md, potential, kinetic = _block_terms(sys, tgt, qb, pb)
         transfer = _transfers(sys, qb, mass, md)
         r2 = _r2(transfer, _stack(sys.input_coupling, qb), tgt.damping_gain)
         r2_min = _fold(min, r2_min, float(np.min(_eigvalsh(r2))))

@@ -179,20 +179,22 @@ def open_loop_field_raw(
     Arguments are not validated: tau must have length m. The simulation inner
     loop lives here.
     """
-    qdot = solve_checked(sys.mass_matrix(q), p, SingularMass)
-    return hamiltonian_field(qdot, sys.potential_grad(q), kinetic_energy_grad(sys, q, p),
-                             sys.damping(q), sys.input_coupling(q) @ tau)
+    qdot = solve_checked(sys.mass_matrix(q), p, SingularMass).tolist()
+    return hamiltonian_field(qdot, sys.potential_grad(q).tolist(),
+                             kinetic_energy_grad(sys, q, p).tolist(), sys.damping(q),
+                             sys.input_coupling(q).dot(tau))
 
 
-def hamiltonian_field(qdot: np.ndarray, grad_v: np.ndarray, grad_k: np.ndarray,
-                      damping: np.ndarray, force: np.ndarray) -> np.ndarray:
+def hamiltonian_field(qdot: list, grad_v: list, grad_k: list, damping: np.ndarray,
+                      force: np.ndarray) -> np.ndarray:
     """(qdot, pdot) with pdot = -(grad_q V + grad_q K) - R qdot + G tau, given
-    qdot = M^-1 p and G tau.
+    the floats of qdot = M^-1 p, grad_q V and grad_q K, and G tau.
 
     The one assembly of the field, for `open_loop_field_raw` and the IDA-PBC
-    law. R qdot is a numpy matrix-vector product; the rest is elementwise, in
-    Python floats.
+    law, which takes qdot from the factorization of M it already holds. R qdot
+    is a numpy matrix-vector product (`.dot`, the same gemv as `@`); the rest
+    is elementwise, in Python floats.
     """
-    pdot = [-(v + k) - r + f for v, k, r, f in zip(grad_v.tolist(), grad_k.tolist(),
-                                                   (damping @ qdot).tolist(), force.tolist())]
-    return np.array(qdot.tolist() + pdot)
+    pdot = [-(v + k) - r + f for v, k, r, f in zip(grad_v, grad_k, damping.dot(qdot).tolist(),
+                                                   force.tolist())]
+    return np.array(qdot + pdot)

@@ -21,7 +21,6 @@ One simulation per thread; independent runs may execute in parallel.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -43,6 +42,8 @@ MONITORS = ("energy_decrease", "momentum_bound", "control_bound", "phase_switch"
 HD_TOL = 1e-6
 #: a run ends with a "blowup" event once a state component leaves [-BLOWUP_LIMIT, BLOWUP_LIMIT]
 BLOWUP_LIMIT = 1e9
+#: records per write of `Trajectory.to_csv`, which bounds its temporaries
+_CSV_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,12 @@ class Trajectory:
         return self.times.size
 
     def to_csv(self, path) -> None:
-        """Write the fixed column schema: t, q_*, p_*, tau_*, H_d, norms, phase."""
+        """Write the fixed column schema: t, q_*, p_*, tau_*, H_d, norms, phase.
+
+        Floats are written as their repr, the phase as an integer, with
+        "\r\n" line ends, `_CSV_BLOCK` records at a time: each block's float
+        columns are stacked and converted to Python floats at once.
+        """
         n = self.q.shape[1]
         m = self.tau.shape[1]
         header = (
@@ -104,23 +110,15 @@ class Trajectory:
             + [f"tau_{i + 1}" for i in range(m)]
             + ["H_d", "norm_p", "norm_ptilde", "phase"]
         )
+        columns = (self.times[:, None], self.q, self.p, self.tau, self.hd[:, None],
+                   self.p_norm[:, None], self.ptilde_norm[:, None])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(len(self)):
-                row = (
-                    [repr(float(self.times[k]))]
-                    + [repr(float(x)) for x in self.q[k]]
-                    + [repr(float(x)) for x in self.p[k]]
-                    + [repr(float(x)) for x in self.tau[k]]
-                    + [
-                        repr(float(self.hd[k])),
-                        repr(float(self.p_norm[k])),
-                        repr(float(self.ptilde_norm[k])),
-                        str(int(self.phase[k])),
-                    ]
-                )
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            for start in range(0, len(self), _CSV_BLOCK):
+                block = slice(start, start + _CSV_BLOCK)
+                rows = np.hstack([c[block] for c in columns]).tolist()
+                fh.writelines(f"{','.join(map(repr, row))},{int(phase)}\r\n"
+                              for row, phase in zip(rows, self.phase[block].tolist()))
 
 
 def _evaluator(sys: MechanicalSystem, law, target, tau_of):

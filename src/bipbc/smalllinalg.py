@@ -1,17 +1,21 @@
 """Checked linear solves sized for 1-3 DOF mechanical systems.
 
-The simulation inner loop solves against M(q) and M_d(q) several times per
-integrator stage; generic LAPACK calls plus an SVD-based condition number
-dominate the runtime there. For n <= 3 the solves use closed-form adjugate
-formulas with a Frobenius condition estimate (cond_F = ||A||_F ||A^-1||_F,
-which brackets the spectral condition number within a factor n). Larger
-systems fall back to numpy. `solve_stacked` applies the same formulas and
-guard to a stack of systems at once, for the sampled sweeps.
+The simulation inner loop solves against M(q) and M_d(q) at every integrator
+stage; generic LAPACK calls plus an SVD-based condition number would dominate
+the runtime there. For n <= 3 the solves use closed-form adjugate formulas
+with a Frobenius condition estimate (cond_F = ||A||_F ||A^-1||_F, which
+brackets the spectral condition number within a factor n), factorized and
+guarded once by `_inverse` and applied by `_apply`, so that the IDA-PBC law
+solves three right-hand sides against one factorization of M
+(`_inverse_checked`). Larger systems fall back to numpy. `solve_stacked`
+applies the same formulas and guard to a stack of systems at once, for the
+sampled sweeps.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -38,23 +42,26 @@ def _guard_each(det: np.ndarray, cond: np.ndarray, n: int, exc: type) -> None:
         _guard(d, c, n, exc)
 
 
-def _adjugate(a, b, guard: Callable, exc: type) -> list:
-    """Rows of A^-1 b = adj(A) b / det A for n <= 3, `guard`ed before any division.
+def _inverse(a, guard: Callable, exc: type) -> tuple:
+    """A's factorization for n <= 3, as `_apply` reads it: a00, or A's entries
+    and det A for n = 2, or the nine cofactors and det A for n = 3.
 
-    `a` holds A's entries row by row, `b` the right-hand side's rows: floats, or
-    arrays that broadcast item by item over a stack, with the same arithmetic.
+    `a` holds A's entries row by row: floats, or arrays that broadcast item by
+    item over a stack, with the same arithmetic. `guard` runs here, once,
+    before any division, however many right-hand sides the factorization is
+    applied to.
     """
     n = len(a)
     if n == 1:
-        ((a00,),), (b0,) = a, b
+        ((a00,),) = a
         guard(a00, abs(a00), 1, exc)
-        return [b0 / a00]
+        return (a00,)
     if n == 2:
-        ((a00, a01), (a10, a11)), (b0, b1) = a, b
+        (a00, a01), (a10, a11) = a
         det = a00 * a11 - a01 * a10
         guard(det, a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11, 2, exc)
-        return [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det]
-    ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), (b0, b1, b2) = a, b
+        return a00, a01, a10, a11, det
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     c00 = a11 * a22 - a12 * a21
     c01 = a12 * a20 - a10 * a22
     c02 = a10 * a21 - a11 * a20
@@ -76,11 +83,51 @@ def _adjugate(a, b, guard: Callable, exc: type) -> list:
         + c20 * c20 + c21 * c21 + c22 * c22
     )
     guard(det, fro * adj_fro, 3, exc)
+    return c00, c01, c02, c10, c11, c12, c20, c21, c22, det
+
+
+def _apply(inverse: tuple, b) -> list:
+    """Rows of A^-1 b = adj(A) b / det A from A's `_inverse`, for the rows of
+    one right-hand side `b`."""
+    if len(inverse) == 1:
+        return [b[0] / inverse[0]]
+    if len(inverse) == 5:
+        a00, a01, a10, a11, det = inverse
+        b0, b1 = b
+        return [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det]
+    c00, c01, c02, c10, c11, c12, c20, c21, c22, det = inverse
+    b0, b1, b2 = b
     return [
         (c00 * b0 + c10 * b1 + c20 * b2) / det,
         (c01 * b0 + c11 * b1 + c21 * b2) / det,
         (c02 * b0 + c12 * b1 + c22 * b2) / det,
     ]
+
+
+def _adjugate(a, b, guard: Callable, exc: type) -> list:
+    """Rows of A^-1 b = adj(A) b / det A for n <= 3, `guard`ed before any
+    division: `_apply` of `_inverse` to one right-hand side."""
+    return _apply(_inverse(a, guard, exc), b)
+
+
+def _check_large(a: np.ndarray, exc: type) -> None:
+    """The guard for n > 3: finite entries and a LAPACK condition number <= 1e12."""
+    if not np.all(np.isfinite(a)) or np.linalg.cond(a) > COND_LIMIT:
+        raise exc("matrix condition estimate exceeds 1e12")
+
+
+def _inverse_checked(a: np.ndarray, exc: type) -> Callable:
+    """a^-1 as a map from a right-hand side's floats to those of a^-1 b, with
+    `a` guarded once, here, as `solve_checked` guards it.
+
+    Each application equals solve_checked(a, b, exc) bit for bit: for n <= 3
+    it applies the one `_inverse` of `a`, and larger systems check the
+    condition once and solve with numpy.
+    """
+    if a.shape[0] <= 3:
+        return partial(_apply, _inverse(a.tolist(), _guard, exc))
+    _check_large(a, exc)
+    return lambda b: np.linalg.solve(a, b).tolist()
 
 
 def solve_checked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
@@ -94,8 +141,7 @@ def solve_checked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
     if n <= 3:
         rhs = np.asarray(rhs)
         return np.array(_adjugate(a.tolist(), rhs.tolist() if rhs.ndim == 1 else rhs, _guard, exc))
-    if not np.all(np.isfinite(a)) or np.linalg.cond(a) > COND_LIMIT:
-        raise exc("matrix condition estimate exceeds 1e12")
+    _check_large(a, exc)
     return np.linalg.solve(a, rhs)
 
 
@@ -127,7 +173,7 @@ def smallest_singular_value(g: np.ndarray) -> float:
     m = g.shape[1]
     if m == 1:
         col = g[:, 0]
-        return math.sqrt(float(col @ col))
+        return math.sqrt(float(col.dot(col)))
     if m == 2:
         a, b = g[:, 0].tolist(), g[:, 1].tolist()
         trace = math.fsum(x * x for x in a + b)

@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 from bipbc import (
+    Box,
+    ConfigState,
+    MechanicalSystem,
     RankDeficientG,
     SimConfig,
+    SingularMass,
+    SingularMassD,
+    TargetDynamics,
     TwoPhaseController,
     simulate,
     target_energy,
@@ -224,6 +230,65 @@ def test_unknown_damping_mode(ball_beam):
         ida_pbc_control_raw(ball_beam.system, ball_beam.target, s.q, s.p, damping_mode="bogus")
     with pytest.raises(ValueError):
         IdaPbcLaw(ball_beam.system, ball_beam.target, "bogus")
+
+
+def toy_design(mass, mass_d, potential_grad=lambda q: q.copy(),
+               kinetic_grad=lambda q, p: np.zeros(2)):
+    """Fully actuated 2-DOF plant and target with the given M(q), M_d(q), grad_q V
+    and grad_q K; V_d = |q|^2 / 2, J_2 = 0, K_v = I."""
+    sys = MechanicalSystem(m=2, mass_matrix=mass, potential=lambda q: 0.5 * float(q @ q),
+                           potential_grad=potential_grad, input_coupling=lambda q: np.eye(2),
+                           damping=lambda q: np.zeros((2, 2)),
+                           workspace=Box(lower=-np.ones(2), upper=np.ones(2)),
+                           kinetic_grad=kinetic_grad)
+    tgt = TargetDynamics(mass_d=mass_d, potential_d=lambda q: 0.5 * float(q @ q),
+                         potential_d_grad=lambda q: q.copy(), j2=lambda q, pt: np.zeros((2, 2)),
+                         damping_gain=np.eye(2), equilibrium=np.zeros(2),
+                         kinetic_d_grad=lambda q, p: np.zeros(2))
+    return sys, tgt
+
+
+def raising(message):
+    def fn(*args):
+        raise ValueError(message)
+    return fn
+
+
+EYE, ZERO = (lambda q: np.eye(2)), (lambda q: np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("mass, mass_d, grads, want", [
+    (EYE, ZERO, {}, SingularMassD),
+    (ZERO, EYE, {}, SingularMass),
+    (ZERO, ZERO, {}, SingularMassD),
+    # M is guarded after grad_q V and grad_q V_d and before grad_q K
+    (ZERO, EYE, {"potential_grad": raising("grad V")}, ValueError),
+    (ZERO, EYE, {"kinetic_grad": raising("grad K")}, SingularMass),
+])
+def test_law_raises_in_its_order_of_evaluation(mass, mass_d, grads, want):
+    # recorded from the law that solved against M once per right-hand side:
+    # M_d is solved first, and M is looked at where grad_q V_d is solved
+    law = IdaPbcLaw(*toy_design(mass, mass_d, **grads))
+    q, p = np.array([0.1, 0.2]), np.array([0.3, -0.4])
+    for call in (lambda: law(0.0, q, p), lambda: law.evaluate(q, p), lambda: law.field(q, p)):
+        with pytest.raises(want) as info:
+            call()
+        assert type(info.value) is want
+        assert str(info.value) == ("singular 2x2 matrix" if want is not ValueError else "grad V")
+
+
+def test_mass_singular_mid_run_ends_in_domain_exit():
+    # M = (1 - q_1) I reaches zero inside an RK4 step; the time, message and
+    # last record are those of the law that solved against M once per
+    # right-hand side
+    sys, tgt = toy_design(lambda q: max(0.0, 1.0 - q[0]) * np.eye(2), EYE)
+    s0 = ConfigState(q=np.array([0.4, 0.0]), p=np.array([5.0, 0.0]))
+    traj = simulate(sys, IdaPbcLaw(sys, tgt), s0, SimConfig(dt=1e-2, t_end=1.0), target=tgt)
+    assert traj.events == [(0.04, "domain_exit", {"error": "singular 2x2 matrix"})]
+    assert len(traj) == 4
+    assert traj.q[-1].tolist() == [0.7443963392790826, 0.0]
+    assert traj.p[-1].tolist() == [4.812369492409299, 0.0]
+    assert traj.tau[-1].tolist() == [-6.980280188090316, 0.0]
 
 
 def test_rank_deficient_g_raises():

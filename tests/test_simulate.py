@@ -25,7 +25,7 @@ from bipbc import (
 from bipbc.bounds import BoundReport
 from bipbc.controller import IdaPbcLaw, ida_pbc_control_raw
 from bipbc.phcore import open_loop_field_raw
-from bipbc.simulate import HD_TOL, _run_monitors, bound_exceedances
+from bipbc.simulate import _CSV_BLOCK, HD_TOL, _run_monitors, bound_exceedances
 
 
 def particle(n=1, spring=0.0):
@@ -579,6 +579,40 @@ def test_csv_schema_and_values(tmp_path, ball_beam):
     assert parsed[1] == traj.q[k][0]
     assert parsed[5] == traj.tau[k][0]
     assert parsed[6] == traj.hd[k]
+
+
+def reference_csv(traj, path):
+    """The per-record csv.writer loop that `Trajectory.to_csv` replaced by block writes."""
+    n, m = traj.q.shape[1], traj.tau.shape[1]
+    header = (["t"] + [f"q_{i + 1}" for i in range(n)] + [f"p_{i + 1}" for i in range(n)]
+              + [f"tau_{i + 1}" for i in range(m)] + ["H_d", "norm_p", "norm_ptilde", "phase"])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(traj)):
+            writer.writerow(
+                [repr(float(traj.times[k]))]
+                + [repr(float(x)) for x in traj.q[k]]
+                + [repr(float(x)) for x in traj.p[k]]
+                + [repr(float(x)) for x in traj.tau[k]]
+                + [repr(float(traj.hd[k])), repr(float(traj.p_norm[k])),
+                   repr(float(traj.ptilde_norm[k])), str(int(traj.phase[k]))]
+            )
+
+
+def test_csv_bytes_equal_the_per_record_writer(tmp_path, ball_beam, vtol_tp_run):
+    # several write blocks and a partial last one: a run without a target (NaN
+    # norm_ptilde) at record_stride=3, and the two-phase run (phases 1 and 2)
+    no_target = simulate(ball_beam.system, ball_beam.make_controller(),
+                         ball_beam.initial_state, SimConfig(dt=2e-3, t_end=5.0, record_stride=3))
+    for traj in (no_target, vtol_tp_run):
+        assert len(traj) > 3 * _CSV_BLOCK and len(traj) % _CSV_BLOCK
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        traj.to_csv(got)
+        reference_csv(traj, want)
+        assert got.read_bytes() == want.read_bytes()
+    assert np.all(np.isnan(no_target.ptilde_norm))
+    assert set(vtol_tp_run.phase.tolist()) == {1, 2}
 
 
 def test_simconfig_validation():

@@ -18,7 +18,7 @@ from bipbc import (empirical_constants, estimate_constants, kv_advisory, simulat
 from bipbc.bench import get_benchmark
 from bipbc.bench.vtol import THETA_SINGULAR
 from bipbc.errors import SingularMass
-from bipbc.smalllinalg import _adjugate, _guard, solve_checked, solve_stacked
+from bipbc.smalllinalg import _adjugate, _guard, _inverse_checked, solve_checked, solve_stacked
 from bipbc.stacking import _BLOCK, _stack, constant, plant_function
 
 PLANT = ("mass_matrix", "potential_grad", "kinetic_grad", "input_coupling", "damping",
@@ -235,6 +235,19 @@ def test_point_solve_on_floats_is_the_numpy_scalar_solve():
             scalars = [[a[i, j] for j in range(n)] for i in range(n)]
             want = np.array(_adjugate(scalars, list(b), _guard, SingularMass))
             assert np.array_equal(solve_checked(a, b, SingularMass), want)
+
+
+def test_one_factorization_applies_as_the_point_solve():
+    # the law factorizes M once and applies it to several right-hand sides
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3, 4):
+        for _ in range(200):
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            inverse = _inverse_checked(a, SingularMass)
+            for b in rng.standard_normal((3, n)):
+                assert inverse(b.tolist()) == solve_checked(a, b, SingularMass).tolist()
+        with pytest.raises(SingularMass):
+            _inverse_checked(np.zeros((n, n)), SingularMass)
 
 
 @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
