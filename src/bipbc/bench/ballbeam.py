@@ -85,6 +85,8 @@ class BallBeamParams:
             raise ValueError("ball-beam parameters must be numbers, not booleans")
         if not all(map(math.isfinite, values)):
             raise ValueError("ball-beam parameters must be finite")
+        if self.L <= 0.0 or min(self.q1_max, self.q2_max) < 0.0:
+            raise ValueError("L must be positive, q1_max and q2_max nonnegative")
 
 
 @dataclass

@@ -100,6 +100,9 @@ class VtolParams:
             raise ValueError("VTOL parameters must be finite")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
+        if not (len(self.xy_box) == 2 and min(self.xy_box) >= 0.0
+                and 0.0 <= self.theta_box < THETA_SINGULAR):
+            raise ValueError("xy_box must be two half-widths >= 0, theta_box in [0, acos(0.1))")
 
 
 @dataclass
@@ -263,26 +266,20 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
     def potential(q):
         return g * q[1]
 
-    def barrier(th: float) -> float:
-        arg = eps * (math.cos(th) - 0.1)
-        if arg <= 0.0:
-            raise ValueError("roll angle beyond the barrier (cos(theta) <= 0.1)")
-        return math.log(arg)
-
-    def b_term(q) -> float:
-        th = q[2]
-        u = c_arg * math.tan(0.5 * th)
-        if abs(u) >= 1.0:
-            raise ValueError("roll angle beyond the arctanh barrier")
-        return gamma * (q[0] - x_star) - th - beta * math.atanh(u)
+    def barriers(m, q):  # ln(e (cos t - 0.1)) and B
+        try:
+            return (m.log(eps * (m.cos(q[2]) - 0.1)),
+                    gamma * (q[0] - x_star) - q[2] - beta * m.atanh(c_arg * m.tan(0.5 * q[2])))
+        except ValueError as err:  # math's domain error, past the barrier, on either form
+            raise ValueError("roll angle beyond the barrier (cos(theta) <= 0.1)") from err
 
     def v_d_raw(q) -> float:
-        a_term = eps * (q[1] - y_star) + barrier(q[2])
+        log_term, b_term = barriers(math, q)
         return (
-            k1 * log_cosh(a_term)
-            + k2 * log_cosh(b_term(q))
+            k1 * log_cosh(eps * (q[1] - y_star) + log_term)
+            + k2 * log_cosh(b_term)
             - k1 * eps * t0 * (q[1] - y_star)
-            - cc * barrier(q[2])
+            - cc * log_term
         )
 
     rho = v_d_raw(np.array([x_star, y_star, 0.0]))
@@ -290,24 +287,17 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
     def potential_d(q):
         return v_d_raw(q) - rho
 
-    def roll_factors(th: float) -> Tuple[float, float]:
+    def roll_factors(m, th):
         # d = -sin t / (cos t - 0.1), the roll slope of ln(e (cos t - 0.1)), and dB/dt
-        t = math.tan(0.5 * th)
+        t = m.tan(0.5 * th)
         btheta = -1.0 - 0.5 * beta * c_arg * (1.0 + t * t) / (1.0 - c_arg**2 * t * t)
-        return -math.sin(th) / (math.cos(th) - 0.1), btheta
+        return -m.sin(th) / (m.cos(th) - 0.1), btheta
 
-    def grad_vd_entries(q) -> Tuple[float, float, float]:
-        th = q[2]
-        t_a = math.tanh(eps * (q[1] - y_star) + barrier(th))
-        t_b = math.tanh(b_term(q))
-        d, btheta = roll_factors(th)
+    def potential_d_grad(m, q):
+        log_term, b_term = barriers(m, q)
+        t_a, t_b = m.tanh(eps * (q[1] - y_star) + log_term), m.tanh(b_term)
+        d, btheta = roll_factors(m, q[2])
         return k2 * gamma * t_b, k1 * eps * (t_a - t0), (k1 * t_a - cc) * d + k2 * t_b * btheta
-
-    def potential_d_grad(q):
-        return np.array(grad_vd_entries(q))
-
-    # its row form maps the point formula, whose barrier checks raise per point
-    potential_d_grad.batched = lambda q: np.array(list(map(grad_vd_entries, q.tolist())))
 
     def vd_grad_sup(theta_max: float) -> float:
         """Worst-case ||grad V_d|| over |roll| <= theta_max, any (x, y).
@@ -319,7 +309,7 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
         vy = k1 * eps * (1.0 + abs(t0))
         best = 0.0
         for th in np.linspace(0.0, theta_max, 601):
-            d, btheta = roll_factors(th)
+            d, btheta = roll_factors(math, th)
             vtheta = (k1 + abs(cc)) * abs(d) + k2 * abs(btheta)
             best = max(best, math.hypot(vx, math.hypot(vy, vtheta)))
         return best
@@ -342,7 +332,7 @@ def make_vtol(params: VtolParams = VtolParams(), two_phase: bool = False) -> Vto
     target = TargetDynamics(
         mass_d=constant([[m11, 0.0, eps], [0.0, 1.0, 0.0], [eps, 0.0, 0.1]]),
         potential_d=potential_d,
-        potential_d_grad=potential_d_grad,
+        potential_d_grad=plant_function((3,), potential_d_grad),
         j2=constant(np.zeros((3, 3))),
         damping_gain=params.kv * np.eye(2),
         equilibrium=np.array([x_star, y_star, 0.0]),

@@ -63,8 +63,9 @@ class RunSpec:
         for name in ("dt", "t_end", "mu", "hd0"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, not a boolean")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        for name, low in (("samples", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not 0.0 < self.mu < float("inf"):
             raise ValueError("mu must be positive and finite")
         if self.hd0 is not None and not 0.0 <= self.hd0 < float("inf"):

@@ -40,24 +40,23 @@ def _per_item(fn: Callable) -> Callable:
     return column
 
 
-#: The math backend of a row form, on (B,) columns: numpy's `sqrt` and
-#: arithmetic, and `math` item by item for the rest, since numpy's `arcsinh` and
-#: `**` can differ from `math` in the last bit (its sin and cos agree on the
-#: tested hosts, but are kernels the point path never loads).
-_ROWS = SimpleNamespace(sqrt=np.sqrt, sin=_per_item(math.sin), cos=_per_item(math.cos),
-                        asinh=_per_item(math.asinh), pow=_per_item(math.pow))
+#: The math backend of a row form, on (B,) columns: numpy's `sqrt` and arithmetic, and
+#: `math` item by item for the rest, since numpy's `tan`, `tanh`, `arcsinh`, `arctanh`,
+#: `log` and `**` can differ from `math` in the last bit (its sin and cos agree on the
+#: tested hosts, but are kernels the point path never loads); domain errors raise alike.
+_ROWS = SimpleNamespace(sqrt=np.sqrt, **{name: _per_item(getattr(math, name)) for name in (
+    "sin", "cos", "tan", "tanh", "asinh", "atanh", "log", "pow")})
 
 
 def plant_function(shape: tuple, formula: Callable) -> Callable:
     """The plant or target callable of `formula`, with its row form as `.batched`.
 
-    `formula(m, q)` or `formula(m, q, p)` returns the entries of one output of
-    `shape` in C order, computed through the math backend `m` (`sqrt`, `sin`,
-    `cos`, `asinh`, and `pow` for integer powers) and arithmetic. The callable
-    takes (q) or (q, p) arrays and runs the formula on their Python floats with
-    `math`; `.batched` takes them stacked as (B, n) rows, runs it once on their
-    (B,) columns (see `_ROWS`) and returns the B outputs stacked on axis 0, each
-    equal to the point call bit for bit.
+    `formula(m, q)` or `formula(m, q, p)` returns the entries of one output of `shape` in
+    C order, computed through the math backend `m` (the functions of `_ROWS`, `pow` for
+    integer powers) and arithmetic. The callable takes (q) or (q, p) arrays and runs the
+    formula on their Python floats with `math`; `.batched` takes them stacked as (B, n)
+    rows, runs it once on their (B,) columns and returns the B outputs stacked on axis 0,
+    each equal to the point call bit for bit.
     """
 
     def rows(entries, count: int) -> np.ndarray:

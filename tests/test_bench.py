@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bipbc import target_energy
-from bipbc.bench import BENCHMARK_NAMES, get_benchmark
+from bipbc.bench import BENCHMARK_NAMES, BallBeamParams, get_benchmark
 from bipbc.bench.vtol import THETA_SINGULAR, VtolParams
 from bipbc.matching import equilibrium_check
 from bipbc.phcore import ConfigState, fd_hessian
@@ -114,6 +114,20 @@ def test_vtol_params_validation():
         VtolParams(epsilon=0.0)
     with pytest.raises(ValueError):
         VtolParams(epsilon=1.5)
+    # an empty workspace, a malformed xy_box or a roll box reaching the V_d barrier
+    for bad in ({"xy_box": (-1.0, 25.0)}, {"xy_box": (60.0, -0.5)}, {"xy_box": (60.0,)},
+                {"xy_box": (60.0, 25.0, 1.0)}, {"theta_box": -0.1},
+                {"theta_box": THETA_SINGULAR}, {"theta_box": 1.5}):
+        with pytest.raises(ValueError, match=r"xy_box must be .*, theta_box in \[0, acos\(0.1\)\)"):
+            VtolParams(**bad)
+    VtolParams(xy_box=(0.0, 0.0), theta_box=np.nextafter(THETA_SINGULAR, 0.0))
+
+
+def test_ballbeam_params_validation():
+    for bad in ({"q1_max": -0.1}, {"q2_max": -0.1}, {"L": 0.0}, {"L": -2.0}):
+        with pytest.raises(ValueError, match="L must be positive, q1_max and q2_max nonnegative"):
+            BallBeamParams(**bad)
+    BallBeamParams(q1_max=0.0, q2_max=0.0)
 
 
 def test_vtol_two_phase_secondary_mass(vtol_two_phase, vtol):

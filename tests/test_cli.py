@@ -1,6 +1,7 @@
 """Command-line pipelines: artifacts, exit-status contract, config round-trip."""
 
 import json
+import math
 
 import pytest
 
@@ -176,6 +177,21 @@ def test_main_bad_config_exit2(tmp_path, capsys):
     {"command": "verify", "benchmark": "ball-beam", "params": {"k_v": True}},
     {"command": "verify", "benchmark": "vtol-nonsmooth", "params": {"kv": True}},
     {"command": "verify", "benchmark": "vtol-nonsmooth", "params": {"xy_box": [60.0, True]}},
+    # parameters outside their domain and negative seeds: most crashed with exit 1
+    {"command": "bound", "benchmark": "ball-beam", "samples": 50, "params": {"q1_max": -0.1}},
+    {"command": "bound", "benchmark": "ball-beam", "samples": 50, "params": {"q2_max": -0.1}},
+    {"command": "bound", "benchmark": "ball-beam", "samples": 50, "params": {"L": 0.0}},
+    {"command": "bound", "benchmark": "ball-beam", "samples": 50, "params": {"L": -2.0}},
+    {"command": "bound", "benchmark": "vtol-nonsmooth", "samples": 50,
+     "params": {"xy_box": [-1.0, 25.0]}},
+    {"command": "bound", "benchmark": "vtol-nonsmooth", "samples": 50, "params": {"xy_box": [60.0]}},
+    {"command": "bound", "benchmark": "vtol-nonsmooth", "samples": 50,
+     "params": {"xy_box": [60.0, 25.0, 1.0]}},
+    {"command": "bound", "benchmark": "vtol-nonsmooth", "samples": 50,
+     "params": {"theta_box": math.acos(0.1)}},
+    {"command": "bound", "benchmark": "vtol-two-phase", "samples": 50, "params": {"theta_box": 1.5}},
+    {"command": "bound", "benchmark": "ball-beam", "samples": 50, "seed": -2},
+    {"command": "bound", "benchmark": "ball-beam", "samples": 50, "seed": -1},
 ])
 def test_main_bad_config_values_exit2(config, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
@@ -191,6 +207,16 @@ def test_main_nonpositive_mu_exits_2(mu, tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "mu must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-2", "-1"])
+def test_main_negative_seed_exits_2(seed, tmp_path, capsys):
+    # validate_constants seeds numpy with seed + 1, which crashed below zero
+    code = main(["bound", "--benchmark", "ball-beam", "--seed", seed, "--samples", "50",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "bounds.json").exists()
 
 
