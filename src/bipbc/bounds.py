@@ -43,9 +43,9 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .controller import TargetDynamics, mass_d_solve, target_energy
+from .controller import TargetDynamics, _momentum_grads, mass_d_solve, target_energy
 from .errors import EmptyWorkspace, NonpositiveEigenvalue, SingularMassD, ToolkitError
-from .matching import _momentum_grads, _r2, _transfers
+from .matching import _r2, _transfers
 from .phcore import ConfigState, MechanicalSystem
 from .sampling import Box
 from .smalllinalg import solve_stacked

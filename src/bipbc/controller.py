@@ -22,13 +22,13 @@ is applied after the projection, which is algebraically identical because
 Each evaluation factorizes M once: the adjugate, its determinant and the
 singularity guard of `smalllinalg`, applied to grad_q V_d, grad_q K_d and, for
 the field, p (`_shaping`); M_d keeps its own solve for ptilde, which comes
-first. The matrix-vector products are numpy `.dot`, the same BLAS gemv as `@`
-at half its call cost: BLAS rounds them with fused multiply-adds, so a Python
-sum of products would differ in the last bit. Everything elementwise (the two
-parts of the shaping vector and their sum, tau = pinv(G) v - K_v y, and the
-field (qdot, pdot) of `hamiltonian_field`) is in Python floats, associated as
-the numpy expressions of the formulas above, each operation rounded as numpy
-rounds it, so every value is that of the numpy expression bit for bit.
+first. No step calls BLAS for n <= 3: every matrix-vector product is a
+`smalllinalg._product`, products summed left to right, and everything else
+(the two parts of the shaping vector and their sum, tau = pinv(G) v - K_v y,
+and the field (qdot, pdot) of `hamiltonian_field`) is Python float
+arithmetic in a fixed order, so the law's value does not depend on the BLAS
+kernel. The law is written once on a carrier `m` (`_FLOATS`): the plant
+callables' outputs as nested lists, `math`, and the guards.
 
 `IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `evaluate` and
 `field` return the plant's closed-loop field from the law's own plant
@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,9 +58,14 @@ from .phcore import (
     hamiltonian_field,
     kinetic_energy_grad,
 )
-from .smalllinalg import _inverse_checked, smallest_singular_value, solve_checked
-
-SIGMA_MIN_LIMIT = 1e-9
+from .smalllinalg import (
+    SIGMA_MIN_LIMIT,
+    _dot,
+    _inverse_checked,
+    _product,
+    smallest_singular_value,
+    solve_checked,
+)
 
 
 def log_cosh(x: float) -> float:
@@ -126,6 +133,45 @@ def _rank_guard(sigma: float) -> None:
         raise RankDeficientG("smallest singular value of G below 1e-9 or not finite")
 
 
+#: The carrier of the point law: plant callables' outputs as nested float lists,
+#: `math`, and the guards that raise.
+_FLOATS = SimpleNamespace(
+    at=lambda fn, *args: fn(*args).tolist(), entries=np.ndarray.tolist, vec=np.array,
+    inverse=_inverse_checked, sqrt=math.sqrt, tanh=math.tanh, fsum=math.fsum,
+    rank_guard=_rank_guard, sigma_min=lambda g: smallest_singular_value(np.array(g)))
+
+
+def _pinv_rows(m, g: list, v: list) -> list:
+    """(G^T G)^-1 G^T v for G's rows `g` and v's entries `v`, on the carrier `m`.
+
+    One input is g^T v / g^T g, guarded by `m.sigma_min`; two are the QR of
+    `pseudo_inverse_apply`. More inputs take numpy's QR, on floats only.
+    """
+    if len(g[0]) > 2:
+        return pseudo_inverse_apply(np.array(g), np.array(v)).tolist()
+    a = [row[0] for row in g]
+    if len(g[0]) == 1:
+        m.rank_guard(m.sigma_min(g))
+        return [_dot(a, v) / _dot(a, a)]
+    b = [row[1] for row in g]
+    r11 = m.sqrt(m.fsum(map(mul, a, a)))
+    m.rank_guard(r11)  # sigma_min <= r11
+    q1 = [x / r11 for x in a]
+    r12 = m.fsum(map(mul, q1, b))
+    w = [y - r12 * x for x, y in zip(q1, b)]
+    c = m.fsum(map(mul, q1, w))
+    r12 += c
+    w = [y - c * x for x, y in zip(q1, w)]
+    r22 = m.sqrt(m.fsum(map(mul, w, w)))
+    s, d = r11 + r22, r11 - r22
+    sigma_max = 0.5 * (m.sqrt(s * s + r12 * r12) + m.sqrt(d * d + r12 * r12))
+    m.rank_guard(r11 * r22 / sigma_max)
+    y1 = m.fsum(map(mul, q1, v))
+    y2 = m.fsum([x / r22 * (y - y1 * z) for x, y, z in zip(w, v, q1)])
+    x2 = y2 / r22
+    return [(y1 - r12 * x2) / r11, x2]
+
+
 def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(G^T G)^-1 G^T v = R^-1 Q^T v from a thin QR factorization G = Q R.
 
@@ -133,60 +179,47 @@ def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     or infinite entry of G), before the division it guards. For m = 2 the guard
     reads sigma_min off the factorization, r11 and then det R / sigma_max(R),
     without a second pass over G; otherwise it is `smallest_singular_value`,
-    for m = 1 the root of the divisor g^T g. m = 1 is g^T v / g^T g. For m = 2,
-    Q = [q1, w / r22] comes from Gram-Schmidt with one reorthogonalization, in
-    Python floats with fsum dot products: as accurate as Householder QR, where
-    the adjugate of G^T G loses accuracy with cond(G)^2. Larger m uses numpy's
-    QR.
+    for m = 1 the root of the divisor g^T g. m = 1 is g^T v / g^T g, each dot
+    summed left to right. For m = 2, Q = [q1, w / r22] comes from Gram-Schmidt
+    with one reorthogonalization, in Python floats with fsum dot products: as
+    accurate as Householder QR, where the adjugate of G^T G loses accuracy with
+    cond(G)^2. Larger m uses numpy's QR.
     """
-    m = g.shape[1]
-    if m == 2:
-        (a, b), v = g.T.tolist(), v.tolist()
-        r11 = math.sqrt(math.fsum(map(mul, a, a)))
-        _rank_guard(r11)  # sigma_min <= r11
-        q1 = [x / r11 for x in a]
-        r12 = math.fsum(map(mul, q1, b))
-        w = [y - r12 * x for x, y in zip(q1, b)]
-        c = math.fsum(map(mul, q1, w))
-        r12 += c
-        w = [y - c * x for x, y in zip(q1, w)]
-        r22 = math.sqrt(math.fsum(map(mul, w, w)))
-        s, d = r11 + r22, r11 - r22
-        sigma_max = 0.5 * (math.sqrt(s * s + r12 * r12) + math.sqrt(d * d + r12 * r12))
-        _rank_guard(r11 * r22 / sigma_max)
-        y1 = math.fsum(map(mul, q1, v))
-        y2 = math.fsum(x / r22 * (y - y1 * z) for x, y, z in zip(w, v, q1))
-        x2 = y2 / r22
-        return np.array([(y1 - r12 * x2) / r11, x2])
+    if g.shape[1] <= 2:
+        return np.array(_pinv_rows(_FLOATS, g.tolist(), v.tolist()))
     _rank_guard(smallest_singular_value(g))
-    if m == 1:
-        col = g[:, 0]
-        return np.array([float(col.dot(v)) / float(col.dot(col))])
     qmat, rmat = np.linalg.qr(g)
     return np.linalg.solve(rmat, qmat.T @ v)
 
 
-def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray, p: np.ndarray):
+def _momentum_grads(sys: MechanicalSystem, tgt: TargetDynamics) -> tuple[Callable, Callable]:
+    """grad_q K and grad_q K_d as (q, p) callables: the plant's own, so that
+    its row form and its formula are used, or else finite differences."""
+    return (sys.kinetic_grad if sys.kinetic_grad is not None else partial(kinetic_energy_grad, sys),
+            tgt.kinetic_d_grad if tgt.kinetic_d_grad is not None else partial(kinetic_d_grad, tgt))
+
+
+def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q, p, m=_FLOATS):
     """(M^-1, grad_q V, grad_q K, potential, kinetic, ptilde) at (q, p): the two
-    parts of the shaping vector from one factorization of M, as float lists.
+    parts of the shaping vector from one factorization of M, as entry lists.
 
     ptilde = M_d^-1 p is solved first, so a singular M_d raises SingularMassD
     before M is looked at; M is factorized and guarded after grad_q V_d is
-    evaluated and before grad_q K. M^-1 maps a right-hand side's floats to
+    evaluated and before grad_q K. M^-1 maps a right-hand side's entries to
     those of M^-1 b. `matching._block_terms` is the same rule on blocks of
-    points, with arrays and `@`.
+    points, on (B,) columns.
     """
-    mass = sys.mass_matrix(q)
-    md = tgt.mass_d(q)
-    pt = solve_checked(md, p, SingularMassD)
-    grad_v = sys.potential_grad(q).tolist()
-    grad_vd = tgt.potential_d_grad(q)
-    inverse = _inverse_checked(mass, SingularMass)
-    x = md.dot(inverse(grad_vd.tolist())).tolist()
-    potential = [v - w for v, w in zip(grad_v, x)]
-    grad_k = kinetic_energy_grad(sys, q, p).tolist()
-    y = md.dot(inverse(kinetic_d_grad(tgt, q, p).tolist())).tolist()
-    z = tgt.j2(q, pt).dot(pt).tolist()
+    mass = m.at(sys.mass_matrix, q)
+    md = m.at(tgt.mass_d, q)
+    pt = m.inverse(md, SingularMassD)(m.entries(p))
+    grad_v = m.at(sys.potential_grad, q)
+    grad_vd = m.at(tgt.potential_d_grad, q)
+    inverse = m.inverse(mass, SingularMass)
+    potential = [v - w for v, w in zip(grad_v, _product(md, inverse(grad_vd)))]
+    k_grad, kd_grad = _momentum_grads(sys, tgt)
+    grad_k = m.at(k_grad, q, p)
+    y = _product(md, inverse(m.at(kd_grad, q, p)))
+    z = _product(m.at(tgt.j2, q, m.vec(pt)), pt)
     kinetic = [(k - w) + j for k, w, j in zip(grad_k, y, z)]
     return inverse, grad_v, grad_k, potential, kinetic, pt
 
@@ -200,7 +233,7 @@ def matching_terms(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
     The kinetic part is quadratic in p, so it vanishes at p = 0.
     """
     _, _, _, potential, kinetic, pt = _shaping(sys, tgt, q, p)
-    return np.array(potential), np.array(kinetic), pt
+    return np.array(potential), np.array(kinetic), np.array(pt)
 
 
 def _check_mode(damping_mode: str) -> None:
@@ -208,21 +241,21 @@ def _check_mode(damping_mode: str) -> None:
         raise ValueError(f"unknown damping_mode {damping_mode!r}")
 
 
-def _law(sys, tgt, q, p, damping_mode, with_field):
+def _law(sys, tgt, q, p, damping_mode, with_field, m=_FLOATS):
     """tau = pinv(G) (potential + kinetic) minus the damping on G^T ptilde, or
-    with `with_field` (tau, (qdot, pdot) of the plant under tau, ptilde)."""
-    inverse, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p)
-    g = sys.input_coupling(q)
-    y = g.T.dot(pt)
+    with `with_field` (tau, (qdot, pdot) of the plant under tau, ptilde), as
+    entry lists on the carrier `m`."""
+    inverse, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p, m)
+    g = m.at(sys.input_coupling, q)
+    y = _product(zip(*g), pt)  # G^T ptilde
     if damping_mode == "saturated":
-        # math.tanh per entry: np.tanh may differ in the last bit
-        y = [math.tanh(yi) for yi in y.tolist()]
-    u = pseudo_inverse_apply(g, np.array([a + b for a, b in zip(potential, kinetic)]))
-    tau = np.array([a - b for a, b in zip(u.tolist(), tgt.damping_gain.dot(y).tolist())])
+        y = [m.tanh(yi) for yi in y]
+    u = _pinv_rows(m, g, [a + b for a, b in zip(potential, kinetic)])
+    tau = [a - b for a, b in zip(u, _product(tgt.damping_gain.tolist(), y))]
     if not with_field:
         return tau
-    return tau, hamiltonian_field(inverse(p.tolist()), grad_v, grad_k, sys.damping(q),
-                                  g.dot(tau)), pt
+    return tau, hamiltonian_field(inverse(m.entries(p)), grad_v, grad_k, m.at(sys.damping, q),
+                                  _product(g, tau)), pt
 
 
 def ida_pbc_control_raw(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
@@ -240,7 +273,9 @@ def ida_pbc_control_raw(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarra
         SingularMass / SingularMassD: mass matrices numerically singular.
     """
     _check_mode(damping_mode)
-    return _law(sys, tgt, q, p, damping_mode, with_field)
+    if not with_field:
+        return np.array(_law(sys, tgt, q, p, damping_mode, False))
+    return tuple(map(np.array, _law(sys, tgt, q, p, damping_mode, True)))
 
 
 @dataclass(frozen=True)
@@ -270,7 +305,7 @@ class IdaPbcLaw:
 
     def field(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """(qdot, pdot) of the plant under the law at (q, p)."""
-        return _law(self.sys, self.tgt, q, p, self.damping_mode, True)[1]
+        return np.array(_law(self.sys, self.tgt, q, p, self.damping_mode, True)[1])
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,12 @@ from typing import Callable
 
 import numpy as np
 
-from .controller import TargetDynamics, kinetic_d_grad, mass_d_solve, matching_terms
+from .controller import (
+    TargetDynamics, _momentum_grads, kinetic_d_grad, mass_d_solve, matching_terms)
 from .errors import SingularMass, SingularMassD
 from .phcore import ConfigState, MechanicalSystem, fd_hessian, kinetic_energy_grad, mass_solve
 from .sampling import Box, ball_sample
-from .smalllinalg import solve_stacked
+from .smalllinalg import _product, solve_stacked
 from .stacking import _blocks, _eigvalsh, _fold, _norms, _stack, _swap
 
 EQUILIBRIUM_GRAD_TOL = 1e-8
@@ -88,13 +89,6 @@ def _transfers(sys: MechanicalSystem, qs: np.ndarray, mass: np.ndarray,
     """R M^-1 M_d at the points `qs` from their stacked M and M_d, each item
     `damping_transfer` bit for bit."""
     return _stack(sys.damping, qs) @ solve_stacked(mass, md, SingularMass)
-
-
-def _momentum_grads(sys: MechanicalSystem, tgt: TargetDynamics) -> tuple[Callable, Callable]:
-    """grad_q K and grad_q K_d as (q, p) callables for `_stack`: the plant's
-    own, so that its row form is used, or else finite differences."""
-    return (sys.kinetic_grad if sys.kinetic_grad is not None else partial(kinetic_energy_grad, sys),
-            tgt.kinetic_d_grad if tgt.kinetic_d_grad is not None else partial(kinetic_d_grad, tgt))
 
 
 def _r2(transfer: np.ndarray, g: np.ndarray, damping_gain: np.ndarray) -> np.ndarray:
@@ -173,22 +167,29 @@ def _block_terms(sys: MechanicalSystem, tgt: TargetDynamics, qb: np.ndarray,
     """(M, M_d, potential, kinetic) on a block of points, pb and the two parts
     as (B, n, 1) columns.
 
-    The rule of `controller.matching_terms` on stacks, with `@` and
-    `solve_stacked`, in its order of evaluation: item by item each part
-    equals the point value bit for bit.
+    The rule of `controller.matching_terms` on stacks, with `solve_stacked`
+    and the law's left-to-right products on (B,) columns, in its order of
+    evaluation: item by item each part equals the point value bit for bit.
     """
     def column(fn, *args):
         return _stack(fn, *args)[..., None]
+
+    def times(a, x):  # a @ x of (B, n, n) and (B, n, 1) stacks, as `_product` per item
+        n = a.shape[-1]
+        rows = _product([[a[:, i, j] for j in range(n)] for i in range(n)],
+                        [x[:, j, 0] for j in range(n)])
+        return np.stack(rows, axis=1)[..., None]
 
     k_grad, kd_grad = _momentum_grads(sys, tgt)
     mass = _stack(sys.mass_matrix, qb)
     md = _stack(tgt.mass_d, qb)
     pt = solve_stacked(md, pb, SingularMassD)
     grad_v = column(sys.potential_grad, qb)
-    potential = grad_v - md @ solve_stacked(mass, column(tgt.potential_d_grad, qb), SingularMass)
+    potential = grad_v - times(md, solve_stacked(mass, column(tgt.potential_d_grad, qb),
+                                                 SingularMass))
     grad_k = column(k_grad, qb, pb[..., 0])
-    kinetic = (grad_k - md @ solve_stacked(mass, column(kd_grad, qb, pb[..., 0]), SingularMass)
-               + _stack(tgt.j2, qb, pt[..., 0]) @ pt)
+    kinetic = (grad_k - times(md, solve_stacked(mass, column(kd_grad, qb, pb[..., 0]), SingularMass))
+               + times(_stack(tgt.j2, qb, pt[..., 0]), pt))
     return mass, md, potential, kinetic
 
 

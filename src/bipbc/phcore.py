@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SingularMass
 from .sampling import Box
-from .smalllinalg import solve_checked
+from .smalllinalg import _product, solve_checked
 
 #: relative step for central finite differences, with an absolute floor
 FD_REL_STEP = 1e-6
@@ -180,21 +180,23 @@ def open_loop_field_raw(
     loop lives here.
     """
     qdot = solve_checked(sys.mass_matrix(q), p, SingularMass).tolist()
-    return hamiltonian_field(qdot, sys.potential_grad(q).tolist(),
-                             kinetic_energy_grad(sys, q, p).tolist(), sys.damping(q),
-                             sys.input_coupling(q).dot(tau))
+    grad_v = sys.potential_grad(q).tolist()
+    grad_k = kinetic_energy_grad(sys, q, p).tolist()
+    damping = sys.damping(q).tolist()
+    force = _product(sys.input_coupling(q).tolist(), np.asarray(tau, dtype=float).tolist())
+    return np.array(hamiltonian_field(qdot, grad_v, grad_k, damping, force))
 
 
-def hamiltonian_field(qdot: list, grad_v: list, grad_k: list, damping: np.ndarray,
-                      force: np.ndarray) -> np.ndarray:
+def hamiltonian_field(qdot: list, grad_v: list, grad_k: list, damping: list,
+                      force: list) -> list:
     """(qdot, pdot) with pdot = -(grad_q V + grad_q K) - R qdot + G tau, given
-    the floats of qdot = M^-1 p, grad_q V and grad_q K, and G tau.
+    the entries of qdot = M^-1 p, grad_q V, grad_q K, R's rows and G tau.
 
     The one assembly of the field, for `open_loop_field_raw` and the IDA-PBC
-    law, which takes qdot from the factorization of M it already holds. R qdot
-    is a numpy matrix-vector product (`.dot`, the same gemv as `@`); the rest
-    is elementwise, in Python floats.
+    law, which takes qdot from the factorization of M it already holds. Every
+    operation is a float operation in a fixed order (R qdot is a
+    `smalllinalg._product`), so the same code runs on expression nodes.
     """
-    pdot = [-(v + k) - r + f for v, k, r, f in zip(grad_v, grad_k, damping.dot(qdot).tolist(),
-                                                   force.tolist())]
-    return np.array(qdot + pdot)
+    pdot = [-(v + k) - r + f for v, k, r, f in zip(grad_v, grad_k, _product(damping, qdot),
+                                                   force)]
+    return qdot + pdot

@@ -9,31 +9,55 @@ guarded once by `_inverse` and applied by `_apply`, so that the IDA-PBC law
 solves three right-hand sides against one factorization of M
 (`_inverse_checked`). Larger systems fall back to numpy. `solve_stacked`
 applies the same formulas and guard to a stack of systems at once, for the
-sampled sweeps.
+sampled sweeps. `_product` is the matrix-vector product of the point law, a
+sum of products added left to right, the same on floats, on (B,) columns and
+on expression nodes.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Callable
+from functools import partial, reduce
+from operator import add, mul
+from typing import Callable, Optional
 
 import numpy as np
 
 COND_LIMIT = 1e12
+#: smallest singular value of G below which the pull-back raises RankDeficientG
+SIGMA_MIN_LIMIT = 1e-9
 
 
-def _guard(det: float, cond: float, n: int, exc: type) -> None:
-    """Raise `exc` unless det A is finite and nonzero and cond_F <= 1e12.
+def _dot(a, b):
+    """a_0 b_0 + a_1 b_1 + ..., added left to right with each product and sum
+    rounded on its own: no fused multiply-add, so no BLAS kernel moves a bit."""
+    return reduce(add, map(mul, a, b))
+
+
+def _product(a, x) -> list:
+    """Rows of A x, each a `_dot`, for A's rows `a` and x's entries `x`."""
+    return [_dot(row, x) for row in a]
+
+
+def _defect(det: float, cond: float, n: int) -> Optional[str]:
+    """Why `_guard` rejects A, or None: det A zero or not finite, or cond_F > 1e12.
 
     cond_F = ||A||_F ||adj A||_F / |det A|, with `cond` its numerator: |A| for
     n = 1 (cond_F = 1), ||A||_F^2 for n = 2 (where ||adj A||_F = ||A||_F),
     and for n = 3 its square, ||A||_F^2 ||adj A||_F^2.
     """
     if det == 0.0 or not math.isfinite(det):
-        raise exc(f"singular {n}x{n} matrix")
+        return f"singular {n}x{n} matrix"
     if (math.sqrt(cond) if n == 3 else cond) / abs(det) > COND_LIMIT:
-        raise exc(f"{n}x{n} matrix condition estimate exceeds 1e12")
+        return f"{n}x{n} matrix condition estimate exceeds 1e12"
+    return None
+
+
+def _guard(det: float, cond: float, n: int, exc: type) -> None:
+    """Raise `exc` with `_defect`'s reason if it rejects A."""
+    reason = _defect(det, cond, n)
+    if reason is not None:
+        raise exc(reason)
 
 
 def _guard_each(det: np.ndarray, cond: np.ndarray, n: int, exc: type) -> None:
@@ -116,16 +140,18 @@ def _check_large(a: np.ndarray, exc: type) -> None:
         raise exc("matrix condition estimate exceeds 1e12")
 
 
-def _inverse_checked(a: np.ndarray, exc: type) -> Callable:
-    """a^-1 as a map from a right-hand side's floats to those of a^-1 b, with
-    `a` guarded once, here, as `solve_checked` guards it.
+def _inverse_checked(a, exc: type) -> Callable:
+    """A^-1 as a map from a right-hand side's floats to those of A^-1 b, for
+    A's rows `a` (lists of floats, or an array), with A guarded once, here, as
+    `solve_checked` guards it.
 
-    Each application equals solve_checked(a, b, exc) bit for bit: for n <= 3
-    it applies the one `_inverse` of `a`, and larger systems check the
+    Each application equals solve_checked(A, b, exc) bit for bit: for n <= 3
+    it applies the one `_inverse` of A, and larger systems check the
     condition once and solve with numpy.
     """
-    if a.shape[0] <= 3:
-        return partial(_apply, _inverse(a.tolist(), _guard, exc))
+    if len(a) <= 3:
+        return partial(_apply, _inverse(a, _guard, exc))
+    a = np.asarray(a, dtype=float)
     _check_large(a, exc)
     return lambda b: np.linalg.solve(a, b).tolist()
 
@@ -163,7 +189,7 @@ def solve_stacked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
 def smallest_singular_value(g: np.ndarray) -> float:
     """sigma_min of a tall (n x m) matrix, closed form for m <= 2.
 
-    For m = 1 it is sqrt(g^T g), the root of the dot that the one-input
+    For m = 1 it is sqrt(g^T g), the root of the `_dot` that the one-input
     pull-back divides by. For m = 2, the Gram eigenvalues are det / largest and
     largest, with det G^T G summed from the 2 x 2 minors (Lagrange identity):
     half_trace - disc would cancel.
@@ -172,8 +198,8 @@ def smallest_singular_value(g: np.ndarray) -> float:
     """
     m = g.shape[1]
     if m == 1:
-        col = g[:, 0]
-        return math.sqrt(float(col.dot(col)))
+        col = g[:, 0].tolist()
+        return math.sqrt(_dot(col, col))
     if m == 2:
         a, b = g[:, 0].tolist(), g[:, 1].tolist()
         trace = math.fsum(x * x for x in a + b)

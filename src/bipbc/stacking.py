@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .controller import SIGMA_MIN_LIMIT, RankDeficientG
+from .errors import RankDeficientG
+from .smalllinalg import SIGMA_MIN_LIMIT
 
 _BLOCK = 64
 
