@@ -27,12 +27,17 @@ first. No step calls BLAS for n <= 3: every matrix-vector product is a
 (the two parts of the shaping vector and their sum, tau = pinv(G) v - K_v y,
 and the field (qdot, pdot) of `hamiltonian_field`) is Python float
 arithmetic in a fixed order, so the law's value does not depend on the BLAS
-kernel. The law is written once on a carrier `m` (`_FLOATS`): the plant
-callables' outputs as nested lists, `math`, and the guards.
+kernel. The law is written once on a carrier `m`: `_FLOATS` (the plant
+callables' outputs as nested float lists, `math`, and guards that raise) or
+the expression nodes of `traced`, which record it.
 
 `IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `evaluate` and
 `field` return the plant's closed-loop field from the law's own plant
 evaluation; `simulate` takes them at accepted states and interior RK4 stages.
+A law whose callables are all formulas or constants runs as one generated
+straight-line function (`_generated_law`), bit for bit the law above, which
+hands any point where a guard fails or `math` raises to
+`ida_pbc_control_raw`.
 
 Controllers are pure functions of the state, so one instance can serve any
 number of simulations.
@@ -41,6 +46,7 @@ number of simulations.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from operator import mul
@@ -49,7 +55,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import RankDeficientG, SingularMass, SingularMassD
+from . import traced
+from .errors import RankDeficientG, SingularMass, SingularMassD, ToolkitError
 from .phcore import (
     ConfigState,
     EnergyRecord,
@@ -66,6 +73,7 @@ from .smalllinalg import (
     smallest_singular_value,
     solve_checked,
 )
+from .stacking import _traceable
 
 
 def log_cosh(x: float) -> float:
@@ -133,12 +141,12 @@ def _rank_guard(sigma: float) -> None:
         raise RankDeficientG("smallest singular value of G below 1e-9 or not finite")
 
 
-#: The carrier of the point law: plant callables' outputs as nested float lists,
-#: `math`, and the guards that raise.
+#: The carrier of the point law: `rows` of a callable's output or of (q, p) as
+#: nested float lists, `vec` back to an argument, `math`, and guards that raise.
 _FLOATS = SimpleNamespace(
-    at=lambda fn, *args: fn(*args).tolist(), entries=np.ndarray.tolist, vec=np.array,
-    inverse=_inverse_checked, sqrt=math.sqrt, tanh=math.tanh, fsum=math.fsum,
-    rank_guard=_rank_guard, sigma_min=lambda g: smallest_singular_value(np.array(g)))
+    rows=np.ndarray.tolist, vec=np.array, inverse=_inverse_checked, sqrt=math.sqrt,
+    tanh=math.tanh, fsum=math.fsum, rank_guard=_rank_guard,
+    sigma_min=lambda g: smallest_singular_value(g))
 
 
 def _pinv_rows(m, g: list, v: list) -> list:
@@ -209,17 +217,17 @@ def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q, p, m=_FLOATS):
     those of M^-1 b. `matching._block_terms` is the same rule on blocks of
     points, on (B,) columns.
     """
-    mass = m.at(sys.mass_matrix, q)
-    md = m.at(tgt.mass_d, q)
-    pt = m.inverse(md, SingularMassD)(m.entries(p))
-    grad_v = m.at(sys.potential_grad, q)
-    grad_vd = m.at(tgt.potential_d_grad, q)
+    mass = m.rows(sys.mass_matrix(q))
+    md = m.rows(tgt.mass_d(q))
+    pt = m.inverse(md, SingularMassD)(m.rows(p))
+    grad_v = m.rows(sys.potential_grad(q))
+    grad_vd = m.rows(tgt.potential_d_grad(q))
     inverse = m.inverse(mass, SingularMass)
     potential = [v - w for v, w in zip(grad_v, _product(md, inverse(grad_vd)))]
     k_grad, kd_grad = _momentum_grads(sys, tgt)
-    grad_k = m.at(k_grad, q, p)
-    y = _product(md, inverse(m.at(kd_grad, q, p)))
-    z = _product(m.at(tgt.j2, q, m.vec(pt)), pt)
+    grad_k = m.rows(k_grad(q, p))
+    y = _product(md, inverse(m.rows(kd_grad(q, p))))
+    z = _product(m.rows(tgt.j2(q, m.vec(pt))), pt)
     kinetic = [(k - w) + j for k, w, j in zip(grad_k, y, z)]
     return inverse, grad_v, grad_k, potential, kinetic, pt
 
@@ -246,7 +254,7 @@ def _law(sys, tgt, q, p, damping_mode, with_field, m=_FLOATS):
     with `with_field` (tau, (qdot, pdot) of the plant under tau, ptilde), as
     entry lists on the carrier `m`."""
     inverse, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p, m)
-    g = m.at(sys.input_coupling, q)
+    g = m.rows(sys.input_coupling(q))
     y = _product(zip(*g), pt)  # G^T ptilde
     if damping_mode == "saturated":
         y = [m.tanh(yi) for yi in y]
@@ -254,8 +262,8 @@ def _law(sys, tgt, q, p, damping_mode, with_field, m=_FLOATS):
     tau = [a - b for a, b in zip(u, _product(tgt.damping_gain.tolist(), y))]
     if not with_field:
         return tau
-    return tau, hamiltonian_field(inverse(m.entries(p)), grad_v, grad_k, m.at(sys.damping, q),
-                                  _product(g, tau)), pt
+    return tau, hamiltonian_field(inverse(m.rows(p)), grad_v, grad_k,
+                                  m.rows(sys.damping(q)), _product(g, tau)), pt
 
 
 def ida_pbc_control_raw(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
@@ -275,7 +283,66 @@ def ida_pbc_control_raw(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarra
     _check_mode(damping_mode)
     if not with_field:
         return np.array(_law(sys, tgt, q, p, damping_mode, False))
-    return tuple(map(np.array, _law(sys, tgt, q, p, damping_mode, True)))
+    tau, field, pt = _law(sys, tgt, q, p, damping_mode, True)
+    return np.array(tau), np.array(field), np.array(pt)
+
+
+#: the law's plant and target callables: of q, or of (q, p) for the last two of each
+_PLANT_FIELDS = ("mass_matrix", "potential_grad", "input_coupling", "damping", "kinetic_grad")
+_TARGET_FIELDS = ("mass_d", "potential_d_grad", "kinetic_d_grad", "j2")
+
+
+def _check_arrays(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
+                  p: np.ndarray) -> None:
+    """Raise TypeError naming the first of the law's callables whose output at
+    (q, p) is not a numpy array. One that raises is left to the law, which
+    raises in its own order."""
+    for owner, names in ((sys, _PLANT_FIELDS), (tgt, _TARGET_FIELDS)):
+        for name in names:
+            fn = getattr(owner, name)
+            if fn is None:
+                continue
+            try:
+                out = fn(q, p) if name in ("kinetic_grad", "kinetic_d_grad", "j2") else fn(q)
+            except (ArithmeticError, ValueError, ToolkitError):
+                continue
+            if not isinstance(out, np.ndarray):
+                raise TypeError(f"{name} returned {type(out).__name__}, not a numpy array")
+
+
+#: (sys, tgt) weak references and generated law, by the identity of (sys, tgt), the
+#: damping mode and K_v: laws of one design share one trace and compile
+_GENERATED: dict = {}
+
+
+def _generated_law(sys: MechanicalSystem, tgt: TargetDynamics, damping_mode: str):
+    """The law of (sys, tgt) as one straight-line function (q0.., p0..) ->
+    (tau, field, ptilde) entry tuples, or None where a guard fails or `math`
+    raises; None in its place when a callable is not a formula or constant,
+    n > 3, m > 2, or the formulas do not trace. Made once while sys and tgt
+    live."""
+    key = (id(sys), id(tgt), damping_mode, tgt.damping_gain.tobytes())
+    made = _GENERATED.get(key)
+    if made and made[0]() is sys and made[1]() is tgt:
+        return made[2]
+    callables = ([getattr(sys, f) for f in _PLANT_FIELDS]
+                 + [getattr(tgt, f) for f in _TARGET_FIELDS])
+    run = None
+    if sys.n <= 3 and sys.m <= 2 and all(map(_traceable, callables)):
+        try:
+            run = traced._law_function(sys, tgt, damping_mode)
+        except Exception:  # any failure to trace (a branch on a value, ...) keeps the law
+            pass
+
+    def forget(_):
+        _GENERATED.pop(key, None)
+
+    _GENERATED[key] = (weakref.ref(sys, forget), weakref.ref(tgt, forget), run)
+    return run
+
+
+def _same_bits(got: tuple, want: tuple) -> bool:
+    return all(np.array(a).tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 @dataclass(frozen=True)
@@ -287,6 +354,15 @@ class IdaPbcLaw:
     grad_q K and G at (q, p); the field equals open_loop_field_raw(sys, q, p,
     law(t, q, p)) bit for bit. `simulate` takes them at accepted states and
     interior RK4 stages.
+
+    The first evaluation checks that every callable returns a numpy array
+    (TypeError naming it otherwise). When all nine are `plant_function`
+    formulas or `constant`s, n <= 3 and m <= 2, it also traces the law on
+    expression nodes and compiles it into one straight-line function
+    (`_generated_law`), kept if its outputs equal `ida_pbc_control_raw`'s at
+    that point bit for bit. Later evaluations call it, and hand a point where
+    it declines (a guard fails, `math` raises) to `ida_pbc_control_raw`, which
+    raises as the law raises.
     """
 
     sys: MechanicalSystem
@@ -295,16 +371,50 @@ class IdaPbcLaw:
 
     def __post_init__(self):
         _check_mode(self.damping_mode)
+        object.__setattr__(self, "_generated", None)  # decided at the first evaluation
+
+    def _fast(self, q: np.ndarray, p: np.ndarray):
+        """(tau, field, ptilde) entry tuples of the generated law, or a false
+        value where `ida_pbc_control_raw` answers."""
+        run = self._generated
+        if run is None:
+            return self._first(q, p)
+        return run and run(*q.tolist(), *p.tolist())
+
+    def _first(self, q: np.ndarray, p: np.ndarray):
+        _check_arrays(self.sys, self.tgt, q, p)
+        run = _generated_law(self.sys, self.tgt, self.damping_mode)
+        if run is None:
+            object.__setattr__(self, "_generated", False)
+            return None
+        try:
+            want = ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode,
+                                       with_field=True)
+        except (ArithmeticError, ValueError, ToolkitError):
+            return None  # undecided: the caller's reference evaluation raises or answers
+        got = run(*q.tolist(), *p.tolist())
+        same = got is not None and _same_bits(got, want)
+        object.__setattr__(self, "_generated", run if same else False)
+        return got if same else None
 
     def __call__(self, t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        out = self._fast(q, p)
+        if out:
+            return np.array(out[0])
         return ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode)
 
     def evaluate(self, q: np.ndarray, p: np.ndarray):
         """(tau, field, ptilde) at (q, p), with ptilde = M_d^-1 p."""
+        out = self._fast(q, p)
+        if out:
+            return np.array(out[0]), np.array(out[1]), np.array(out[2])
         return ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode, with_field=True)
 
     def field(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """(qdot, pdot) of the plant under the law at (q, p)."""
+        out = self._fast(q, p)
+        if out:
+            return np.array(out[1])
         return np.array(_law(self.sys, self.tgt, q, p, self.damping_mode, True)[1])
 
 

@@ -31,14 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from .controller import (
     TargetDynamics, _momentum_grads, kinetic_d_grad, mass_d_solve, matching_terms)
 from .errors import SingularMass, SingularMassD
-from .phcore import ConfigState, MechanicalSystem, fd_hessian, kinetic_energy_grad, mass_solve
+from .phcore import ConfigState, MechanicalSystem, fd_hessian, mass_solve
 from .sampling import Box, ball_sample
 from .smalllinalg import _product, solve_stacked
 from .stacking import _blocks, _eigvalsh, _fold, _norms, _stack, _swap
@@ -185,10 +184,11 @@ def _block_terms(sys: MechanicalSystem, tgt: TargetDynamics, qb: np.ndarray,
     md = _stack(tgt.mass_d, qb)
     pt = solve_stacked(md, pb, SingularMassD)
     grad_v = column(sys.potential_grad, qb)
-    potential = grad_v - times(md, solve_stacked(mass, column(tgt.potential_d_grad, qb),
-                                                 SingularMass))
+    grad_vd = column(tgt.potential_d_grad, qb)
+    potential = grad_v - times(md, solve_stacked(mass, grad_vd, SingularMass))
     grad_k = column(k_grad, qb, pb[..., 0])
-    kinetic = (grad_k - times(md, solve_stacked(mass, column(kd_grad, qb, pb[..., 0]), SingularMass))
+    grad_kd = column(kd_grad, qb, pb[..., 0])
+    kinetic = (grad_k - times(md, solve_stacked(mass, grad_kd, SingularMass))
                + times(_stack(tgt.j2, qb, pt[..., 0]), pt))
     return mass, md, potential, kinetic
 

@@ -5,7 +5,9 @@ keeps the Hamiltonian structure of the model exact in code. The integrator
 is the classical 4th-order Runge-Kutta scheme with a fixed step; the
 control is evaluated at every stage, the first stage reusing the value
 recorded at the accepted state. An `IdaPbcLaw` on the simulated plant gives
-tau, that first stage and ptilde from one plant evaluation. The step's
+tau, that first stage and ptilde from one plant evaluation; a law of
+formulas and constants gives them from its generated straight-line function
+(see `controller.IdaPbcLaw`), bit for bit the law it replaces. The step's
 combination x + dt/6 (k1 + 2 k2 + 2 k3 + k4) and the blowup test run on
 Python floats, with the association of the numpy expression and so its
 rounding. Identical inputs produce bit-identical trajectories.

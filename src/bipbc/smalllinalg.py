@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from functools import partial, reduce
 from operator import add, mul
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -35,29 +35,28 @@ def _dot(a, b):
 
 
 def _product(a, x) -> list:
-    """Rows of A x, each a `_dot`, for A's rows `a` and x's entries `x`."""
+    """Rows of A x, each a `_dot`, for A's rows `a` and x's entries `x`
+    (written out for two and three entries)."""
+    if len(x) == 2:
+        x0, x1 = x
+        return [r0 * x0 + r1 * x1 for r0, r1 in a]
+    if len(x) == 3:
+        x0, x1, x2 = x
+        return [r0 * x0 + r1 * x1 + r2 * x2 for r0, r1, r2 in a]
     return [_dot(row, x) for row in a]
 
 
-def _defect(det: float, cond: float, n: int) -> Optional[str]:
-    """Why `_guard` rejects A, or None: det A zero or not finite, or cond_F > 1e12.
+def _guard(det: float, cond: float, n: int, exc: type) -> None:
+    """Raise `exc` unless det A is finite and nonzero and cond_F <= 1e12.
 
     cond_F = ||A||_F ||adj A||_F / |det A|, with `cond` its numerator: |A| for
     n = 1 (cond_F = 1), ||A||_F^2 for n = 2 (where ||adj A||_F = ||A||_F),
     and for n = 3 its square, ||A||_F^2 ||adj A||_F^2.
     """
     if det == 0.0 or not math.isfinite(det):
-        return f"singular {n}x{n} matrix"
+        raise exc(f"singular {n}x{n} matrix")
     if (math.sqrt(cond) if n == 3 else cond) / abs(det) > COND_LIMIT:
-        return f"{n}x{n} matrix condition estimate exceeds 1e12"
-    return None
-
-
-def _guard(det: float, cond: float, n: int, exc: type) -> None:
-    """Raise `exc` with `_defect`'s reason if it rejects A."""
-    reason = _defect(det, cond, n)
-    if reason is not None:
-        raise exc(reason)
+        raise exc(f"{n}x{n} matrix condition estimate exceeds 1e12")
 
 
 def _guard_each(det: np.ndarray, cond: np.ndarray, n: int, exc: type) -> None:
@@ -186,8 +185,9 @@ def solve_stacked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
-def smallest_singular_value(g: np.ndarray) -> float:
-    """sigma_min of a tall (n x m) matrix, closed form for m <= 2.
+def smallest_singular_value(g) -> float:
+    """sigma_min of a tall (n x m) matrix, an array or its rows as lists, closed
+    form for m <= 2.
 
     For m = 1 it is sqrt(g^T g), the root of the `_dot` that the one-input
     pull-back divides by. For m = 2, the Gram eigenvalues are det / largest and
@@ -196,17 +196,18 @@ def smallest_singular_value(g: np.ndarray) -> float:
     For m >= 3 a non-finite entry gives NaN without calling LAPACK, whose SVD
     would fail on it.
     """
-    m = g.shape[1]
-    if m == 1:
-        col = g[:, 0].tolist()
+    rows = g.tolist() if isinstance(g, np.ndarray) else g
+    if len(rows[0]) == 1:
+        col = [row[0] for row in rows]
         return math.sqrt(_dot(col, col))
-    if m == 2:
-        a, b = g[:, 0].tolist(), g[:, 1].tolist()
+    if len(rows[0]) == 2:
+        a, b = [row[0] for row in rows], [row[1] for row in rows]
         trace = math.fsum(x * x for x in a + b)
         det = math.fsum((a[i] * b[j] - a[j] * b[i]) ** 2
                         for i in range(len(a)) for j in range(i + 1, len(a)))
         largest = 0.5 * (trace + math.sqrt(max(trace * trace - 4.0 * det, 0.0)))
         return math.sqrt(det / largest) if largest else 0.0
+    g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         return math.nan
     return float(np.linalg.svd(g, compute_uv=False)[-1])

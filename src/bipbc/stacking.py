@@ -8,6 +8,11 @@ adaptor: a callable with a row form (`.batched`, see `plant_function`) is
 called once per block, any other callable once per point. Batched operations
 go item by item in the order of one point, so the results are those of a
 point-by-point loop.
+
+A formula runs on three carriers: Python floats (`math`, the point
+callable), (B,) columns (`_ROWS`, the row form) and the expression nodes of
+`bipbc.traced`, which compiles an IDA-PBC law of formulas (`_traceable`)
+into one straight-line function.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ def plant_function(shape: tuple, formula: Callable) -> Callable:
     integer powers) and arithmetic. The callable takes (q) or (q, p) arrays and runs the
     formula on their Python floats with `math`; `.batched` takes them stacked as (B, n)
     rows, runs it once on their (B,) columns and returns the B outputs stacked on axis 0,
-    each equal to the point call bit for bit.
+    each equal to the point call bit for bit. `.formula` and `.shape` are kept for
+    `_traced`.
     """
 
     def rows(entries, count: int) -> np.ndarray:
@@ -80,12 +86,14 @@ def plant_function(shape: tuple, formula: Callable) -> Callable:
             return out
 
         fn.batched = lambda q, p: rows(formula(_ROWS, q.T, p.T), len(q))
+    fn.formula, fn.shape = formula, shape
     return fn
 
 
 def constant(value) -> Callable:
     """The plant or target callable, of (q) or (q, p), that returns `value` as a
-    read-only float array at every point, with a stride-0 view as its row form."""
+    read-only float array at every point, with a stride-0 view as its row form
+    and the array as `.value`."""
     value = np.array(value, dtype=float)
     value.setflags(write=False)
 
@@ -93,7 +101,13 @@ def constant(value) -> Callable:
         return value
 
     fn.batched = lambda q, p=None: np.broadcast_to(value, (len(q),) + value.shape)
+    fn.value = value
     return fn
+
+
+def _traceable(fn) -> bool:
+    """Whether `fn` is a `plant_function` or a `constant`."""
+    return hasattr(fn, "formula") or hasattr(fn, "value")
 
 
 def _stack(fn: Callable, *args: np.ndarray) -> np.ndarray:
