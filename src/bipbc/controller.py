@@ -355,14 +355,14 @@ class IdaPbcLaw:
     law(t, q, p)) bit for bit. `simulate` takes them at accepted states and
     interior RK4 stages.
 
-    The first evaluation checks that every callable returns a numpy array
-    (TypeError naming it otherwise). When all nine are `plant_function`
-    formulas or `constant`s, n <= 3 and m <= 2, it also traces the law on
-    expression nodes and compiles it into one straight-line function
-    (`_generated_law`), kept if its outputs equal `ida_pbc_control_raw`'s at
-    that point bit for bit. Later evaluations call it, and hand a point where
-    it declines (a guard fails, `math` raises) to `ida_pbc_control_raw`, which
-    raises as the law raises.
+    When all nine callables are `plant_function` formulas or `constant`s,
+    n <= 3 and m <= 2, the law is traced on expression nodes and compiled into
+    one straight-line function (`_generated_law`, once per (sys, tgt)) when
+    the law is made. The first evaluation checks that every callable returns
+    a numpy array (TypeError naming it otherwise) and keeps the function if
+    its outputs equal `ida_pbc_control_raw`'s at that point bit for bit. Later
+    evaluations call it, and hand a point where it declines (a guard fails,
+    `math` raises) to `ida_pbc_control_raw`, which raises as the law raises.
     """
 
     sys: MechanicalSystem
@@ -371,7 +371,9 @@ class IdaPbcLaw:
 
     def __post_init__(self):
         _check_mode(self.damping_mode)
-        object.__setattr__(self, "_generated", None)  # decided at the first evaluation
+        # traced when made, before a run allocates its records; kept at the first evaluation
+        object.__setattr__(self, "_candidate", _generated_law(self.sys, self.tgt, self.damping_mode))
+        object.__setattr__(self, "_generated", None)
 
     def _fast(self, q: np.ndarray, p: np.ndarray):
         """(tau, field, ptilde) entry tuples of the generated law, or a false
@@ -383,7 +385,7 @@ class IdaPbcLaw:
 
     def _first(self, q: np.ndarray, p: np.ndarray):
         _check_arrays(self.sys, self.tgt, q, p)
-        run = _generated_law(self.sys, self.tgt, self.damping_mode)
+        run = self._candidate
         if run is None:
             object.__setattr__(self, "_generated", False)
             return None
