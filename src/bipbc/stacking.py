@@ -63,7 +63,7 @@ def plant_function(shape: tuple, formula: Callable) -> Callable:
     formula on their Python floats with `math`; `.batched` takes them stacked as (B, n)
     rows, runs it once on their (B,) columns and returns the B outputs stacked on axis 0,
     each equal to the point call bit for bit. `.formula` and `.shape` are kept for
-    `_traced`.
+    `bipbc.traced`.
     """
 
     def rows(entries, count: int) -> np.ndarray:
