@@ -43,12 +43,12 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .controller import TargetDynamics, _momentum_grads, mass_d_solve, target_energy
-from .errors import EmptyWorkspace, NonpositiveEigenvalue, SingularMassD, ToolkitError
+from .controller import _COLUMNS, TargetDynamics, _momentum_grads, mass_d_solve, target_energy
+from .errors import (EmptyWorkspace, NonpositiveEigenvalue, SingularMass, SingularMassD,
+                     ToolkitError)
 from .matching import _r2, _transfers
 from .phcore import ConfigState, MechanicalSystem
 from .sampling import Box
-from .smalllinalg import solve_stacked
 from .stacking import (_blocks, _dots, _eigvalsh, _fold, _matvec, _momentum_form, _norms,
                        _pull_back, _spectral_norms, _stack, _stack_pairs, _swap)
 
@@ -84,7 +84,7 @@ class _PlantStack(NamedTuple):
 
     grad_v: np.ndarray  # (B, n) grad_q V
     grad_vd: np.ndarray  # (B, n) grad_q V_d
-    mass: np.ndarray  # (B, n, n) M
+    mass_inverse: Callable  # M^-1 of every item: M's guarded factorization (`_COLUMNS`)
     md: np.ndarray  # (B, n, n) M_d
     lam: np.ndarray  # (B, n, n) Lambda = M_d M^-1
     g: np.ndarray  # (B, n, m) G
@@ -92,14 +92,14 @@ class _PlantStack(NamedTuple):
 
 
 def _plant_stack(sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray) -> _PlantStack:
-    """Plant and target outputs at `qs`."""
+    """Plant and target outputs at `qs`; M is guarded before it is inverted."""
     mass = _stack(sys.mass_matrix, qs)
     md = _stack(tgt.mass_d, qs)
     g = _stack(sys.input_coupling, qs)
     return _PlantStack(
         grad_v=_stack(sys.potential_grad, qs),
         grad_vd=_stack(tgt.potential_d_grad, qs),
-        mass=mass,
+        mass_inverse=_COLUMNS.inverse(_COLUMNS.rows(mass), SingularMass),
         md=md,
         lam=md @ np.linalg.inv(mass),
         g=g,
@@ -214,7 +214,7 @@ def estimate_constants(
         eigs = _eigvalsh(0.5 * (stack.md + _swap(stack.md)))
         lam_min_md = _fold(min, lam_min_md, float(np.min(eigs[:, 0])))
         lam_max_md = _fold(max, lam_max_md, float(np.max(eigs[:, -1])))
-        r2 = _r2(_transfers(sys, qb, stack.mass, stack.md), stack.g, tgt.damping_gain)
+        r2 = _r2(_transfers(sys, qb, stack.mass_inverse, stack.md), stack.g, tgt.damping_gain)
         lam_min_r2 = _fold(min, lam_min_r2, float(np.min(_eigvalsh(r2))))
         g_cap = _fold(max, g_cap, float(np.max(_spectral_norms(stack.g))))
         g_pinv_cap = _fold(max, g_pinv_cap, float(np.max(_spectral_norms(stack.pinv_g))))
@@ -295,7 +295,7 @@ def _sample_terms(sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray, ps
     ||grad_q V_d||, ||p||^2 and ||ptilde|| (each (B,)).
     """
     stack = _plant_stack(sys, tgt, qs)
-    pt = solve_stacked(stack.md, ps, SingularMassD)
+    pt = _COLUMNS.vec(_COLUMNS.inverse(_COLUMNS.rows(stack.md), SingularMassD)(_COLUMNS.rows(ps)))
     grad_k, grad_kd = _momentum_grads(sys, tgt)
     v, lam, k = actuated_terms(_stack(grad_k, qs, ps)[:, None], stack)
     return (v, lam, k[:, 0], _norms(_stack(grad_kd, qs, ps)),
@@ -328,6 +328,7 @@ def validate_constants(
 
     Raises:
         EmptyWorkspace: `samples` is below 1, as for the other sampled sweeps.
+        SingularMass: a sampled M is singular or its condition estimate exceeds 1e12.
     """
     if samples < 1:
         raise EmptyWorkspace("requested an empty sample set")
@@ -677,7 +678,8 @@ def kv_advisory(
     qs = np.vstack([box.sample(samples), box.corners(), box.center()[None, :]])
 
     # R M^-1 M_d and G at every point, stacked once for all the kappas below
-    s = _transfers(sys, qs, _stack(sys.mass_matrix, qs), _stack(tgt.mass_d, qs))
+    mass, md = _stack(sys.mass_matrix, qs), _stack(tgt.mass_d, qs)
+    s = _transfers(sys, qs, _COLUMNS.inverse(_COLUMNS.rows(mass), SingularMass), md)
     g = _stack(sys.input_coupling, qs)
 
     def r2_min_with(kappa: float) -> float:

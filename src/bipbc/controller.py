@@ -29,7 +29,8 @@ and the field (qdot, pdot) of `hamiltonian_field`) is Python float
 arithmetic in a fixed order, so the law's value does not depend on the BLAS
 kernel. The law is written once on a carrier `m`: `_FLOATS` (the plant
 callables' outputs as nested float lists, `math`, and guards that raise) or
-the expression nodes of `traced`, which record it.
+the expression nodes of `traced`, which record it; its shaping rule also runs
+on `_COLUMNS`, the (B,) columns of the sampled sweeps.
 
 `IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `evaluate` and
 `field` return the plant's closed-loop field from the law's own plant
@@ -69,6 +70,7 @@ from .smalllinalg import (
     SIGMA_MIN_LIMIT,
     _dot,
     _inverse_checked,
+    _inverse_columns,
     _product,
     smallest_singular_value,
     solve_checked,
@@ -148,6 +150,13 @@ _FLOATS = SimpleNamespace(
     tanh=math.tanh, fsum=math.fsum, rank_guard=_rank_guard,
     sigma_min=lambda g: smallest_singular_value(g))
 
+#: The carrier of the shaping rule on a block of points: `rows` of a (B, n) or (B, n, k)
+#: stack as (B,) columns nested as one item's rows, `vec` back to a (B, n) argument, and
+#: the guarded factorization of every item (`_inverse_columns`), the sweeps' one stacked solve.
+_COLUMNS = SimpleNamespace(
+    rows=lambda a: list(a.T) if a.ndim == 2 else [list(r) for r in a.transpose(1, 2, 0)],
+    vec=partial(np.stack, axis=1), inverse=_inverse_columns)
+
 
 def _pinv_rows(m, g: list, v: list) -> list:
     """(G^T G)^-1 G^T v for G's rows `g` and v's entries `v`, on the carrier `m`.
@@ -214,8 +223,9 @@ def _shaping(sys: MechanicalSystem, tgt: TargetDynamics, q, p, m=_FLOATS):
     ptilde = M_d^-1 p is solved first, so a singular M_d raises SingularMassD
     before M is looked at; M is factorized and guarded after grad_q V_d is
     evaluated and before grad_q K. M^-1 maps a right-hand side's entries to
-    those of M^-1 b. `matching._block_terms` is the same rule on blocks of
-    points, on (B,) columns.
+    those of M^-1 b. On `_COLUMNS`, with (sys, tgt) callables that take and
+    return stacks, it is the same rule on a block of points, item by item the
+    point values bit for bit.
     """
     mass = m.rows(sys.mass_matrix(q))
     md = m.rows(tgt.mass_d(q))

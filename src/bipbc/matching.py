@@ -31,16 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
 from .controller import (
-    TargetDynamics, _momentum_grads, kinetic_d_grad, mass_d_solve, matching_terms)
-from .errors import SingularMass, SingularMassD
+    _COLUMNS, TargetDynamics, _momentum_grads, _shaping, kinetic_d_grad, mass_d_solve,
+    matching_terms)
 from .phcore import ConfigState, MechanicalSystem, fd_hessian, mass_solve
 from .sampling import Box, ball_sample
-from .smalllinalg import _product, solve_stacked
-from .stacking import _blocks, _eigvalsh, _fold, _norms, _stack, _swap
+from .stacking import _blocks, _eigvalsh, _fold, _matvec, _norms, _stack, _swap
 
 EQUILIBRIUM_GRAD_TOL = 1e-8
 MATCHING_MOMENTUM_CAP = 2.0  # radius of the momentum ball of `verify_matching`
@@ -83,11 +84,12 @@ def damping_transfer(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray) 
     return np.asarray(sys.damping(q), dtype=float) @ mass_solve(sys, q, tgt.mass_d(q))
 
 
-def _transfers(sys: MechanicalSystem, qs: np.ndarray, mass: np.ndarray,
+def _transfers(sys: MechanicalSystem, qs: np.ndarray, inverse: Callable,
                md: np.ndarray) -> np.ndarray:
-    """R M^-1 M_d at the points `qs` from their stacked M and M_d, each item
-    `damping_transfer` bit for bit."""
-    return _stack(sys.damping, qs) @ solve_stacked(mass, md, SingularMass)
+    """R M^-1 M_d at the points `qs` from the factorization `inverse` of their M
+    (`controller._COLUMNS`) and their stacked M_d, each item `damping_transfer`
+    bit for bit."""
+    return _stack(sys.damping, qs) @ np.stack(inverse(list(np.swapaxes(md, 0, 1))), axis=1)
 
 
 def _r2(transfer: np.ndarray, g: np.ndarray, damping_gain: np.ndarray) -> np.ndarray:
@@ -161,36 +163,17 @@ def equilibrium_check(tgt: TargetDynamics) -> bool:
     return bool(np.min(np.linalg.eigvalsh(0.5 * (hess + hess.T))) > 0.0)
 
 
-def _block_terms(sys: MechanicalSystem, tgt: TargetDynamics, qb: np.ndarray,
-                 pb: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(M, M_d, potential, kinetic) on a block of points, pb and the two parts
-    as (B, n, 1) columns.
-
-    The rule of `controller.matching_terms` on stacks, with `solve_stacked`
-    and the law's left-to-right products on (B,) columns, in its order of
-    evaluation: item by item each part equals the point value bit for bit.
-    """
-    def column(fn, *args):
-        return _stack(fn, *args)[..., None]
-
-    def times(a, x):  # a @ x of (B, n, n) and (B, n, 1) stacks, as `_product` per item
-        n = a.shape[-1]
-        rows = _product([[a[:, i, j] for j in range(n)] for i in range(n)],
-                        [x[:, j, 0] for j in range(n)])
-        return np.stack(rows, axis=1)[..., None]
-
+def _on_block(sys: MechanicalSystem, tgt: TargetDynamics, mass: np.ndarray,
+              md: np.ndarray) -> tuple[SimpleNamespace, SimpleNamespace]:
+    """(sys, tgt) as `controller._shaping` reads them on a block of points: M
+    and M_d its stacks `mass` and `md`, each other callable stacked over the
+    block by `_stack`."""
     k_grad, kd_grad = _momentum_grads(sys, tgt)
-    mass = _stack(sys.mass_matrix, qb)
-    md = _stack(tgt.mass_d, qb)
-    pt = solve_stacked(md, pb, SingularMassD)
-    grad_v = column(sys.potential_grad, qb)
-    grad_vd = column(tgt.potential_d_grad, qb)
-    potential = grad_v - times(md, solve_stacked(mass, grad_vd, SingularMass))
-    grad_k = column(k_grad, qb, pb[..., 0])
-    grad_kd = column(kd_grad, qb, pb[..., 0])
-    kinetic = (grad_k - times(md, solve_stacked(mass, grad_kd, SingularMass))
-               + times(_stack(tgt.j2, qb, pt[..., 0]), pt))
-    return mass, md, potential, kinetic
+    return (SimpleNamespace(mass_matrix=lambda q: mass, kinetic_grad=partial(_stack, k_grad),
+                            potential_grad=partial(_stack, sys.potential_grad)),
+            SimpleNamespace(mass_d=lambda q: md, kinetic_d_grad=partial(_stack, kd_grad),
+                            potential_d_grad=partial(_stack, tgt.potential_d_grad),
+                            j2=partial(_stack, tgt.j2)))
 
 
 def verify_matching(
@@ -205,10 +188,11 @@ def verify_matching(
     Sampling is a deterministic low-discrepancy sequence over
     region x {momentum ball of radius MATCHING_MOMENTUM_CAP}. The samples are
     taken in blocks (see `bipbc.stacking`): the residuals are Gperp applied
-    to the two parts of the shaping vector evaluated on the block
-    (`_block_terms`), whose M and M_d also give R M^-1 M_d, with one eigvalsh
-    per block for R_2 and for condition 5; every value equals that of the
-    sample on its own.
+    to the two parts of the shaping vector, which the law's own rule
+    (`controller._shaping`) evaluates on the block's (B,) columns; its one
+    guarded factorization of M also gives R M^-1 M_d, with one eigvalsh per
+    block for R_2 and for condition 5. Every value equals that of the sample
+    on its own.
     """
     box = region if region is not None else sys.workspace
     qs = box.sample(samples)
@@ -217,16 +201,19 @@ def verify_matching(
     kin_max = pot_max = 0.0
     r2_min = cond5_min = np.inf
     for block in _blocks(samples):
-        qb, pb = qs[block], ps[block, :, None]
-        mass, md, potential, kinetic = _block_terms(sys, tgt, qb, pb)
-        transfer = _transfers(sys, qb, mass, md)
+        qb = qs[block]
+        mass, md = _stack(sys.mass_matrix, qb), _stack(tgt.mass_d, qb)
+        inverse, _, _, potential, kinetic, _ = _shaping(*_on_block(sys, tgt, mass, md), qb,
+                                                        ps[block], _COLUMNS)
+        transfer = _transfers(sys, qb, inverse, md)
         r2 = _r2(transfer, _stack(sys.input_coupling, qb), tgt.damping_gain)
         r2_min = _fold(min, r2_min, float(np.min(_eigvalsh(r2))))
         if sys.m == sys.n:
             continue
         gperp = _stack(gperp_at, qb).reshape(len(qb), sys.n - sys.m, sys.n)
-        kin_max = _fold(max, kin_max, float(np.max(_norms((gperp @ (2.0 * kinetic))[..., 0]))))
-        pot_max = _fold(max, pot_max, float(np.max(_norms((gperp @ potential)[..., 0]))))
+        kinetic, potential = 2.0 * _COLUMNS.vec(kinetic), _COLUMNS.vec(potential)
+        kin_max = _fold(max, kin_max, float(np.max(_norms(_matvec(gperp, kinetic)))))
+        pot_max = _fold(max, pot_max, float(np.max(_norms(_matvec(gperp, potential)))))
         cond5 = gperp @ (transfer + _swap(transfer)) @ _swap(gperp)
         cond5_min = _fold(min, cond5_min, float(np.min(_eigvalsh(cond5))))
     return MatchingReport(

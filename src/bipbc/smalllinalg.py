@@ -7,11 +7,12 @@ with a Frobenius condition estimate (cond_F = ||A||_F ||A^-1||_F, which
 brackets the spectral condition number within a factor n), factorized and
 guarded once by `_inverse` and applied by `_apply`, so that the IDA-PBC law
 solves three right-hand sides against one factorization of M
-(`_inverse_checked`). Larger systems fall back to numpy. `solve_stacked`
-applies the same formulas and guard to a stack of systems at once, for the
-sampled sweeps. `_product` is the matrix-vector product of the point law, a
-sum of products added left to right, the same on floats, on (B,) columns and
-on expression nodes.
+(`_inverse_checked`). Larger systems fall back to numpy. `_inverse_columns`
+is the same factorization of a stack of matrices, their entries as (B,)
+columns, each item guarded: the one stacked solve of the sampled sweeps.
+`_product` is the matrix-vector product of the point law, a sum of products
+added left to right, the same on floats, on (B,) columns and on expression
+nodes.
 """
 
 from __future__ import annotations
@@ -127,12 +128,6 @@ def _apply(inverse: tuple, b) -> list:
     ]
 
 
-def _adjugate(a, b, guard: Callable, exc: type) -> list:
-    """Rows of A^-1 b = adj(A) b / det A for n <= 3, `guard`ed before any
-    division: `_apply` of `_inverse` to one right-hand side."""
-    return _apply(_inverse(a, guard, exc), b)
-
-
 def _check_large(a: np.ndarray, exc: type) -> None:
     """The guard for n > 3: finite entries and a LAPACK condition number <= 1e12."""
     if not np.all(np.isfinite(a)) or np.linalg.cond(a) > COND_LIMIT:
@@ -155,6 +150,25 @@ def _inverse_checked(a, exc: type) -> Callable:
     return lambda b: np.linalg.solve(a, b).tolist()
 
 
+def _inverse_columns(a, exc: type) -> Callable:
+    """`_inverse_checked` of every item of a stack, A's rows `a` as (B,) columns.
+
+    It maps the rows of a right-hand side, (B,) columns or (B, k) rows, to
+    those of A^-1 b, item by item solve_checked(A, b, exc) bit for bit: for
+    n > 3 each item's whole right-hand side is solved at once, since numpy's
+    solve of a matrix is not that of its columns one by one.
+    """
+    if len(a) > 3:
+        a = np.stack([np.stack(row, axis=-1) for row in a], axis=1)
+        for item in a:
+            _check_large(item, exc)
+        return lambda b: list(np.moveaxis(
+            np.stack([np.linalg.solve(ai, bi) for ai, bi in zip(a, np.stack(b, axis=1))]), 1, 0))
+    inverse = _inverse(a, _guard_each, exc)
+    # a matrix right-hand side comes as (B, k) rows, over which (B, 1) entries broadcast
+    return lambda b: _apply(inverse if b[0].ndim == 1 else [x[:, None] for x in inverse], b)
+
+
 def solve_checked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
     """a^-1 rhs with a singularity guard; raises `exc` when cond > 1e12.
 
@@ -162,27 +176,12 @@ def solve_checked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
     (the IEEE operations of numpy scalars, at a fraction of the cost); a 2-D
     `rhs` stays an array.
     """
-    n = a.shape[0]
-    if n <= 3:
+    if a.shape[0] <= 3:
         rhs = np.asarray(rhs)
-        return np.array(_adjugate(a.tolist(), rhs.tolist() if rhs.ndim == 1 else rhs, _guard, exc))
+        return np.array(_apply(_inverse(a.tolist(), _guard, exc),
+                               rhs.tolist() if rhs.ndim == 1 else rhs))
     _check_large(a, exc)
     return np.linalg.solve(a, rhs)
-
-
-def solve_stacked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
-    """`solve_checked` over a stack: a (B, n, n), rhs (B, n) or (B, n, k).
-
-    Item i equals solve_checked(a[i], rhs[i], exc) bit for bit; `exc` is
-    raised if any item fails the guard.
-    """
-    n = a.shape[-1]
-    if n > 3:
-        return np.stack([solve_checked(ai, bi, exc) for ai, bi in zip(a, rhs)])
-    entries = a[..., None] if rhs.ndim == 3 else a  # (B, 1) entries broadcast over (B, k) rows
-    rows = _adjugate([[entries[:, i, j] for j in range(n)] for i in range(n)],
-                     [rhs[:, i] for i in range(n)], _guard_each, exc)
-    return np.stack(rows, axis=1)
 
 
 def smallest_singular_value(g) -> float:

@@ -12,7 +12,8 @@ point-by-point loop.
 A formula runs on three carriers: Python floats (`math`, the point
 callable), (B,) columns (`_ROWS`, the row form) and the expression nodes of
 `bipbc.traced`, which compiles an IDA-PBC law of formulas (`_traceable`)
-into one straight-line function.
+into one straight-line function. So does the law's shaping rule, on (B,)
+columns through `controller._COLUMNS`: the sweeps evaluate the law's terms.
 """
 
 from __future__ import annotations

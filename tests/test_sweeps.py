@@ -31,6 +31,7 @@ from bipbc import (
     MechanicalSystem,
     RankDeficientG,
     SimConfig,
+    SingularMass,
     TargetDynamics,
     ToolkitError,
     empirical_constants,
@@ -387,6 +388,54 @@ def three_dof_plant():
     return sys, tgt
 
 
+def four_dof_plant():
+    """4-DOF, 3-input toy with q-dependent, non-diagonal M and M_d, FD grad K and
+    grad K_d, and a skew J_2 that uses all of ptilde: n > 3 solves with numpy,
+    whose solve of a matrix right-hand side is not that of its columns one by one."""
+
+    def coupling_row(q):  # G = [I_3; r^T]
+        return np.array([0.2 * math.sin(q[0]), 0.1, 0.3 * q[1]])
+
+    def annihilator(q):
+        # [-r^T, 1] / sqrt(1 + r^T r), C-contiguous as in the sweep's stack: for n = 4 the
+        # point loop's product with the transposed view of the SVD annihilator rounds
+        # otherwise than the sweep's product with its contiguous copy
+        r = coupling_row(q)
+        return np.append(-r, 1.0)[None] / math.sqrt(1.0 + float(r @ r))
+
+    def j2(q, pt):
+        a, b, c = q[0] * pt[1] + pt[2], 0.5 * pt[3] - q[2] * pt[0], pt[0] + q[1] * pt[3]
+        d, e, f = q[3] * pt[2], 0.3 * pt[1] - pt[3], q[0] * pt[0] + 0.2 * pt[2]
+        return np.array([[0.0, a, b, c], [-a, 0.0, d, e], [-b, -d, 0.0, f], [-c, -e, -f, 0.0]])
+
+    sys = MechanicalSystem(
+        m=3,
+        mass_matrix=lambda q: np.array([
+            [2.0 + math.sin(q[0]), 0.3 * q[1], 0.1, 0.2 * q[3]],
+            [0.3 * q[1], 2.5 + q[2] ** 2, 0.2 * q[0], 0.1],
+            [0.1, 0.2 * q[0], 3.0, 0.3 * math.cos(q[1])],
+            [0.2 * q[3], 0.1, 0.3 * math.cos(q[1]), 2.0 + 0.5 * q[3] ** 2]]),
+        potential=lambda q: float(q @ q),
+        potential_grad=lambda q: 2.0 * q,
+        input_coupling=lambda q: np.vstack([np.eye(3), coupling_row(q)]),
+        damping=lambda q: np.diag([0.1, 0.2, 0.1, 0.3 + 0.1 * q[2]]),
+        workspace=Box(lower=-0.8 * np.ones(4), upper=np.ones(4)),
+        annihilator=annihilator,
+    )
+    tgt = TargetDynamics(
+        mass_d=lambda q: np.array([[3.0, 0.2 * q[1], 0.1, 0.4 * q[0]],
+                                   [0.2 * q[1], 2.0 + q[0] ** 2, 0.3 * q[2], 0.2],
+                                   [0.1, 0.3 * q[2], 2.5, 0.1 * q[3]],
+                                   [0.4 * q[0], 0.2, 0.1 * q[3], 3.5 + math.sin(q[1])]]),
+        potential_d=lambda q: float(q @ q),
+        potential_d_grad=lambda q: 2.0 * q,
+        j2=j2,
+        damping_gain=np.eye(3),
+        equilibrium=np.zeros(4),
+    )
+    return sys, tgt
+
+
 def gaps(got, want):
     """Largest |got - want| / max(|want|) of every BoundConstants field."""
     out = {}
@@ -433,6 +482,18 @@ def test_three_dof_sweep_matches_point_loop(samples):
 
 
 @pytest.mark.parametrize("samples", EDGE_SAMPLES)
+def test_four_dof_sweeps_match_point_loop(samples):
+    # n = 4: 16 corners, numpy's solves, pull-back and spectral norms
+    sys, tgt = four_dof_plant()
+    constants = estimate_constants(sys, tgt, samples=samples)
+    assert constants.c_Md > 0 and constants.c_J > 0 and np.all(constants.c_M > 0)
+    assert_constants_equal(constants, ref_estimate_constants(sys, tgt, samples))
+    for count in (1, _BLOCK + 1):
+        got = validate_constants(sys, tgt, constants, samples=count, seed=3)
+        assert got == ref_validate_constants(sys, tgt, constants, samples=count, seed=3)
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
 def test_finite_difference_plant_sweeps_match_point_loop(ball_beam, samples):
     sys, tgt = finite_difference_plant(ball_beam)
     constants = estimate_constants(sys, tgt, samples=samples)
@@ -472,18 +533,22 @@ def test_empirical_constants_match_point_loop(ball_beam):
     assert all(np.array_equal(got[k], want[k]) for k in got)
 
 
-@pytest.mark.parametrize("name", ["ball-beam", "vtol-nonsmooth"])
+@pytest.mark.parametrize("name", ["ball-beam", "vtol-nonsmooth", "four-dof"])
 def test_kv_advisory_matches_point_loop(name, bb_certificate, vtol_certificate):
     from bipbc.bench import get_benchmark
 
-    benchmark = get_benchmark(name)
-    constants = (bb_certificate if name == "ball-beam" else vtol_certificate)[0]
-    got = kv_advisory(benchmark.system, benchmark.target, constants)
-    assert got == ref_kv_advisory(benchmark.system, benchmark.target, constants)
+    if name == "four-dof":
+        sys, tgt = four_dof_plant()
+        constants = estimate_constants(sys, tgt, samples=EDGE_SAMPLES[1])
+    else:
+        benchmark = get_benchmark(name)
+        sys, tgt = benchmark.system, benchmark.target
+        constants = (bb_certificate if name == "ball-beam" else vtol_certificate)[0]
+    assert kv_advisory(sys, tgt, constants) == ref_kv_advisory(sys, tgt, constants)
 
 
 @pytest.mark.parametrize("plant", ["ball-beam", "vtol", "finite-difference",
-                                   "configuration-dependent", "three-dof"])
+                                   "configuration-dependent", "three-dof", "four-dof"])
 def test_verify_matching_matches_point_loop(ball_beam, vtol, plant):
     # the block form applies controller._shaping to stacks; the reference calls it per point
     sys, tgt = {
@@ -492,6 +557,7 @@ def test_verify_matching_matches_point_loop(ball_beam, vtol, plant):
         "finite-difference": lambda: finite_difference_plant(ball_beam),
         "configuration-dependent": configuration_dependent_plant,
         "three-dof": three_dof_plant,
+        "four-dof": four_dof_plant,
     }[plant]()
     for samples in (1, _BLOCK + 3):
         assert verify_matching(sys, tgt, samples) == ref_verify_matching(sys, tgt, samples)
@@ -703,6 +769,43 @@ def test_nan_matrices_make_the_eigenvalue_extremes_nan(ball_beam, vtol, vtol_cer
         report = verify_matching(sys, vtol.target, samples=200)
         assert math.isnan(report.r2_min_eig) and math.isnan(report.condition5_min_eig)
         assert math.isnan(kv_advisory(sys, vtol.target, vtol_certificate[0]).sym_min_eig)
+
+
+def states(qs):
+    """Records of a run through the configurations `qs`, at unit momentum."""
+    ps = np.ones_like(qs)
+    norms = np.linalg.norm(ps, axis=1)
+    return SimpleNamespace(q=qs, p=ps, p_norm=norms, ptilde_norm=norms)
+
+
+def test_singular_mass_in_the_sweeps_raises_singular_mass(ball_beam, bb_certificate):
+    # M = diag(1, q1^2) is singular at the workspace centre and wherever q1 = 0, and
+    # diag(1, 0) everywhere: each sweep raises SingularMass from M's guarded
+    # factorization, not numpy's LinAlgError from the inverse of M it takes for Lambda
+    tgt = ball_beam.target
+    sys = dataclasses.replace(ball_beam.system, mass_matrix=lambda q: np.diag([1.0, q[1] ** 2]))
+    with pytest.raises(SingularMass, match="singular 2x2 matrix"):
+        estimate_constants(sys, tgt, samples=200)
+    through_zero = np.stack([np.full(5, 0.1), np.linspace(-0.2, 0.2, 5)], axis=1)
+    with pytest.raises(SingularMass, match="singular 2x2 matrix"):
+        empirical_constants(sys, tgt, states(through_zero))
+    sys = dataclasses.replace(ball_beam.system, mass_matrix=lambda q: np.diag([1.0, 0.0]))
+    with pytest.raises(SingularMass, match="singular 2x2 matrix"):
+        validate_constants(sys, tgt, bb_certificate[0], samples=50)
+
+
+def test_ill_conditioned_mass_in_the_sweeps_raises_singular_mass(ball_beam, bb_certificate):
+    # M = diag(1, 1e-15) has condition estimate 1e15: estimate_constants rejected it,
+    # while validate_constants counted 50 violations of 50 samples and
+    # empirical_constants returned a c_Lambda of order 1e16
+    tgt = ball_beam.target
+    sys = dataclasses.replace(ball_beam.system, mass_matrix=lambda q: np.diag([1.0, 1e-15]))
+    qs = sys.workspace.sample(50)
+    for sweep in (partial(estimate_constants, samples=50),
+                  partial(validate_constants, constants=bb_certificate[0], samples=50),
+                  partial(empirical_constants, traj=states(qs))):
+        with pytest.raises(SingularMass, match="condition estimate exceeds 1e12"):
+            sweep(sys, tgt)
 
 
 # -- unit structure -------------------------------------------------------------
