@@ -86,22 +86,25 @@ class _PlantStack(NamedTuple):
     grad_vd: np.ndarray  # (B, n) grad_q V_d
     mass_inverse: Callable  # M^-1 of every item: M's guarded factorization (`_COLUMNS`)
     md: np.ndarray  # (B, n, n) M_d
-    lam: np.ndarray  # (B, n, n) Lambda = M_d M^-1
+    lam: np.ndarray  # (B, n, n) Lambda = M_d M^-1, M^-1 from `mass_inverse` of the identity
     g: np.ndarray  # (B, n, m) G
     pinv_g: np.ndarray  # (B, m, n) pinv(G) = (G^T G)^-1 G^T, the pull-back (`_pull_back`)
 
 
 def _plant_stack(sys: MechanicalSystem, tgt: TargetDynamics, qs: np.ndarray) -> _PlantStack:
-    """Plant and target outputs at `qs`; M is guarded before it is inverted."""
+    """Plant and target outputs at `qs`. M is factorized and guarded once, as the
+    law does, and Lambda's items are M_d @ mass_solve(sys, q, I) bit for bit."""
     mass = _stack(sys.mass_matrix, qs)
     md = _stack(tgt.mass_d, qs)
     g = _stack(sys.input_coupling, qs)
+    inverse = _COLUMNS.inverse(_COLUMNS.rows(mass), SingularMass)
+    eye = np.eye(sys.n)[:, None].repeat(len(qs), axis=1)  # the identity's rows, (B, n) each
     return _PlantStack(
         grad_v=_stack(sys.potential_grad, qs),
         grad_vd=_stack(tgt.potential_d_grad, qs),
-        mass_inverse=_COLUMNS.inverse(_COLUMNS.rows(mass), SingularMass),
+        mass_inverse=inverse,
         md=md,
-        lam=md @ np.linalg.inv(mass),
+        lam=md @ np.stack(inverse(list(eye)), axis=1),
         g=g,
         pinv_g=_pull_back(g),
     )

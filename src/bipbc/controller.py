@@ -138,8 +138,13 @@ def target_energy(tgt: TargetDynamics, s: ConfigState) -> EnergyRecord:
     return EnergyRecord(kinetic=k, potential=v, total=k + v)
 
 
+def _rank_deficient(sigma: float) -> bool:
+    """The rank guard: sigma_min(G) below 1e-9 or not finite."""
+    return not SIGMA_MIN_LIMIT <= sigma < math.inf
+
+
 def _rank_guard(sigma: float) -> None:
-    if not SIGMA_MIN_LIMIT <= sigma < math.inf:
+    if _rank_deficient(sigma):
         raise RankDeficientG("smallest singular value of G below 1e-9 or not finite")
 
 

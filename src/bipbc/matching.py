@@ -51,14 +51,14 @@ def annihilator(sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
     """Orthonormal left annihilator Gperp(q), shape (n - m, n).
 
     Uses the system's closed-form annihilator when supplied, otherwise the
-    left null space of G(q) from an SVD. Rows satisfy Gperp G = 0 and
-    Gperp Gperp^T = I.
+    left null space of G(q) from an SVD, C-contiguous so that products with
+    it round as the sweeps' do. Rows satisfy Gperp G = 0 and Gperp Gperp^T = I.
     """
     if sys.annihilator is not None:
         return np.atleast_2d(np.asarray(sys.annihilator(q), dtype=float))
     g = np.asarray(sys.input_coupling(q), dtype=float)
     u, _, _ = np.linalg.svd(g, full_matrices=True)
-    return u[:, sys.m :].T
+    return np.ascontiguousarray(u[:, sys.m :].T)
 
 
 def kinetic_pde_residual(

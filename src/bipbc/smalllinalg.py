@@ -7,9 +7,11 @@ with a Frobenius condition estimate (cond_F = ||A||_F ||A^-1||_F, which
 brackets the spectral condition number within a factor n), factorized and
 guarded once by `_inverse` and applied by `_apply`, so that the IDA-PBC law
 solves three right-hand sides against one factorization of M
-(`_inverse_checked`). Larger systems fall back to numpy. `_inverse_columns`
-is the same factorization of a stack of matrices, their entries as (B,)
-columns, each item guarded: the one stacked solve of the sampled sweeps.
+(`_inverse_checked`). Larger systems fall back to numpy. The guard is the
+predicate `_singular` on floats, on a stack item by item and in the traced law.
+`_inverse_columns` is the same factorization of a stack of matrices, their
+entries as (B,) columns, each item guarded: the one stacked solve of the
+sampled sweeps, M^-1 included.
 `_product` is the matrix-vector product of the point law, a sum of products
 added left to right, the same on floats, on (B,) columns and on expression
 nodes.
@@ -47,23 +49,27 @@ def _product(a, x) -> list:
     return [_dot(row, x) for row in a]
 
 
-def _guard(det: float, cond: float, n: int, exc: type) -> None:
-    """Raise `exc` unless det A is finite and nonzero and cond_F <= 1e12.
+def _singular(det: float, cond: float, n: int) -> str:
+    """Why A fails the singularity guard, or "" when det A is finite and
+    nonzero and cond_F <= 1e12.
 
     cond_F = ||A||_F ||adj A||_F / |det A|, with `cond` its numerator: |A| for
     n = 1 (cond_F = 1), ||A||_F^2 for n = 2 (where ||adj A||_F = ||A||_F),
     and for n = 3 its square, ||A||_F^2 ||adj A||_F^2.
     """
     if det == 0.0 or not math.isfinite(det):
-        raise exc(f"singular {n}x{n} matrix")
+        return f"singular {n}x{n} matrix"
     if (math.sqrt(cond) if n == 3 else cond) / abs(det) > COND_LIMIT:
-        raise exc(f"{n}x{n} matrix condition estimate exceeds 1e12")
+        return f"{n}x{n} matrix condition estimate exceeds 1e12"
+    return ""
 
 
-def _guard_each(det: np.ndarray, cond: np.ndarray, n: int, exc: type) -> None:
-    """`_guard` on every item of a stack."""
+def _singular_each(det: np.ndarray, cond: np.ndarray, n: int) -> str:
+    """`_singular` of the first failing item of a stack, or "" when all pass."""
     for d, c in zip(det.ravel().tolist(), cond.ravel().tolist()):
-        _guard(d, c, n, exc)
+        if why := _singular(d, c, n):
+            return why
+    return ""
 
 
 def _inverse(a, guard: Callable, exc: type) -> tuple:
@@ -71,43 +77,45 @@ def _inverse(a, guard: Callable, exc: type) -> tuple:
     and det A for n = 2, or the nine cofactors and det A for n = 3.
 
     `a` holds A's entries row by row: floats, or arrays that broadcast item by
-    item over a stack, with the same arithmetic. `guard` runs here, once,
-    before any division, however many right-hand sides the factorization is
-    applied to.
+    item over a stack, with the same arithmetic. `guard` (`_singular` or
+    `_singular_each`) judges det A and cond_F here, once, before any division,
+    however many right-hand sides the factorization serves; `exc` gets its reason.
     """
     n = len(a)
     if n == 1:
         ((a00,),) = a
-        guard(a00, abs(a00), 1, exc)
-        return (a00,)
-    if n == 2:
+        det, cond, inverse = a00, abs(a00), (a00,)
+    elif n == 2:
         (a00, a01), (a10, a11) = a
         det = a00 * a11 - a01 * a10
-        guard(det, a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11, 2, exc)
-        return a00, a01, a10, a11, det
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    c00 = a11 * a22 - a12 * a21
-    c01 = a12 * a20 - a10 * a22
-    c02 = a10 * a21 - a11 * a20
-    c10 = a02 * a21 - a01 * a22
-    c11 = a00 * a22 - a02 * a20
-    c12 = a01 * a20 - a00 * a21
-    c20 = a01 * a12 - a02 * a11
-    c21 = a02 * a10 - a00 * a12
-    c22 = a00 * a11 - a01 * a10
-    det = a00 * c00 + a01 * c01 + a02 * c02
-    fro = (
-        a00 * a00 + a01 * a01 + a02 * a02
-        + a10 * a10 + a11 * a11 + a12 * a12
-        + a20 * a20 + a21 * a21 + a22 * a22
-    )
-    adj_fro = (
-        c00 * c00 + c01 * c01 + c02 * c02
-        + c10 * c10 + c11 * c11 + c12 * c12
-        + c20 * c20 + c21 * c21 + c22 * c22
-    )
-    guard(det, fro * adj_fro, 3, exc)
-    return c00, c01, c02, c10, c11, c12, c20, c21, c22, det
+        cond = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+        inverse = a00, a01, a10, a11, det
+    else:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        c00 = a11 * a22 - a12 * a21
+        c01 = a12 * a20 - a10 * a22
+        c02 = a10 * a21 - a11 * a20
+        c10 = a02 * a21 - a01 * a22
+        c11 = a00 * a22 - a02 * a20
+        c12 = a01 * a20 - a00 * a21
+        c20 = a01 * a12 - a02 * a11
+        c21 = a02 * a10 - a00 * a12
+        c22 = a00 * a11 - a01 * a10
+        det = a00 * c00 + a01 * c01 + a02 * c02
+        cond = (  # ||A||_F^2 ||adj A||_F^2
+            a00 * a00 + a01 * a01 + a02 * a02
+            + a10 * a10 + a11 * a11 + a12 * a12
+            + a20 * a20 + a21 * a21 + a22 * a22
+        ) * (
+            c00 * c00 + c01 * c01 + c02 * c02
+            + c10 * c10 + c11 * c11 + c12 * c12
+            + c20 * c20 + c21 * c21 + c22 * c22
+        )
+        inverse = c00, c01, c02, c10, c11, c12, c20, c21, c22, det
+    why = guard(det, cond, n)
+    if why:
+        raise exc(why)
+    return inverse
 
 
 def _apply(inverse: tuple, b) -> list:
@@ -144,7 +152,7 @@ def _inverse_checked(a, exc: type) -> Callable:
     condition once and solve with numpy.
     """
     if len(a) <= 3:
-        return partial(_apply, _inverse(a, _guard, exc))
+        return partial(_apply, _inverse(a, _singular, exc))
     a = np.asarray(a, dtype=float)
     _check_large(a, exc)
     return lambda b: np.linalg.solve(a, b).tolist()
@@ -164,7 +172,7 @@ def _inverse_columns(a, exc: type) -> Callable:
             _check_large(item, exc)
         return lambda b: list(np.moveaxis(
             np.stack([np.linalg.solve(ai, bi) for ai, bi in zip(a, np.stack(b, axis=1))]), 1, 0))
-    inverse = _inverse(a, _guard_each, exc)
+    inverse = _inverse(a, _singular_each, exc)
     # a matrix right-hand side comes as (B, k) rows, over which (B, 1) entries broadcast
     return lambda b: _apply(inverse if b[0].ndim == 1 else [x[:, None] for x in inverse], b)
 
@@ -178,7 +186,7 @@ def solve_checked(a: np.ndarray, rhs: np.ndarray, exc: type) -> np.ndarray:
     """
     if a.shape[0] <= 3:
         rhs = np.asarray(rhs)
-        return np.array(_apply(_inverse(a.tolist(), _guard, exc),
+        return np.array(_apply(_inverse(a.tolist(), _singular, exc),
                                rhs.tolist() if rhs.ndim == 1 else rhs))
     _check_large(a, exc)
     return np.linalg.solve(a, rhs)

@@ -2,10 +2,11 @@
 
 A `_Node` records one float operation; arithmetic on nodes and the math
 backend `_NODES` build a hash-consed `_Graph`. Running `controller._law` once
-on nodes (formulas run on `_NODES`, constants as floats, guards recorded as
-conditions) records every float operation of the law in its order, and
-`_Graph.function` writes them out as straight-line Python: the same
-operations on the same floats, so the same values bit for bit.
+on nodes (formulas run on `_NODES`, constants as floats) records every float
+operation of the law in its order, and `_Graph.function` writes them out as
+straight-line Python: the same operations on the same floats, so the same
+values bit for bit. The trace records the law's guards, the predicates
+`_singular` and `controller._rank_deficient`, and the function calls them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from . import controller
-from .errors import RankDeficientG, SingularMass
-from .smalllinalg import _apply, _dot, _guard, _inverse
+from .smalllinalg import _apply, _dot, _inverse, _singular
 
 #: the `math` functions of a formula's backend, and `fsum`
 _MATH = ("sqrt", "sin", "cos", "tan", "tanh", "asinh", "atanh", "log", "pow", "fsum")
@@ -99,9 +99,9 @@ class _Graph:
         return node
 
     def guard(self, failing, *args) -> None:
-        """Where failing(*args) holds, the emitted function returns None instead
-        of its outputs. On constant arguments it is decided now: a failure
-        there fails the trace."""
+        """Where the predicate failing(*args) is true, the emitted function
+        returns None instead of its outputs. On constant arguments it is
+        decided now: a failure there fails the trace."""
         if any(isinstance(a, _Node) for a in args):
             self.guards.append((failing, args))
         elif failing(*args):
@@ -154,11 +154,10 @@ class _Graph:
                 lines.append(f"t{k} = {expr}")
         namespace = {name: getattr(math, name) for name in _MATH}
         namespace.update(abs=abs, inf=math.inf, nan=math.nan)
-        checks, names = [], {}
+        checks = []
         for failing, args in self.guards:
-            name = names.setdefault(failing, f"_guard{len(names)}")
-            namespace[name] = failing
-            checks.append(f"{name}({', '.join(map(term, args))})")
+            namespace[failing.__name__] = failing
+            checks.append(f"{failing.__name__}({', '.join(map(term, args))})")
         if checks:
             lines += [f"if {' or '.join(checks)}:", "    return None"]
         lines.append("return " + ", ".join(f"({', '.join(map(term, group))},)"
@@ -202,40 +201,23 @@ def _traced(fn, *args) -> list:
     return entries
 
 
-def _fails(guard, exc: type, *args) -> bool:
-    """Whether `guard(*args)` raises `exc`: a guard of the law as the condition
-    under which the emitted function declines."""
-    try:
-        guard(*args)
-    except exc:
-        return True
-    return False
-
-
-_singular = partial(_fails, lambda det, cond, n: _guard(det, cond, n, SingularMass), SingularMass)
-_rank_deficient = partial(_fails, lambda sigma: controller._rank_guard(sigma), RankDeficientG)
-
-
 def _law_source(sys, tgt, damping_mode: str) -> tuple:
     """(source, namespace) of the law of (sys, tgt) traced on expression nodes:
-    rows as lists, and each guard recorded as a condition of the graph."""
+    rows as lists, and each guard predicate recorded with its arguments."""
     graph = _Graph()
     q, p = graph.inputs("q", sys.n), graph.inputs("p", sys.n)
 
     def on_nodes(obj, fields, **more):  # each callable giving its entries on nodes
         return SimpleNamespace(**{f: partial(_traced, getattr(obj, f)) for f in fields}, **more)
 
-    def guard(det, cond, n, exc):
-        graph.guard(_singular, det, cond, n)
-
     def sigma_min(g):  # smallest_singular_value for one column
         col = [row[0] for row in g]
         return _NODES.sqrt(_dot(col, col))
 
     carrier = SimpleNamespace(
-        rows=list, vec=list, inverse=lambda a, exc: partial(_apply, _inverse(a, guard, exc)),
-        sqrt=_NODES.sqrt, tanh=_NODES.tanh, fsum=_NODES.fsum,
-        rank_guard=partial(graph.guard, _rank_deficient), sigma_min=sigma_min)
+        rows=list, vec=list, sqrt=_NODES.sqrt, tanh=_NODES.tanh, fsum=_NODES.fsum,
+        inverse=lambda a, exc: partial(_apply, _inverse(a, partial(graph.guard, _singular), exc)),
+        rank_guard=partial(graph.guard, controller._rank_deficient), sigma_min=sigma_min)
     outputs = controller._law(
         on_nodes(sys, controller._PLANT_FIELDS),
         on_nodes(tgt, controller._TARGET_FIELDS, damping_gain=tgt.damping_gain),

@@ -1,6 +1,7 @@
 """Control-law layer: feedback evaluation and the two-phase scheme."""
 
 import collections
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bipbc import controller, smalllinalg, traced
 from bipbc import (
     Box,
     ConfigState,
@@ -279,6 +281,47 @@ def test_law_raises_in_its_order_of_evaluation(mass, mass_d, grads, want):
             call()
         assert type(info.value) is want
         assert str(info.value) == ("singular 2x2 matrix" if want is not ValueError else "grad V")
+
+
+def test_reference_law_guards_two_matrices_per_evaluation(ball_beam, monkeypatch):
+    # one factorization of M and one solve against M_d per law evaluation, on the
+    # analytic ball-beam whose callables are wrapped so that the law takes its
+    # reference path; a second solve against M raises the count
+    calls = collections.Counter()
+    singular = smalllinalg._singular
+
+    def counted(*args):
+        calls["_singular"] += 1
+        return singular(*args)
+
+    def opaque(obj, fields):
+        return dataclasses.replace(obj, **{f: (lambda fn: lambda *a: fn(*a))(getattr(obj, f))
+                                           for f in fields})
+
+    monkeypatch.setattr(smalllinalg, "_singular", counted)
+    law = IdaPbcLaw(opaque(ball_beam.system, ("mass_matrix", "potential_grad", "kinetic_grad",
+                                              "input_coupling", "damping")),
+                    opaque(ball_beam.target, ("mass_d", "potential_d_grad", "kinetic_d_grad",
+                                              "j2")))
+    s0 = ball_beam.initial_state
+    for _ in range(2):
+        calls.clear()
+        law.evaluate(s0.q, s0.p)
+        assert calls["_singular"] == 2
+    assert law._generated is False
+
+
+@pytest.mark.parametrize("design, guard", [("ball-beam", "_singular"),
+                                           ("vtol-nonsmooth", "_rank_deficient")])
+def test_generated_law_calls_the_laws_own_guards(design, guard, ball_beam, vtol):
+    # the traced law records the guard predicates and calls them as they are, with no
+    # exception adapter; ball-beam's G and the VTOL's M and M_d are constants, whose
+    # other guard is decided when the law is traced
+    bench = ball_beam if design == "ball-beam" else vtol
+    source, namespace = traced._law_source(bench.system, bench.target, bench.damping_mode)
+    assert namespace[guard] is {"_singular": smalllinalg._singular,
+                                "_rank_deficient": controller._rank_deficient}[guard]
+    assert f"if {guard}(" in source and source.count("try:") == 1
 
 
 def test_mass_singular_mid_run_ends_in_domain_exit():

@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bipbc import smalllinalg
 from bipbc import (
     BoundConstants,
     Box,
@@ -72,7 +73,7 @@ def ref_unit_rows(g_ref, gs):
 def ref_actuated_terms(sys, tgt, q, kinetic, rows, pinv_g=None):
     """Actuated magnitudes at q for the kinetic gradients `kinetic` (K, n)."""
     grad_v = np.asarray(sys.potential_grad(q), dtype=float)
-    lam = tgt.mass_d(q) @ np.linalg.inv(sys.mass_matrix(q))
+    lam = tgt.mass_d(q) @ mass_solve(sys, q, np.eye(sys.n))
     if rows is not None:
         return np.abs(grad_v[rows]), np.linalg.norm(lam[rows], axis=1), np.abs(kinetic[:, rows])
     if pinv_g is None:
@@ -125,7 +126,7 @@ def ref_estimate_constants(sys, tgt, samples, inflation=1.05, mu=1e-6, momentum=
     for q in qs:
         g = np.asarray(sys.input_coupling(q), dtype=float)
         md = tgt.mass_d(q)
-        lam = md @ np.linalg.inv(sys.mass_matrix(q))
+        lam = md @ mass_solve(sys, q, np.eye(sys.n))
         grad_v = np.asarray(sys.potential_grad(q), dtype=float)
         grad_vd = np.asarray(tgt.potential_d_grad(q), dtype=float)
         pinv_g = one(_pull_back, g)
@@ -396,10 +397,7 @@ def four_dof_plant():
     def coupling_row(q):  # G = [I_3; r^T]
         return np.array([0.2 * math.sin(q[0]), 0.1, 0.3 * q[1]])
 
-    def annihilator(q):
-        # [-r^T, 1] / sqrt(1 + r^T r), C-contiguous as in the sweep's stack: for n = 4 the
-        # point loop's product with the transposed view of the SVD annihilator rounds
-        # otherwise than the sweep's product with its contiguous copy
+    def annihilator(q):  # [-r^T, 1] / sqrt(1 + r^T r)
         r = coupling_row(q)
         return np.append(-r, 1.0)[None] / math.sqrt(1.0 + float(r @ r))
 
@@ -548,9 +546,12 @@ def test_kv_advisory_matches_point_loop(name, bb_certificate, vtol_certificate):
 
 
 @pytest.mark.parametrize("plant", ["ball-beam", "vtol", "finite-difference",
-                                   "configuration-dependent", "three-dof", "four-dof"])
+                                   "configuration-dependent", "three-dof", "four-dof",
+                                   "four-dof-svd"])
 def test_verify_matching_matches_point_loop(ball_beam, vtol, plant):
-    # the block form applies controller._shaping to stacks; the reference calls it per point
+    # the block form applies controller._shaping to stacks; the reference calls it per point.
+    # four-dof-svd takes Gperp from matching.annihilator's SVD, whose product with a
+    # vector must round as the sweep's product with its stack of it
     sys, tgt = {
         "ball-beam": lambda: (ball_beam.system, ball_beam.target),
         "vtol": lambda: (vtol.system, vtol.target),
@@ -558,7 +559,9 @@ def test_verify_matching_matches_point_loop(ball_beam, vtol, plant):
         "configuration-dependent": configuration_dependent_plant,
         "three-dof": three_dof_plant,
         "four-dof": four_dof_plant,
-    }[plant]()
+    }[plant.removesuffix("-svd")]()
+    if plant.endswith("-svd"):
+        sys = dataclasses.replace(sys, annihilator=None)
     for samples in (1, _BLOCK + 3):
         assert verify_matching(sys, tgt, samples) == ref_verify_matching(sys, tgt, samples)
 
@@ -595,6 +598,43 @@ def test_verify_matching_evaluates_m_and_md_once_per_sample(ball_beam):
     report = verify_matching(sys, tgt, samples=1000)
     assert counts == {"M": 1000, "M_d": 1000}
     assert report == verify_matching(ball_beam.system, ball_beam.target, samples=1000)
+
+
+def test_sweeps_factorize_once_per_block(ball_beam, vtol, monkeypatch):
+    # M_d and M in verify_matching, M alone in estimate_constants, whose Lambda and
+    # R M^-1 M_d come from that one factorization: a second copy of a solve raises a count
+    calls = collections.Counter()
+    inverse = smalllinalg._inverse
+
+    def counted(*args):
+        calls["_inverse"] += 1
+        return inverse(*args)
+
+    monkeypatch.setattr(smalllinalg, "_inverse", counted)
+    for bench in (ball_beam, vtol):
+        for sweep, region, want in ((verify_matching, bench.residual_box, 2),
+                                    (estimate_constants, bench.certification_region(), 1)):
+            calls.clear()
+            blocks = math.ceil(sweep(bench.system, bench.target, region=region).samples / _BLOCK)
+            assert calls["_inverse"] == want * blocks, (bench.name, sweep.__name__)
+
+
+def test_sweeps_take_no_lapack_inverse(ball_beam, bb_certificate, bb_trajectory, monkeypatch):
+    # every M^-1 of the sweeps, Lambda = M_d M^-1 included, comes from the law's guarded
+    # factorization of M on (B,) columns
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    sys, tgt = ball_beam.system, ball_beam.target
+    constants, _ = bb_certificate
+    estimate_constants(sys, tgt, samples=300)
+    validate_constants(sys, tgt, constants, samples=2000)
+    empirical_constants(sys, tgt, bb_trajectory)
+    kv_advisory(sys, tgt, constants)
+    verify_matching(sys, tgt, samples=500)
+    toy, toy_target = configuration_dependent_plant()
+    estimate_constants(toy, toy_target, samples=100)
 
 
 # -- closed forms -----------------------------------------------------------------

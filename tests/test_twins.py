@@ -19,7 +19,7 @@ from bipbc.bench import get_benchmark
 from bipbc.bench.vtol import THETA_SINGULAR
 from bipbc.errors import SingularMass
 from bipbc.controller import _COLUMNS
-from bipbc.smalllinalg import _apply, _guard, _inverse, _inverse_checked, solve_checked
+from bipbc.smalllinalg import _apply, _inverse, _inverse_checked, _singular, solve_checked
 from bipbc.stacking import _BLOCK, _stack, constant, plant_function
 
 PLANT = ("mass_matrix", "potential_grad", "kinetic_grad", "input_coupling", "damping",
@@ -245,7 +245,7 @@ def test_point_solve_on_floats_is_the_numpy_scalar_solve():
             a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
             b = rng.standard_normal(n)
             scalars = [[a[i, j] for j in range(n)] for i in range(n)]
-            want = np.array(_apply(_inverse(scalars, _guard, SingularMass), list(b)))
+            want = np.array(_apply(_inverse(scalars, _singular, SingularMass), list(b)))
             assert np.array_equal(solve_checked(a, b, SingularMass), want)
 
 
