@@ -34,11 +34,11 @@ on `_COLUMNS`, the (B,) columns of the sampled sweeps.
 
 `IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `evaluate` and
 `field` return the plant's closed-loop field from the law's own plant
-evaluation; `simulate` takes them at accepted states and interior RK4 stages.
-A law whose callables are all formulas or constants runs as one generated
-straight-line function (`_generated_law`), bit for bit the law above, which
-hands any point where a guard fails or `math` raises to
-`ida_pbc_control_raw`.
+evaluation. A law whose callables are all formulas or constants runs as one
+generated straight-line function (`_generated_law`), bit for bit the law
+above, which hands any point where a guard fails or `math` raises to
+`ida_pbc_control_raw`; `simulate` calls it on the state's float entries at
+accepted states and interior RK4 stages.
 
 Controllers are pure functions of the state, so one instance can serve any
 number of simulations.
@@ -367,8 +367,8 @@ class IdaPbcLaw:
     Calling it is `ida_pbc_control_raw`. `evaluate(q, p)` (tau, field, ptilde),
     a law call, and `field(q, p)` each take one evaluation of M, M_d, grad_q V,
     grad_q K and G at (q, p); the field equals open_loop_field_raw(sys, q, p,
-    law(t, q, p)) bit for bit. `simulate` takes them at accepted states and
-    interior RK4 stages.
+    law(t, q, p)) bit for bit. The three are array wrappers around `_fast`,
+    which `simulate` calls on the state's float entries.
 
     When all nine callables are `plant_function` formulas or `constant`s,
     n <= 3 and m <= 2, the law is traced on expression nodes and compiled into
@@ -390,15 +390,15 @@ class IdaPbcLaw:
         object.__setattr__(self, "_candidate", _generated_law(self.sys, self.tgt, self.damping_mode))
         object.__setattr__(self, "_generated", None)
 
-    def _fast(self, q: np.ndarray, p: np.ndarray):
-        """(tau, field, ptilde) entry tuples of the generated law, or a false
-        value where `ida_pbc_control_raw` answers."""
+    def _fast(self, xs):
+        """(tau, field, ptilde) entry tuples of the generated law at the state's entries
+        `xs`, or a false value where the array methods answer (`_floats` decides the law)."""
         run = self._generated
-        if run is None:
-            return self._first(q, p)
-        return run and run(*q.tolist(), *p.tolist())
+        return run and run(*xs)
 
-    def _first(self, q: np.ndarray, p: np.ndarray):
+    def _floats(self, q: np.ndarray, p: np.ndarray):
+        if self._generated is not None:  # no entry list on the reference path
+            return self._generated and self._fast([*q.tolist(), *p.tolist()])
         _check_arrays(self.sys, self.tgt, q, p)
         run = self._candidate
         if run is None:
@@ -415,21 +415,21 @@ class IdaPbcLaw:
         return got if same else None
 
     def __call__(self, t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        out = self._fast(q, p)
+        out = self._floats(q, p)
         if out:
             return np.array(out[0])
         return ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode)
 
     def evaluate(self, q: np.ndarray, p: np.ndarray):
         """(tau, field, ptilde) at (q, p), with ptilde = M_d^-1 p."""
-        out = self._fast(q, p)
+        out = self._floats(q, p)
         if out:
             return np.array(out[0]), np.array(out[1]), np.array(out[2])
         return ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode, with_field=True)
 
     def field(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """(qdot, pdot) of the plant under the law at (q, p)."""
-        out = self._fast(q, p)
+        out = self._floats(q, p)
         if out:
             return np.array(out[1])
         return np.array(_law(self.sys, self.tgt, q, p, self.damping_mode, True)[1])

@@ -7,10 +7,11 @@ control is evaluated at every stage, the first stage reusing the value
 recorded at the accepted state. An `IdaPbcLaw` on the simulated plant gives
 tau, that first stage and ptilde from one plant evaluation; a law of
 formulas and constants gives them from its generated straight-line function
-(see `controller.IdaPbcLaw`), bit for bit the law it replaces. The step's
-combination x + dt/6 (k1 + 2 k2 + 2 k3 + k4) and the blowup test run on
-Python floats, with the association of the numpy expression and so its
-rounding. Identical inputs produce bit-identical trajectories.
+(see `controller.IdaPbcLaw`), bit for bit the law it replaces, which takes
+the state's float entries. The state, its RK4 stage states, the step's
+combination x + dt/6 (k1 + 2 k2 + 2 k3 + k4) and the blowup test are Python
+floats, associated and so rounded as the numpy expressions. Identical inputs
+produce bit-identical trajectories.
 
 A run is checked against its certificate after it ends, on the recorded
 samples, by two array functions: `check_hd_decrease` (H_d does not rise)
@@ -124,27 +125,35 @@ class Trajectory:
 
 
 def _evaluator(sys: MechanicalSystem, law, target, tau_of):
-    """(t, x, accepted) -> (tau, k1, ptilde) at an accepted state, else the field.
+    """(t, xs, accepted) -> (tau, k1, ptilde) entries at an accepted state, else the field.
 
-    An IdaPbcLaw on `sys` gives all three from one plant evaluation, ptilde
-    None unless `target` is its own. Any other law is `tau_of` (t, q, p) ->
-    tau then the open-loop field; its k1 (None here) is taken in the step.
+    An IdaPbcLaw on `sys` gives all three from one plant evaluation (`_fast`,
+    else its array methods), ptilde None unless `target` is its own. Any other
+    law is `tau_of` on arrays, then the open-loop field; its k1 (None here) is
+    taken in the step.
     """
-    n = sys.n
+    n, m = sys.n, sys.m
     if isinstance(law, IdaPbcLaw) and law.sys is sys:
         own = law.tgt is target
 
-        def fused(t, x, accepted):
-            if not accepted:
-                return law.field(x[:n], x[n:])
-            tau, k1, pt = law.evaluate(x[:n], x[n:])
-            return tau, k1, pt if own else None
+        def fused(t, xs, accepted):
+            out = law._fast(xs)
+            if not out:  # the array methods answer, decide the generated law or raise
+                q, p = np.array(xs[:n]), np.array(xs[n:])
+                if not accepted:
+                    return law.field(q, p).tolist()
+                out = [a.tolist() for a in law.evaluate(q, p)]
+            return (out[0], out[1], out[2] if own else None) if accepted else out[1]
 
         return fused
 
-    def plain(t, x, accepted):
-        tau = np.atleast_1d(np.asarray(tau_of(t, x[:n], x[n:]), dtype=float))
-        return (tau, None, None) if accepted else open_loop_field_raw(sys, x[:n], x[n:], tau)
+    def plain(t, xs, accepted):
+        q, p = np.array(xs[:n]), np.array(xs[n:])
+        tau = np.atleast_1d(np.asarray(tau_of(t, q, p), dtype=float))
+        if tau.shape != (m,):
+            raise TypeError(f"the controller returned tau of shape {tau.shape}, not ({m},)")
+        return ((tau.tolist(), None, None) if accepted
+                else open_loop_field_raw(sys, q, p, tau).tolist())
 
     return plain
 
@@ -173,14 +182,14 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
     is tested at each accepted state, and the first state where it holds
     and every later one are in phase 2, so each step integrates under one
     law. That state and its time are `Trajectory.switch_state` and
-    `switch_time`. A phase ruled by an `IdaPbcLaw` on `sys` takes
-    `IdaPbcLaw.evaluate` at accepted states: tau, the next step's k1 and,
-    when `target` is the law's own, the recorded ptilde come from one plant
-    evaluation. Its interior stages (k2 to k4) take `IdaPbcLaw.field`. Any
-    other law's tau goes to the open-loop field, k1 at the start of the step.
-    Without a `target`, the recorded open-loop energy takes M^-1 p from the
-    first n entries of such a law's k1; other laws solve for it at the
-    record.
+    `switch_time`. A phase ruled by an `IdaPbcLaw` on `sys` takes one
+    evaluation at each accepted state and interior stage (k2 to k4), on the
+    state's float entries once `IdaPbcLaw.evaluate` compiled it: tau, the next
+    step's k1 and, when `target` is the law's own, the recorded ptilde come
+    from one. Any other law's tau, of m entries (TypeError otherwise), goes to
+    the open-loop field, k1 at the start of the step. Without a `target`, the
+    recorded open-loop energy takes M^-1 p from the first n entries of an
+    `IdaPbcLaw`'s k1; other laws solve for it at the record.
 
     The run ends at the last accepted state with a "blowup" event if any
     state component leaves [-BLOWUP_LIMIT, BLOWUP_LIMIT] or becomes
@@ -198,7 +207,7 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
         tau_of = (lambda t, q, p: zero) if controller is None else controller
         evaluators = {0: _evaluator(sys, controller, target, tau_of)}
     n = sys.n
-    x = np.concatenate([s0.q, s0.p]).astype(float)
+    x = np.concatenate([s0.q, s0.p]).astype(float).tolist()
     steps = int(round(cfg.t_end / cfg.dt))
     n_records = steps // cfg.record_stride + 1
 
@@ -212,22 +221,20 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
     phases = np.empty(n_records, dtype=int)
     events: List[tuple] = []
 
-    def accept(t: float, xv: np.ndarray, phase: int):
+    def accept(t: float, xs: list, phase: int):
         """(phase, tau, k1, ptilde) at an accepted state, switching to phase 2 if due."""
-        if phase == 1 and controller.switch_predicate(xv[:n], xv[n:]):
+        if phase == 1 and controller.switch_predicate(np.array(xs[:n]), np.array(xs[n:])):
             phase = 2
-        return (phase, *evaluators[phase](t, xv, True))
+        return (phase, *evaluators[phase](t, xs, True))
 
-    def record(idx: int, t: float, xv: np.ndarray, tau: np.ndarray, phase: int, pt, k1) -> None:
-        q, p = xv[:n].copy(), xv[n:].copy()
+    def record(idx: int, t: float, xs: list, tau, phase: int, pt, k1) -> None:
         times[idx] = t
-        qs[idx] = q
-        ps[idx] = p
+        qs[idx], ps[idx] = xs[:n], xs[n:]
         taus[idx] = tau
+        q, p = qs[idx], ps[idx]
         p_norms[idx] = math.sqrt(float(p @ p))
         if target is not None:
-            if pt is None:
-                pt = mass_d_solve(target, q, p)
+            pt = mass_d_solve(target, q, p) if pt is None else np.array(pt)
             hds[idx] = 0.5 * float(p @ pt) + float(target.potential_d(q))
             pt_norms[idx] = math.sqrt(float(pt @ pt))
         else:
@@ -239,10 +246,10 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
     switch_time: Optional[float] = None
     switch_state: Optional[ConfigState] = None
 
-    def switch(t: float, xv: np.ndarray) -> None:
+    def switch(t: float, xs: list) -> None:
         nonlocal switch_time, switch_state
         switch_time = t
-        switch_state = ConfigState(q=xv[:n].copy(), p=xv[n:].copy())
+        switch_state = ConfigState(q=xs[:n], p=xs[n:])
         if "phase_switch" in cfg.monitors:
             events.append((t, "phase_switch", {}))
 
@@ -252,25 +259,24 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
     record(0, 0.0, x, tau, phase, pt, k1)
     rec = 1
     dt = cfg.dt
-    dt6 = dt / 6.0
+    half, dt6 = 0.5 * dt, dt / 6.0
     for k in range(steps):
         t = k * dt
         t_next = (k + 1) * dt
         recorded = (k + 1) % cfg.record_stride == 0
         try:
             if k1 is None:
-                k1 = open_loop_field_raw(sys, x[:n], x[n:], tau)
+                k1 = open_loop_field_raw(sys, np.array(x[:n]), np.array(x[n:]), tau).tolist()
             stage = evaluators[phase]
-            k2 = stage(t + 0.5 * dt, x + 0.5 * dt * k1, False)
-            k3 = stage(t + 0.5 * dt, x + 0.5 * dt * k2, False)
-            k4 = stage(t + dt, x + dt * k3, False)
-            # x + dt/6 (k1 + 2 k2 + 2 k3 + k4) in floats, associated as the numpy expression
-            xs = [xi + dt6 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in
-                  zip(x.tolist(), k1.tolist(), k2.tolist(), k3.tolist(), k4.tolist())]
-            x_next = np.array(xs)
+            # x + (dt/2) k, x + dt k and x + dt/6 (k1 + 2 k2 + 2 k3 + k4), associated as numpy's
+            k2 = stage(t + half, [xi + half * a for xi, a in zip(x, k1)], False)
+            k3 = stage(t + half, [xi + half * a for xi, a in zip(x, k2)], False)
+            k4 = stage(t + dt, [xi + dt * a for xi, a in zip(x, k3)], False)
+            x_next = [xi + dt6 * (a + 2.0 * b + 2.0 * c + d)
+                      for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
             # NaN fails the comparison and +-inf exceeds the limit
-            if not all(abs(v) <= BLOWUP_LIMIT for v in xs):
-                events.append((t + dt, "blowup", {"state": x_next}))
+            if not all(abs(v) <= BLOWUP_LIMIT for v in x_next):
+                events.append((t + dt, "blowup", {"state": np.array(x_next)}))
                 break
             phase_next, tau, k1, pt = accept(t_next, x_next, phase)
             if recorded:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bipbc.controller
-from bipbc import RankDeficientG, SimConfig, SingularMassD, simulate
+from bipbc import ConfigState, RankDeficientG, SimConfig, SingularMassD, simulate
 from bipbc.bench.vtol import THETA_SINGULAR
 from bipbc.controller import IdaPbcLaw, ida_pbc_control_raw
 from bipbc.stacking import plant_function
@@ -162,18 +162,34 @@ def test_a_generated_law_that_differs_is_discarded(ball_beam, monkeypatch):
 
 def assert_same_run(a, b):
     for name in ("times", "q", "p", "tau", "hd", "p_norm", "ptilde_norm", "phase"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert [e[:2] for e in a.events] == [e[:2] for e in b.events]
     assert a.switch_time == b.switch_time
 
 
-def test_runs_equal_the_runs_of_opaque_callables(ball_beam, vtol_two_phase):
+def test_runs_equal_the_runs_of_opaque_callables(ball_beam, vtol, vtol_two_phase):
     bb = ball_beam
-    cfg = SimConfig(dt=1e-3, t_end=2.0)
     sys, tgt = opaque(bb.system, bb.target)
-    assert_same_run(
-        simulate(bb.system, bb.make_controller(), bb.initial_state, cfg, target=bb.target),
-        simulate(sys, IdaPbcLaw(sys, tgt), bb.initial_state, cfg, target=tgt))
+    md = bb.target.mass_d
+    other = dataclasses.replace(bb.target, mass_d=lambda q: 2.0 * md(q))  # ptilde from mass_d_solve
+    for cfg, compiled_target, opaque_target in (
+        (SimConfig(dt=1e-3, t_end=2.0), bb.target, tgt),
+        (SimConfig(dt=1e-3, t_end=1.0, record_stride=7), bb.target, tgt),
+        (SimConfig(dt=2e-3, t_end=1.0), None, None),
+        (SimConfig(dt=2e-3, t_end=1.0), other, other),
+    ):
+        assert_same_run(
+            simulate(bb.system, bb.make_controller(), bb.initial_state, cfg, target=compiled_target),
+            simulate(sys, IdaPbcLaw(sys, tgt), bb.initial_state, cfg, target=opaque_target))
+    # the roll rate carries the aircraft across the barrier within one step
+    s0 = ConfigState(q=np.array([0.0, 0.0, 1.3]), p=np.array([0.0, 0.0, 20.0]))
+    cfg = SimConfig(dt=2e-2, t_end=1.0)
+    sys, tgt = opaque(vtol.system, vtol.target)
+    run = simulate(vtol.system, vtol.make_controller(), s0, cfg, target=vtol.target)
+    reference = simulate(sys, IdaPbcLaw(sys, tgt, vtol.damping_mode), s0, cfg, target=tgt)
+    assert [kind for _, kind, _ in run.events] == ["domain_exit"]
+    assert_same_run(run, reference)
+    assert run.events[0][2] == reference.events[0][2]
     tp = vtol_two_phase
     cfg = SimConfig(dt=2e-3, t_end=3.0)  # the switch comes at 1.756 s
     sys, tgt = opaque(tp.system, tp.target)
@@ -182,6 +198,30 @@ def test_runs_equal_the_runs_of_opaque_callables(ball_beam, vtol_two_phase):
     run = simulate(tp.system, controller, tp.initial_state, cfg, target=tp.target)
     assert run.switch_time is not None and callable(controller.secondary_law._generated)
     assert_same_run(run, simulate(sys, wrapped, tp.initial_state, cfg, target=tgt))
+
+
+def test_compiled_run_stays_on_floats(ball_beam, vtol, monkeypatch):
+    # every RK4 stage calls the generated law on the state's floats: no array
+    # method after the start state's evaluate, whose bit check is the one
+    # reference law call
+    calls = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("__call__", "evaluate", "field"):
+        monkeypatch.setattr(IdaPbcLaw, name, counted(name, getattr(IdaPbcLaw, name)))
+    monkeypatch.setattr(bipbc.controller, "ida_pbc_control_raw",
+                        counted("ida_pbc_control_raw", bipbc.controller.ida_pbc_control_raw))
+    for bench in (ball_beam, vtol):
+        dt = bench.default_sim().dt
+        calls.clear()
+        simulate(bench.system, bench.make_controller(), bench.initial_state,
+                 SimConfig(dt=dt, t_end=50 * dt), target=bench.target)
+        assert calls == {"evaluate": 1, "ida_pbc_control_raw": 1}, bench.name
 
 
 def test_a_callable_that_returns_a_list_is_named(ball_beam):

@@ -538,6 +538,20 @@ def test_domain_error_truncates_with_event(vtol):
         simulate(vtol.system, vtol.make_controller(), beyond, cfg, target=vtol.target)
 
 
+@pytest.mark.parametrize("controller, entries", [
+    (lambda t, q, p: np.array([1.0]), 1),
+    (lambda t, q, p: np.ones(3), 3),
+    (lambda t, q, p: np.ones(2) if t < 0.05 else np.ones(3), 3),
+], ids=["one-entry", "three-entries", "three-entries-later"])
+def test_a_tau_of_the_wrong_length_is_named(vtol, controller, entries):
+    # the VTOL has m = 2: a 1-entry tau ran silently, the record broadcasting
+    # it and the plant taking tau_2 = 0; a 3-entry tau raised a broadcast
+    # error at the start and ended a run as a domain_exit later on
+    cfg = SimConfig(dt=5e-3, t_end=0.1)
+    with pytest.raises(TypeError, match=rf"tau of shape \({entries},\), not \(2,\)"):
+        simulate(vtol.system, controller, vtol.initial_state, cfg, target=vtol.target)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_g_turning_nan_is_a_domain_exit(m):
     # a NaN input coupling fails the law's rank guard; it used to yield a NaN
