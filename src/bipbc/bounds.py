@@ -37,7 +37,7 @@ immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -442,14 +442,9 @@ def _select(level_set: float, ultimate: Optional[float], start_norm: float) -> f
 def control_upper_bound(
     constants: BoundConstants, c_p: float, c_ptilde: float
 ) -> np.ndarray:
-    """Per-actuator effort bound for unit-structure G (the sharp form)."""
-    return (
-        constants.c_V
-        + constants.c_Lambda * constants.c_Vd
-        + (constants.c_M + constants.c_Lambda * constants.c_Md) * c_p**2
-        + constants.c_J * c_ptilde**2
-        + constants.lam_max_Kv * c_ptilde
-    )
+    """Per-actuator effort bound for unit-structure G (the sharp form): the
+    upper bound of `control_bound_general_g` at G_M = G_m = 1."""
+    return control_bound_general_g(replace(constants, G_M=1.0, G_m=1.0), c_p, c_ptilde)[0]
 
 
 def control_bound_general_g(

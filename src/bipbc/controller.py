@@ -34,11 +34,11 @@ on `_COLUMNS`, the (B,) columns of the sampled sweeps.
 
 `IdaPbcLaw` is the law as a controller (t, q, p) -> tau whose `evaluate` and
 `field` return the plant's closed-loop field from the law's own plant
-evaluation. A law whose callables are all formulas or constants runs as one
-generated straight-line function (`_generated_law`), bit for bit the law
-above, which hands any point where a guard fails or `math` raises to
-`ida_pbc_control_raw`; `simulate` calls it on the state's float entries at
-accepted states and interior RK4 stages.
+evaluation, `_fast`, which `simulate` calls on the state's float entries. A
+law whose callables are all formulas or constants runs as one generated
+straight-line function (`_generated_law`), bit for bit the law above, which
+hands any point where a guard fails or `math` raises to the reference
+evaluation `_law`; `ida_pbc_control_raw` is that evaluation on arrays.
 
 Controllers are pure functions of the state, so one instance can serve any
 number of simulations.
@@ -164,13 +164,23 @@ _COLUMNS = SimpleNamespace(
 
 
 def _pinv_rows(m, g: list, v: list) -> list:
-    """(G^T G)^-1 G^T v for G's rows `g` and v's entries `v`, on the carrier `m`.
+    """(G^T G)^-1 G^T v = R^-1 Q^T v from a thin QR factorization G = Q R, for
+    G's rows `g` and v's entries `v`, on the carrier `m`.
 
-    One input is g^T v / g^T g, guarded by `m.sigma_min`; two are the QR of
-    `pseudo_inverse_apply`. More inputs take numpy's QR, on floats only.
+    Raises RankDeficientG when sigma_min(G) is below 1e-9 or not finite (a NaN
+    or infinite entry of G), before the division it guards. For m = 2 the guard
+    reads sigma_min off the factorization, r11 and then det R / sigma_max(R),
+    without a second pass over G; otherwise it is `m.sigma_min`, for m = 1 the
+    root of the divisor g^T g. m = 1 is g^T v / g^T g, each dot summed left to
+    right. For m = 2, Q = [q1, w / r22] comes from Gram-Schmidt with one
+    reorthogonalization, with fsum dot products: as accurate as Householder QR,
+    where the adjugate of G^T G loses accuracy with cond(G)^2. Larger m uses
+    numpy's QR, on floats only.
     """
     if len(g[0]) > 2:
-        return pseudo_inverse_apply(np.array(g), np.array(v)).tolist()
+        m.rank_guard(m.sigma_min(g))
+        qmat, rmat = np.linalg.qr(np.array(g))
+        return np.linalg.solve(rmat, qmat.T @ np.array(v)).tolist()
     a = [row[0] for row in g]
     if len(g[0]) == 1:
         m.rank_guard(m.sigma_min(g))
@@ -195,23 +205,8 @@ def _pinv_rows(m, g: list, v: list) -> list:
 
 
 def pseudo_inverse_apply(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(G^T G)^-1 G^T v = R^-1 Q^T v from a thin QR factorization G = Q R.
-
-    Raises RankDeficientG when sigma_min(G) is below 1e-9 or not finite (a NaN
-    or infinite entry of G), before the division it guards. For m = 2 the guard
-    reads sigma_min off the factorization, r11 and then det R / sigma_max(R),
-    without a second pass over G; otherwise it is `smallest_singular_value`,
-    for m = 1 the root of the divisor g^T g. m = 1 is g^T v / g^T g, each dot
-    summed left to right. For m = 2, Q = [q1, w / r22] comes from Gram-Schmidt
-    with one reorthogonalization, in Python floats with fsum dot products: as
-    accurate as Householder QR, where the adjugate of G^T G loses accuracy with
-    cond(G)^2. Larger m uses numpy's QR.
-    """
-    if g.shape[1] <= 2:
-        return np.array(_pinv_rows(_FLOATS, g.tolist(), v.tolist()))
-    _rank_guard(smallest_singular_value(g))
-    qmat, rmat = np.linalg.qr(g)
-    return np.linalg.solve(rmat, qmat.T @ v)
+    """(G^T G)^-1 G^T v for an (n, m) G, by the QR of `_pinv_rows`."""
+    return np.array(_pinv_rows(_FLOATS, g.tolist(), v.tolist()))
 
 
 def _momentum_grads(sys: MechanicalSystem, tgt: TargetDynamics) -> tuple[Callable, Callable]:
@@ -264,10 +259,9 @@ def _check_mode(damping_mode: str) -> None:
         raise ValueError(f"unknown damping_mode {damping_mode!r}")
 
 
-def _law(sys, tgt, q, p, damping_mode, with_field, m=_FLOATS):
-    """tau = pinv(G) (potential + kinetic) minus the damping on G^T ptilde, or
-    with `with_field` (tau, (qdot, pdot) of the plant under tau, ptilde), as
-    entry lists on the carrier `m`."""
+def _law(sys, tgt, q, p, damping_mode, m=_FLOATS):
+    """(tau, (qdot, pdot) of the plant under tau, ptilde) as entry lists on the
+    carrier `m`: tau = pinv(G) (potential + kinetic) minus the damping on G^T ptilde."""
     inverse, grad_v, grad_k, potential, kinetic, pt = _shaping(sys, tgt, q, p, m)
     g = m.rows(sys.input_coupling(q))
     y = _product(zip(*g), pt)  # G^T ptilde
@@ -275,31 +269,28 @@ def _law(sys, tgt, q, p, damping_mode, with_field, m=_FLOATS):
         y = [m.tanh(yi) for yi in y]
     u = _pinv_rows(m, g, [a + b for a, b in zip(potential, kinetic)])
     tau = [a - b for a, b in zip(u, _product(tgt.damping_gain.tolist(), y))]
-    if not with_field:
-        return tau
     return tau, hamiltonian_field(inverse(m.rows(p)), grad_v, grad_k,
                                   m.rows(sys.damping(q)), _product(g, tau)), pt
 
 
 def ida_pbc_control_raw(sys: MechanicalSystem, tgt: TargetDynamics, q: np.ndarray,
                         p: np.ndarray, damping_mode: str = "linear", *, with_field: bool = False):
-    """IDA-PBC feedback at (q, p), the law that calling an `IdaPbcLaw` evaluates.
+    """IDA-PBC feedback at (q, p), the reference evaluation of an `IdaPbcLaw`.
 
     Args:
         damping_mode: "linear" for -K_v G^T ptilde, "saturated" for
             -K_v tanh(G^T ptilde) applied elementwise.
         with_field: return (tau, field, ptilde) from the same evaluation, field
-            being open_loop_field_raw(sys, q, p, tau) bit for bit.
+            being open_loop_field_raw(sys, q, p, tau) bit for bit, instead of tau.
+            The field, R(q) included, is evaluated either way.
 
     Raises:
         RankDeficientG: G(q) lost column rank.
         SingularMass / SingularMassD: mass matrices numerically singular.
     """
     _check_mode(damping_mode)
-    if not with_field:
-        return np.array(_law(sys, tgt, q, p, damping_mode, False))
-    tau, field, pt = _law(sys, tgt, q, p, damping_mode, True)
-    return np.array(tau), np.array(field), np.array(pt)
+    tau, field, pt = _law(sys, tgt, q, p, damping_mode)
+    return (np.array(tau), np.array(field), np.array(pt)) if with_field else np.array(tau)
 
 
 #: the law's plant and target callables: of q, or of (q, p) for the last two of each
@@ -364,11 +355,12 @@ def _same_bits(got: tuple, want: tuple) -> bool:
 class IdaPbcLaw:
     """The IDA-PBC law of (sys, tgt) as a controller (t, q, p) -> tau.
 
-    Calling it is `ida_pbc_control_raw`. `evaluate(q, p)` (tau, field, ptilde),
-    a law call, and `field(q, p)` each take one evaluation of M, M_d, grad_q V,
-    grad_q K and G at (q, p); the field equals open_loop_field_raw(sys, q, p,
-    law(t, q, p)) bit for bit. The three are array wrappers around `_fast`,
-    which `simulate` calls on the state's float entries.
+    Calling it, `evaluate(q, p)` (tau, field, ptilde) and `field(q, p)` are
+    array wrappers around `_fast`, the law's one evaluation, which `simulate`
+    calls on the state's float entries. Each takes one evaluation of M, M_d,
+    grad_q V, grad_q K, G and R at (q, p), so each raises where the others
+    raise; the field equals open_loop_field_raw(sys, q, p, law(t, q, p)) bit
+    for bit.
 
     When all nine callables are `plant_function` formulas or `constant`s,
     n <= 3 and m <= 2, the law is traced on expression nodes and compiled into
@@ -376,8 +368,8 @@ class IdaPbcLaw:
     the law is made. The first evaluation checks that every callable returns
     a numpy array (TypeError naming it otherwise) and keeps the function if
     its outputs equal `ida_pbc_control_raw`'s at that point bit for bit. Later
-    evaluations call it, and hand a point where it declines (a guard fails,
-    `math` raises) to `ida_pbc_control_raw`, which raises as the law raises.
+    evaluations call it, and evaluate a point where it declines (a guard
+    fails, `math` raises) by the reference law, which raises as the law raises.
     """
 
     sys: MechanicalSystem
@@ -391,48 +383,42 @@ class IdaPbcLaw:
         object.__setattr__(self, "_generated", None)
 
     def _fast(self, xs):
-        """(tau, field, ptilde) entry tuples of the generated law at the state's entries
-        `xs`, or a false value where the array methods answer (`_floats` decides the law)."""
+        """(tau, field, ptilde) entries at the state's entries `xs`: the generated
+        law's where it answers, else the reference law's on arrays of `xs`."""
         run = self._generated
-        return run and run(*xs)
+        out = run and run(*xs)
+        if out:
+            return out
+        n = self.sys.n
+        q, p = np.array(xs[:n]), np.array(xs[n:])
+        if run is None:  # the first evaluation decides the generated law
+            return self._decide(q, p, xs)
+        return _law(self.sys, self.tgt, q, p, self.damping_mode)
 
-    def _floats(self, q: np.ndarray, p: np.ndarray):
-        if self._generated is not None:  # no entry list on the reference path
-            return self._generated and self._fast([*q.tolist(), *p.tolist()])
+    def _decide(self, q: np.ndarray, p: np.ndarray, xs):
+        """The first evaluation, at (q, p) and their entries `xs`: it keeps the
+        generated law if it answers `ida_pbc_control_raw`'s bits there."""
         _check_arrays(self.sys, self.tgt, q, p)
         run = self._candidate
         if run is None:
             object.__setattr__(self, "_generated", False)
-            return None
-        try:
-            want = ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode,
-                                       with_field=True)
-        except (ArithmeticError, ValueError, ToolkitError):
-            return None  # undecided: the caller's reference evaluation raises or answers
-        got = run(*q.tolist(), *p.tolist())
+            return _law(self.sys, self.tgt, q, p, self.damping_mode)
+        want = ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode, with_field=True)
+        got = run(*xs)
         same = got is not None and _same_bits(got, want)
         object.__setattr__(self, "_generated", run if same else False)
-        return got if same else None
+        return got if same else [a.tolist() for a in want]
 
     def __call__(self, t: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        out = self._floats(q, p)
-        if out:
-            return np.array(out[0])
-        return ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode)
+        return np.array(self._fast(q.tolist() + p.tolist())[0])
 
     def evaluate(self, q: np.ndarray, p: np.ndarray):
         """(tau, field, ptilde) at (q, p), with ptilde = M_d^-1 p."""
-        out = self._floats(q, p)
-        if out:
-            return np.array(out[0]), np.array(out[1]), np.array(out[2])
-        return ida_pbc_control_raw(self.sys, self.tgt, q, p, self.damping_mode, with_field=True)
+        return tuple(map(np.array, self._fast(q.tolist() + p.tolist())))
 
     def field(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """(qdot, pdot) of the plant under the law at (q, p)."""
-        out = self._floats(q, p)
-        if out:
-            return np.array(out[1])
-        return np.array(_law(self.sys, self.tgt, q, p, self.damping_mode, True)[1])
+        return np.array(self._fast(q.tolist() + p.tolist())[1])
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,15 @@
 The integrated state is (q, p), i.e. momentum rather than velocity, which
 keeps the Hamiltonian structure of the model exact in code. The integrator
 is the classical 4th-order Runge-Kutta scheme with a fixed step; the
-control is evaluated at every stage, the first stage reusing the value
-recorded at the accepted state. An `IdaPbcLaw` on the simulated plant gives
-tau, that first stage and ptilde from one plant evaluation; a law of
-formulas and constants gives them from its generated straight-line function
-(see `controller.IdaPbcLaw`), bit for bit the law it replaces, which takes
-the state's float entries. The state, its RK4 stage states, the step's
-combination x + dt/6 (k1 + 2 k2 + 2 k3 + k4) and the blowup test are Python
-floats, associated and so rounded as the numpy expressions. Identical inputs
-produce bit-identical trajectories.
+control and the field under it are evaluated together at every stage, the
+first stage reusing those of the accepted state, whose tau is recorded. An
+`IdaPbcLaw` on the simulated plant gives tau, the field and ptilde from one
+plant evaluation; a law of formulas and constants gives them from its
+generated straight-line function (see `controller.IdaPbcLaw`), bit for bit
+the law it replaces, which takes the state's float entries. The state, its
+RK4 stage states, the step's combination x + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+and the blowup test are Python floats, associated and so rounded as the
+numpy expressions. Identical inputs produce bit-identical trajectories.
 
 A run is checked against its certificate after it ends, on the recorded
 samples, by two array functions: `check_hd_decrease` (H_d does not rise)
@@ -33,9 +33,10 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .controller import IdaPbcLaw, TargetDynamics, TwoPhaseController, mass_d_solve
-from .errors import SingularMass, ToolkitError
+from .errors import ToolkitError
 from .phcore import ConfigState, MechanicalSystem, open_loop_field_raw
-from .smalllinalg import solve_checked
+# solve_checked is unused here; perfbench's tracer wraps this attribute
+from .smalllinalg import solve_checked  # noqa: F401
 
 Controller = Union[None, TwoPhaseController, Callable[[float, np.ndarray, np.ndarray], np.ndarray]]
 
@@ -125,35 +126,28 @@ class Trajectory:
 
 
 def _evaluator(sys: MechanicalSystem, law, target, tau_of):
-    """(t, xs, accepted) -> (tau, k1, ptilde) entries at an accepted state, else the field.
+    """(t, xs) -> (tau, field, ptilde or None) entries at the state's entries `xs`.
 
-    An IdaPbcLaw on `sys` gives all three from one plant evaluation (`_fast`,
-    else its array methods), ptilde None unless `target` is its own. Any other
-    law is `tau_of` on arrays, then the open-loop field; its k1 (None here) is
-    taken in the step.
+    An IdaPbcLaw on `sys` gives all three from one plant evaluation (`_fast`),
+    ptilde None unless `target` is its own. Any other law is `tau_of` on arrays,
+    of m entries, and the open-loop field under it.
     """
     n, m = sys.n, sys.m
     if isinstance(law, IdaPbcLaw) and law.sys is sys:
         own = law.tgt is target
 
-        def fused(t, xs, accepted):
-            out = law._fast(xs)
-            if not out:  # the array methods answer, decide the generated law or raise
-                q, p = np.array(xs[:n]), np.array(xs[n:])
-                if not accepted:
-                    return law.field(q, p).tolist()
-                out = [a.tolist() for a in law.evaluate(q, p)]
-            return (out[0], out[1], out[2] if own else None) if accepted else out[1]
+        def fused(t, xs):
+            tau, field, pt = law._fast(xs)
+            return tau, field, pt if own else None
 
         return fused
 
-    def plain(t, xs, accepted):
+    def plain(t, xs):
         q, p = np.array(xs[:n]), np.array(xs[n:])
         tau = np.atleast_1d(np.asarray(tau_of(t, q, p), dtype=float))
         if tau.shape != (m,):
             raise TypeError(f"the controller returned tau of shape {tau.shape}, not ({m},)")
-        return ((tau.tolist(), None, None) if accepted
-                else open_loop_field_raw(sys, q, p, tau).tolist())
+        return tau.tolist(), open_loop_field_raw(sys, q, p, tau).tolist(), None
 
     return plain
 
@@ -176,29 +170,29 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
     that `bound_exceedances` flags against the published bounds, in record
     order.
 
-    The control is evaluated once at each accepted state (the start and the
-    end of each step): that value is recorded and drives the step's first
-    RK4 stage. A TwoPhaseController starts in phase 1; its switch predicate
-    is tested at each accepted state, and the first state where it holds
-    and every later one are in phase 2, so each step integrates under one
-    law. That state and its time are `Trajectory.switch_state` and
-    `switch_time`. A phase ruled by an `IdaPbcLaw` on `sys` takes one
-    evaluation at each accepted state and interior stage (k2 to k4), on the
-    state's float entries once `IdaPbcLaw.evaluate` compiled it: tau, the next
-    step's k1 and, when `target` is the law's own, the recorded ptilde come
-    from one. Any other law's tau, of m entries (TypeError otherwise), goes to
-    the open-loop field, k1 at the start of the step. Without a `target`, the
-    recorded open-loop energy takes M^-1 p from the first n entries of an
-    `IdaPbcLaw`'s k1; other laws solve for it at the record.
+    The control and the field under it are evaluated together, once at each
+    accepted state (the start and the end of each step) and at each interior
+    RK4 stage (k2 to k4): the accepted state's tau is recorded and its field
+    is the next step's k1. A TwoPhaseController starts in phase 1; its switch
+    predicate is tested at each accepted state, and the first state where it
+    holds and every later one are in phase 2, so each step integrates under
+    one law. That state and its time are `Trajectory.switch_state` and
+    `switch_time`. A phase ruled by an `IdaPbcLaw` on `sys` takes tau, the
+    field and, when `target` is the law's own, the recorded ptilde from one
+    evaluation (`IdaPbcLaw._fast`, on the state's float entries). Any other
+    law's tau, of m entries (TypeError otherwise), goes to the open-loop
+    field. Without a `target`, the recorded open-loop energy takes M^-1 p from
+    the first n entries of k1.
 
-    The run ends at the last accepted state with a "blowup" event if any
-    state component leaves [-BLOWUP_LIMIT, BLOWUP_LIMIT] or becomes
-    non-finite, and with a "domain_exit" event if evaluating the plant,
-    target or controller after the start raises ValueError or ToolkitError.
-    Such errors at the start state propagate. A damping error ends an
-    `IdaPbcLaw` run at the accepted state, unrecorded; other laws record it
-    and end one step later, at its k1.
+    The start state must have the plant's n coordinates (ValueError
+    otherwise). The run ends at the last accepted state with a "blowup" event
+    if any state component leaves [-BLOWUP_LIMIT, BLOWUP_LIMIT] or becomes
+    non-finite, and with a "domain_exit" event, that state unrecorded, if
+    evaluating the plant, target or controller after the start raises
+    ValueError or ToolkitError. Such errors at the start state propagate.
     """
+    if s0.q.size != sys.n:
+        raise ValueError(f"the start state has {s0.q.size} coordinates, the plant {sys.n}")
     if isinstance(controller, TwoPhaseController):
         evaluators = {ph: _evaluator(sys, law, target, partial(controller.control, phase=ph))
                       for ph, law in ((1, controller.primary_law), (2, controller.secondary_law))}
@@ -225,7 +219,7 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
         """(phase, tau, k1, ptilde) at an accepted state, switching to phase 2 if due."""
         if phase == 1 and controller.switch_predicate(np.array(xs[:n]), np.array(xs[n:])):
             phase = 2
-        return (phase, *evaluators[phase](t, xs, True))
+        return (phase, *evaluators[phase](t, xs))
 
     def record(idx: int, t: float, xs: list, tau, phase: int, pt, k1) -> None:
         times[idx] = t
@@ -237,9 +231,8 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
             pt = mass_d_solve(target, q, p) if pt is None else np.array(pt)
             hds[idx] = 0.5 * float(p @ pt) + float(target.potential_d(q))
             pt_norms[idx] = math.sqrt(float(pt @ pt))
-        else:
-            qdot = solve_checked(sys.mass_matrix(q), p, SingularMass) if k1 is None else k1[:n]
-            hds[idx] = 0.5 * float(p @ qdot) + float(sys.potential(q))
+        else:  # qdot = M^-1 p, the first n entries of the field
+            hds[idx] = 0.5 * float(p @ k1[:n]) + float(sys.potential(q))
             pt_norms[idx] = np.nan
         phases[idx] = phase
 
@@ -265,13 +258,11 @@ def simulate(sys: MechanicalSystem, controller: Controller, s0: ConfigState, cfg
         t_next = (k + 1) * dt
         recorded = (k + 1) % cfg.record_stride == 0
         try:
-            if k1 is None:
-                k1 = open_loop_field_raw(sys, np.array(x[:n]), np.array(x[n:]), tau).tolist()
             stage = evaluators[phase]
             # x + (dt/2) k, x + dt k and x + dt/6 (k1 + 2 k2 + 2 k3 + k4), associated as numpy's
-            k2 = stage(t + half, [xi + half * a for xi, a in zip(x, k1)], False)
-            k3 = stage(t + half, [xi + half * a for xi, a in zip(x, k2)], False)
-            k4 = stage(t + dt, [xi + dt * a for xi, a in zip(x, k3)], False)
+            k2 = stage(t + half, [xi + half * a for xi, a in zip(x, k1)])[1]
+            k3 = stage(t + half, [xi + half * a for xi, a in zip(x, k2)])[1]
+            k4 = stage(t + dt, [xi + dt * a for xi, a in zip(x, k3)])[1]
             x_next = [xi + dt6 * (a + 2.0 * b + 2.0 * c + d)
                       for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
             # NaN fails the comparison and +-inf exceeds the limit

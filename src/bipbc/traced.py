@@ -221,7 +221,7 @@ def _law_source(sys, tgt, damping_mode: str) -> tuple:
     outputs = controller._law(
         on_nodes(sys, controller._PLANT_FIELDS),
         on_nodes(tgt, controller._TARGET_FIELDS, damping_gain=tgt.damping_gain),
-        q, p, damping_mode, True, carrier)
+        q, p, damping_mode, carrier)
     return graph.function(q + p, outputs)
 
 

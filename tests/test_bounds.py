@@ -170,6 +170,18 @@ def test_general_g_collapses_to_sharp_form_for_orthonormal_columns():
     assert lower is not None
 
 
+def test_sharp_effort_is_its_written_sum_bit_for_bit(bb_certificate, vtol_certificate):
+    # the sharp form is the general-G upper bound at G_M = G_m = 1, whose
+    # products by 1.0 are exact: it keeps the bits of the sum written out
+    rng = np.random.default_rng(25)
+    for constants, _ in (bb_certificate, vtol_certificate):
+        for c_p, c_pt in rng.uniform(0.0, 10.0, (2000, 2)).tolist():
+            want = (constants.c_V + constants.c_Lambda * constants.c_Vd
+                    + (constants.c_M + constants.c_Lambda * constants.c_Md) * c_p**2
+                    + constants.c_J * c_pt**2 + constants.lam_max_Kv * c_pt)
+            assert control_upper_bound(constants, c_p, c_pt).tobytes() == want.tobytes()
+
+
 def test_general_g_at_least_sharp_property():
     rng = np.random.default_rng(1)
     for _ in range(100):

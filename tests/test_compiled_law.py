@@ -202,8 +202,7 @@ def test_runs_equal_the_runs_of_opaque_callables(ball_beam, vtol, vtol_two_phase
 
 def test_compiled_run_stays_on_floats(ball_beam, vtol, monkeypatch):
     # every RK4 stage calls the generated law on the state's floats: no array
-    # method after the start state's evaluate, whose bit check is the one
-    # reference law call
+    # method, and the start state's bit check is the one reference law call
     calls = collections.Counter()
 
     def counted(key, fn):
@@ -221,7 +220,25 @@ def test_compiled_run_stays_on_floats(ball_beam, vtol, monkeypatch):
         calls.clear()
         simulate(bench.system, bench.make_controller(), bench.initial_state,
                  SimConfig(dt=dt, t_end=50 * dt), target=bench.target)
-        assert calls == {"evaluate": 1, "ida_pbc_control_raw": 1}, bench.name
+        assert calls == {"ida_pbc_control_raw": 1}, bench.name
+
+
+def test_a_declined_point_runs_the_generated_law_once(vtol):
+    # the roll rate carries the aircraft across the barrier within the first
+    # step, where the generated law declines and the reference law raises; the
+    # array fallback ran the generated law there a second time
+    law = vtol.make_controller()
+    run, answers = compiled(law, vtol.initial_state.q, vtol.initial_state.p), []
+
+    def counted(*xs):
+        answers.append(run(*xs))
+        return answers[-1]
+
+    object.__setattr__(law, "_generated", counted)
+    s0 = ConfigState(q=np.array([0.0, 0.0, 1.3]), p=np.array([0.0, 0.0, 20.0]))
+    traj = simulate(vtol.system, law, s0, SimConfig(dt=2e-2, t_end=1.0), target=vtol.target)
+    assert [kind for _, kind, _ in traj.events] == ["domain_exit"]
+    assert [out is None for out in answers] == [False, True]
 
 
 def test_a_callable_that_returns_a_list_is_named(ball_beam):

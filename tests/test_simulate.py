@@ -102,12 +102,12 @@ def test_fd_plant_run_equals_its_capture(ball_beam, fd_ball_beam):
 
 
 def test_one_plant_evaluation_per_accepted_state(ball_beam, fd_ball_beam, monkeypatch):
-    # an RK4 step evaluates the law's plant terms at three interior stages and
-    # one accepted state, each 5 M (1 + 4 in the finite-difference grad_q K),
-    # 5 M_d and 2 fd_gradient; k1 and the recorded ptilde reuse the accepted
-    # state's evaluation (a separate open-loop k1 and M_d solve made 25, 21, 9),
-    # and without a target the recorded energy takes M^-1 p from k1 (an M
-    # evaluation and solve per record made 21 M)
+    # an RK4 step evaluates the law (`_law`, its reference path) at three
+    # interior stages and one accepted state, each 5 M (1 + 4 in the
+    # finite-difference grad_q K), 5 M_d and 2 fd_gradient; k1 and the recorded
+    # ptilde reuse the accepted state's evaluation (a separate open-loop k1 and
+    # M_d solve made 25, 21, 9), and without a target the recorded energy takes
+    # M^-1 p from k1 (an M evaluation and solve per record made 21 M)
     counts = collections.Counter()
 
     def counted(key, fn):
@@ -121,8 +121,7 @@ def test_one_plant_evaluation_per_accepted_state(ball_beam, fd_ball_beam, monkey
     tgt = dataclasses.replace(tgt, mass_d=counted("M_d", tgt.mass_d))
     for module in (bipbc.controller, bipbc.phcore):
         monkeypatch.setattr(module, "fd_gradient", counted("fd_gradient", module.fd_gradient))
-    monkeypatch.setattr(bipbc.controller, "ida_pbc_control_raw",
-                        counted("law", bipbc.controller.ida_pbc_control_raw))
+    monkeypatch.setattr(bipbc.controller, "_law", counted("law", bipbc.controller._law))
 
     def run(steps, target):
         counts.clear()
@@ -133,7 +132,7 @@ def test_one_plant_evaluation_per_accepted_state(ball_beam, fd_ball_beam, monkey
     for target in (tgt, None):
         start, run_100 = run(1, target), run(101, target)
         per_step = {key: (run_100[key] - start[key]) / 100 for key in run_100}
-        assert per_step == {"M": 20, "M_d": 20, "fd_gradient": 8, "law": 1}, target
+        assert per_step == {"M": 20, "M_d": 20, "fd_gradient": 8, "law": 4}, target
 
 
 def test_ptilde_of_another_target_is_not_the_laws(ball_beam):
@@ -152,10 +151,84 @@ def test_ptilde_of_another_target_is_not_the_laws(ball_beam):
     assert not np.array_equal(a.hd, own.hd)
 
 
+def test_one_mass_evaluation_per_stage_without_a_target(ball_beam):
+    # a plain controller's field is taken with its tau at the accepted state:
+    # it is the next step's k1 and gives the recorded open-loop energy its
+    # M^-1 p, so a step evaluates M once per RK4 stage (a solve at the record
+    # made 5)
+    counts = collections.Counter()
+    mass = ball_beam.system.mass_matrix
+
+    def counted(q):
+        counts["M"] += 1
+        return mass(q)
+
+    sys = dataclasses.replace(ball_beam.system, mass_matrix=counted)
+
+    def run(controller, steps):
+        counts.clear()
+        simulate(sys, controller, ball_beam.initial_state, SimConfig(dt=2e-3, t_end=steps * 2e-3))
+        return counts["M"]
+
+    for controller in (None, lambda t, q, p: np.zeros(1)):
+        assert (run(controller, 101) - run(controller, 1)) / 100 == 4
+
+
+def unit_particle_target():
+    """A target of unit mass and potential 1/2 q^2 for `particle()`."""
+    return TargetDynamics(mass_d=lambda q: np.eye(1), potential_d=lambda q: 0.5 * float(q @ q),
+                          potential_d_grad=lambda q: q, j2=lambda q, pt: np.zeros((1, 1)),
+                          damping_gain=np.zeros((1, 1)), equilibrium=np.zeros(1))
+
+
+def test_a_plant_error_at_the_start_state_propagates_under_every_controller():
+    # a plain controller and None recorded the start state and ended the run
+    # with a domain_exit at t = dt, where their first open-loop field met it
+    def damping(q):
+        raise ValueError("no damping at all")
+
+    sys = dataclasses.replace(particle(), damping=damping)
+    tgt = unit_particle_target()
+    s0 = ConfigState(q=np.zeros(1), p=np.ones(1))
+    for controller in (None, lambda t, q, p: np.zeros(1), IdaPbcLaw(sys, tgt)):
+        for target in (tgt, None):
+            with pytest.raises(ValueError, match="no damping at all"):
+                simulate(sys, controller, s0, SimConfig(dt=0.1, t_end=1.0), target=target)
+
+
+def test_a_law_call_raises_where_evaluate_raises():
+    # a law call evaluates R(q) with tau; it returned tau where R raises
+    def damping(q):
+        if q[0] > 0.5:
+            raise ValueError("damping past its threshold")
+        return np.zeros((1, 1))
+
+    sys = dataclasses.replace(particle(), damping=damping)
+    tgt = unit_particle_target()
+    law = IdaPbcLaw(sys, tgt)
+    p = np.ones(1)
+    assert law(0.0, np.zeros(1), p) == law.evaluate(np.zeros(1), p)[0]
+    q = np.ones(1)
+    for call in (lambda: law(0.0, q, p), lambda: law.evaluate(q, p), lambda: law.field(q, p),
+                 lambda: ida_pbc_control_raw(sys, tgt, q, p)):
+        with pytest.raises(ValueError, match="damping past its threshold"):
+            call()
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_start_state_of_the_wrong_size_is_named(ball_beam, size):
+    # it raised "too many values to unpack", a broadcast ValueError or IndexError
+    s0 = ConfigState(q=np.zeros(size), p=np.zeros(size))
+    cfg = SimConfig(dt=1e-3, t_end=0.01)
+    for controller in (ball_beam.make_controller(), lambda t, q, p: np.zeros(1), None):
+        with pytest.raises(ValueError, match=f"start state has {size} coordinates, the plant 2"):
+            simulate(ball_beam.system, controller, s0, cfg, target=ball_beam.target)
+
+
 def test_damping_error_ends_a_law_run_at_the_accepted_state():
-    # an IdaPbcLaw evaluates R(q) with its field at each accepted state, so a
-    # damping error ends its run there; a plain callable records that state
-    # and meets the error one step later, in k1
+    # every controller's field, R(q) included, is evaluated with its tau at
+    # each accepted state, so a damping error ends the run there, unrecorded,
+    # under the law and under the law as a plain callable alike
     threshold = [math.inf]
 
     def damping(q):
@@ -164,9 +237,7 @@ def test_damping_error_ends_a_law_run_at_the_accepted_state():
         return np.zeros((1, 1))
 
     sys = dataclasses.replace(particle(), damping=damping)
-    tgt = TargetDynamics(mass_d=lambda q: np.eye(1), potential_d=lambda q: 0.5 * float(q @ q),
-                         potential_d_grad=lambda q: q, j2=lambda q, pt: np.zeros((1, 1)),
-                         damping_gain=np.zeros((1, 1)), equilibrium=np.zeros(1))
+    tgt = unit_particle_target()
     law = IdaPbcLaw(sys, tgt)
     s0 = ConfigState(q=np.zeros(1), p=np.ones(1))
     cfg = SimConfig(dt=0.1, t_end=1.0)
@@ -176,11 +247,9 @@ def test_damping_error_ends_a_law_run_at_the_accepted_state():
     fused = simulate(sys, law, s0, cfg, target=tgt)
     plain = simulate(sys, lambda t, q, p: law(t, q, p), s0, cfg, target=tgt)
     assert [kind for _, kind, _ in fused.events + plain.events] == ["domain_exit"] * 2
-    assert len(fused) == 5 and len(plain) == 6
-    assert fused.events[0][0] == pytest.approx(0.5) and plain.events[0][0] == pytest.approx(0.6)
-    assert plain.q[5, 0] > threshold[0]
-    for name in RUN_ARRAYS:
-        assert np.array_equal(getattr(fused, name), getattr(plain, name)[:5]), name
+    assert len(fused) == len(plain) == 5
+    assert fused.events[0][0] == plain.events[0][0] == pytest.approx(0.5)
+    assert_same_run(fused, plain)
 
 
 @pytest.mark.parametrize("name", ["ball-beam", "vtol-two-phase"])
